@@ -171,7 +171,7 @@ def cmd_gp_fit(args):
     act = _activation(args)
     ds = _load_standardized(args)
     train, test = data_mod.split(ds, args.train_frac, args.seed)
-    sw2 = args.sigma_w2 if args.sigma_w2 is not None else 2.0
+    sw2, _ = _sigma_w2(args, act, args.norm)
     X = np.vstack([train.X, test.X])
     _, K = next(kernel_matrices_by_depth(act, X, sw2, args.sigma_b2, [args.depth]))
     n = train.n

@@ -152,7 +152,8 @@ def sigma_star(act: Activation, norm: float, tol: float = 1e-8) -> float:
 
     Solves E[psi^2(sigma * norm * Z)] = norm^2. Analytic for
     ReLU/LReLU; otherwise a bisection root on sigma in [0.5, 3]
-    (bracket expanded outward when the root falls outside).
+    (bracket expanded outward when the root falls outside). The upper
+    end never exceeds ELU_S_MAX / norm for ELU/SELU.
     """
     if norm <= 0.0:
         raise ValueError("norm must be positive")
@@ -163,6 +164,8 @@ def sigma_star(act: Activation, norm: float, tol: float = 1e-8) -> float:
         return float(diag_mean(act, sigma * norm)) - norm * norm
 
     lo, hi = 0.5, 3.0
+    if act.kind in ("elu", "selu"):
+        hi = min(hi, ELU_S_MAX / norm)
     for _ in range(8):
         if f(lo) * f(hi) < 0.0:
             return float(bisect(f, lo, hi, xtol=tol))

@@ -1,12 +1,20 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nnkernels import activations as am
+from nnkernels.activations import ELU, GELU
 from nnkernels.cli import main
+from nnkernels.fixed_point import sigma_star
+from nnkernels.quadrature import mean_1d
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def run_cli(args, capsys):
@@ -65,6 +73,16 @@ class TestMcVerify:
         ana = np.array([float(r[3]) for r in rows[1:]])
         assert np.abs(emp - ana).max() <= 0.35  # width 200 smoke bound
 
+    def test_byte_identical_reruns(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = ["mc-verify", "--activation", "gelu", "--width", "300",
+                "--depth", "3", "--theta-points", "4", "--repeats", "2",
+                "--seed", "5"]
+        assert run_cli(args + ["--out", str(a)], capsys)[0] == 0
+        assert run_cli(args + ["--out", str(b)], capsys)[0] == 0
+        assert len(read_csv(a)) == 1 + 4 * 2 * 3
+        assert a.read_bytes() == b.read_bytes()
+
 
 class TestFixedpoint:
     def test_relu_constant_sigma_column(self, tmp_path, capsys):
@@ -100,6 +118,19 @@ class TestNormPreserve:
         vals = [float(r[1]) for r in rows[1:]]
         assert all(v == pytest.approx(np.sqrt(2), abs=1e-8) for v in vals)
 
+    def test_elu_defaults_reach_norm_ten(self, tmp_path, capsys):
+        # the root bracket must stay inside the closed form's s <= 25 guard
+        out = tmp_path / "np.csv"
+        code, _, err = run_cli(["norm-preserve", "--activation", "elu",
+                                "--out", str(out)], capsys)
+        assert code == 0, err
+        rows = read_csv(out)
+        assert len(rows) == 1 + 50
+        norm, sigma = float(rows[-1][0]), float(rows[-1][1])
+        assert norm == 10.0 and 0.5 <= sigma <= 2.5
+        second = mean_1d(lambda z: am.eval(ELU, sigma * norm * z) ** 2)
+        assert abs(second / norm ** 2 - 1.0) <= 1e-6
+
 
 class TestGpCommands:
     @pytest.fixture
@@ -126,6 +157,14 @@ class TestGpCommands:
         rows = read_csv(out)
         assert rows[0] == ["index", "split", "y", "mean", "var"]
         assert len(rows) == 41
+
+    def test_gp_fit_default_sigma_w2_is_norm_preserving(self, dataset_csv, capsys):
+        code, stdout, _ = run_cli([
+            "gp-fit", "--dataset", str(dataset_csv), "--activation", "gelu",
+            "--depth", "2"], capsys)
+        assert code == 0
+        metrics = json.loads(stdout.strip().splitlines()[0])
+        assert metrics["sigma_w2"] == sigma_star(GELU, 1.0) ** 2
 
     def test_benchmark_rows(self, tmp_path, dataset_csv, capsys):
         out = tmp_path / "bench.csv"
@@ -205,3 +244,24 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "sigma_star" in proc.stdout
+
+
+class TestScripts:
+    def _run(self, script, *args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, str(REPO / "scripts" / script), *args],
+                              capture_output=True, text=True, env=env)
+
+    def test_norm_preserving_roots_writes_all_three(self, tmp_path):
+        proc = self._run("norm_preserving_roots.py", "--outdir", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        for act in ("gelu", "elu", "relu"):
+            assert len(read_csv(tmp_path / f"sigma_star_{act}.csv")) == 1 + 80
+
+    def test_norm_preserving_roots_reports_failure(self, tmp_path):
+        proc = self._run("norm_preserving_roots.py", "--outdir", str(tmp_path / "missing"))
+        assert proc.returncode != 0
+        assert "wrote" not in proc.stdout
+        assert json.loads(proc.stderr.strip().splitlines()[-1])["error"]

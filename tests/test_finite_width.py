@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from scipy import stats
 
-from nnkernels.activations import GELU, RELU
+from nnkernels.activations import ELU, GELU, RELU
 from nnkernels.deep import NetworkHyper, deep_normalized_kernel
-from nnkernels.finite_width import (empirical_normalized_kernel,
-                                    empirical_trajectory, random_rotation,
+from nnkernels.finite_width import (empirical_kernel_trajectory,
+                                    empirical_normalized_kernel,
+                                    empirical_trajectory,
+                                    factored_kernel_trajectory, random_rotation,
                                     rotated_pair, sample_net)
+from nnkernels.fixed_point import sigma_star
 from nnkernels.kernels import diag_mean
 
 
@@ -105,6 +109,69 @@ class TestAgainstAnalytic:
                     for s in range(100)]
             v[width] = np.var(vals, ddof=1)
         assert v[3000] <= 0.40 * v[750]
+
+
+class TestFactoredSampler:
+    """The P x P-factor sampler against the explicit network it replaces."""
+
+    @pytest.mark.parametrize("act", (GELU, ELU, RELU))
+    def test_first_layer_matches_explicit_net(self, act):
+        # W_0 and b_0 come from the same Philox stream in the same order,
+        # so layer 1 is the same network, not only the same law
+        x1, x2 = rotated_pair(1.1, 1.3, seed=2)
+        for depth in (1, 3):
+            net = sample_net(act, 2, 400, depth, 1.7, 0.2, seed=21)
+            ref = empirical_kernel_trajectory(net, x1, x2)
+            new = factored_kernel_trajectory(act, x1, x2, 400, depth, 1.7, 0.2, seed=21)
+            assert new.shape == (depth,)
+            assert abs(new[0] - ref[0]) <= 1e-12
+
+    @pytest.mark.parametrize("theta0, sigma_b2", ((np.pi / 2, 0.0), (1.0, 0.1)))
+    def test_deep_layers_same_law_as_explicit_net(self, theta0, sigma_b2):
+        # 600 explicit and 600 factored width-200 depth-4 ELU nets at sigma*,
+        # on disjoint frozen seeds (a shared seed would share layer 1).
+        # Means: |z| <= 3 per layer. Variances: the ratio of two sample
+        # variances of normal data is F(599, 599), and its 0.1% / 99.9%
+        # quantiles (0.78, 1.29) give each layer a two-sided level of 0.2%.
+        # Each estimate is a smooth function of averages over 200 units; its
+        # measured excess kurtosis is within +-0.5, which widens the spread
+        # of log(variance ratio) by at most 12%, leaving the bounds at least
+        # 2.7 standard deviations out. The bias case would catch a bias drawn
+        # per input instead of shared by both inputs.
+        n_nets, width, depth = 600, 200, 4
+        sw2 = sigma_star(ELU, 1.0) ** 2
+        x1, x2 = rotated_pair(theta0, 1.0, seed=0)
+        explicit = np.array([
+            empirical_kernel_trajectory(
+                sample_net(ELU, 2, width, depth, sw2, sigma_b2, seed=s), x1, x2)
+            for s in range(n_nets)])
+        factored = np.array([
+            factored_kernel_trajectory(ELU, x1, x2, width, depth, sw2, sigma_b2,
+                                       seed=10 ** 6 + s)
+            for s in range(n_nets)])
+        v_exp, v_fac = explicit.var(axis=0, ddof=1), factored.var(axis=0, ddof=1)
+        z = (factored.mean(axis=0) - explicit.mean(axis=0)) / np.sqrt((v_exp + v_fac) / n_nets)
+        assert np.abs(z).max() <= 3.0
+        lo, hi = stats.f.ppf([0.001, 0.999], n_nets - 1, n_nets - 1)
+        ratio = v_fac / v_exp
+        assert ((ratio >= lo) & (ratio <= hi)).all(), ratio
+
+    def test_width_convergence_one_over_n_three_decades(self):
+        # depth-3 ReLU nets at widths 300, 3000 and 30000 (explicit nets at
+        # the last width would hold two 7.2 GB weight matrices). Per layer,
+        # the variance over 200 frozen seeds falls tenfold per decade: the
+        # ratio of consecutive variances stays in the F(199, 199) 0.1% /
+        # 99.9% band (0.64, 1.55) around 1/10, a two-sided level of 0.2% per
+        # (layer, decade) for normal estimates
+        n_nets, depth = 200, 3
+        v = [np.array([empirical_trajectory(RELU, np.pi / 2, 1.0, width, depth,
+                                            2.0, 0.0, seed=800 + s)
+                       for s in range(n_nets)]).var(axis=0, ddof=1)
+             for width in (300, 3000, 30000)]
+        lo, hi = stats.f.ppf([0.001, 0.999], n_nets - 1, n_nets - 1)
+        for coarse, fine in zip(v, v[1:]):
+            ratio = 10.0 * fine / coarse
+            assert ((ratio >= lo) & (ratio <= hi)).all(), ratio
 
 
 def _first_layer(net, x):
