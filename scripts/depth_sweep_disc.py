@@ -5,10 +5,12 @@ Runs GP regression with GELU and ReLU deep kernels at their
 norm-preserving weight scales for depths 1..100, 10 random training
 sets per target function, and writes train/test MSE rows per depth.
 GELU train error keeps falling with depth (overfitting); ReLU errors
-flatten toward the constant predictor (underfitting).
+flatten toward the constant predictor (underfitting). Stops at the
+first failing run and exits with its non-zero code.
 """
 
 import argparse
+import sys
 
 from nnkernels.cli import main as cli_main
 
@@ -16,10 +18,13 @@ from nnkernels.cli import main as cli_main
 def run(outdir, functions, n_train, repeats):
     for f in functions:
         out = f"{outdir}/depth_sweep_{f}.csv"
-        cli_main(["simplicity", "--f", f, "--n-train", str(n_train),
-                  "--depth-max", "100", "--repeats", str(repeats),
-                  "--out", out, "--self-check"])
+        code = cli_main(["simplicity", "--f", f, "--n-train", str(n_train),
+                         "--depth-max", "100", "--repeats", str(repeats),
+                         "--out", out, "--self-check"])
+        if code != 0:
+            return code
         print(f"wrote {out}")
+    return 0
 
 
 if __name__ == "__main__":
@@ -30,4 +35,4 @@ if __name__ == "__main__":
     p.add_argument("--n-train", type=int, default=30)
     p.add_argument("--repeats", type=int, default=10)
     args = p.parse_args()
-    run(args.outdir, args.functions, args.n_train, args.repeats)
+    sys.exit(run(args.outdir, args.functions, args.n_train, args.repeats))

@@ -4,7 +4,6 @@ unit-disc regression tasks."""
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,9 +179,3 @@ def disc_grid(f_name: str, n: int = 100) -> Dataset:
 def manifest(ds: Dataset, path, target_column) -> dict:
     return {"name": ds.name, "path": str(path), "target_column": target_column,
             "n": ds.n, "d": ds.d}
-
-
-def write_manifest(ds: Dataset, path, target_column, out_path):
-    with open(out_path, "w") as fh:
-        json.dump(manifest(ds, path, target_column), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -8,8 +8,10 @@ inputs), indices 1..L drive the expectation updates. ``NetworkHyper``
 stores one (sigma_w^2, sigma_b^2) pair per index; the shared
 constructor replicates a single pair, which is the default protocol.
 
-The tangent kernel T starts at the first expectation-built kernel
-(T = k after update 1) and follows T' = T * kdot + k'.
+Every update, scalar or matrix, kernel or tangent kernel, shared or
+per-level variances, goes through one array function, ``_layer_step``.
+The tangent kernel T starts at zero on the input map, so T = k after
+update 1, and follows T' = T * kdot + k'.
 """
 
 from __future__ import annotations
@@ -83,16 +85,41 @@ def _normalized(k, s1_sq, s2_sq):
     return np.clip(rho, -1.0, 1.0)
 
 
+def _layer_step(act: Activation, s_sq, pairs, rho, sigma_w2, sigma_b2,
+                t_rows=None, t_pairs=None):
+    """One layer of the kernel and tangent-kernel recursion, on arrays.
+
+    ``s_sq`` holds each row's squared signal norm; pair p joins rows
+    ``pairs[0][p]`` and ``pairs[1][p]`` at correlation ``rho[p]``. Returns
+    the next level's ``(s_sq, k, t_rows, t_pairs)``: k' = sigma_w^2
+    E[psi psi] + sigma_b^2 on the pairs, and T' = T kdot + k' for each
+    tangent-kernel part given (None stays None).
+    """
+    i, j = pairs
+    s = np.sqrt(s_sq)
+    k = kernel_values(act, s[i], s[j], rho, sigma_w2, sigma_b2)
+    s_sq_new = sigma_w2 * diag_mean(act, s) + sigma_b2
+    if t_rows is not None:
+        t_rows = t_rows * kernel_dot_values(act, s, s, np.ones_like(s), sigma_w2) + s_sq_new
+    if t_pairs is not None:
+        t_pairs = t_pairs * kernel_dot_values(act, s[i], s[j], rho, sigma_w2) + k
+    return s_sq_new, k, t_rows, t_pairs
+
+
+def _pair_step(act, s1_sq, s2_sq, rho, sigma_w2, sigma_b2, T=None):
+    """``_layer_step`` on one pair: (s1_sq', s2_sq', k', T') as floats."""
+    s_sq, k, _, T = _layer_step(act, np.array([s1_sq, s2_sq]), (0, 1), rho,
+                                sigma_w2, sigma_b2, t_pairs=T)
+    return float(s_sq[0]), float(s_sq[1]), float(k), None if T is None else float(T)
+
+
 def iterate_state(act: Activation, state: LayerState, sigma_w2: float,
                   sigma_b2: float) -> LayerState:
     """One layer update of (s1^2, s2^2, rho)."""
-    s1 = np.sqrt(state.s1_sq)
-    s2 = np.sqrt(state.s2_sq)
-    if s1 <= 0.0 or s2 <= 0.0:
+    if state.s1_sq <= 0.0 or state.s2_sq <= 0.0:
         raise ValueError("iterate_state requires strictly positive signal norms")
-    s1_sq = sigma_w2 * float(diag_mean(act, s1)) + sigma_b2
-    s2_sq = sigma_w2 * float(diag_mean(act, s2)) + sigma_b2
-    k = float(kernel_values(act, s1, s2, state.rho, sigma_w2, sigma_b2))
+    s1_sq, s2_sq, k, _ = _pair_step(act, state.s1_sq, state.s2_sq, state.rho,
+                                    sigma_w2, sigma_b2)
     return LayerState(s1_sq, s2_sq, float(_normalized(k, s1_sq, s2_sq)))
 
 
@@ -123,10 +150,7 @@ def _trajectory_raw(act, x1, x2, sw, sb):
     traj = [(s1_sq, s2_sq, k)]
     for l in range(1, len(sw)):
         rho = float(_normalized(k, s1_sq, s2_sq))
-        s1, s2 = np.sqrt(s1_sq), np.sqrt(s2_sq)
-        k = float(kernel_values(act, s1, s2, rho, sw[l], sb[l]))
-        s1_sq = sw[l] * float(diag_mean(act, s1)) + sb[l]
-        s2_sq = sw[l] * float(diag_mean(act, s2)) + sb[l]
+        s1_sq, s2_sq, k, _ = _pair_step(act, s1_sq, s2_sq, rho, sw[l], sb[l])
         traj.append((s1_sq, s2_sq, k))
     return traj
 
@@ -141,16 +165,11 @@ def state_trajectory(act: Activation, x1, x2, hyper: NetworkHyper):
 def ntk_iterate(act: Activation, state: NtkState, sigma_w2: float,
                 sigma_b2: float) -> NtkState:
     """One tangent-kernel update: T' = T kdot' + k' (plus diag updates)."""
-    s1 = np.sqrt(state.s1_sq)
-    s2 = np.sqrt(state.s2_sq)
-    if s1 <= 0.0 or s2 <= 0.0:
+    if state.s1_sq <= 0.0 or state.s2_sq <= 0.0:
         raise ValueError("ntk_iterate requires strictly positive signal norms")
     rho = float(_normalized(state.k, state.s1_sq, state.s2_sq))
-    k_new = float(kernel_values(act, s1, s2, rho, sigma_w2, sigma_b2))
-    kdot = float(kernel_dot_values(act, s1, s2, rho, sigma_w2))
-    s1_sq = sigma_w2 * float(diag_mean(act, s1)) + sigma_b2
-    s2_sq = sigma_w2 * float(diag_mean(act, s2)) + sigma_b2
-    return NtkState(s1_sq, s2_sq, k_new, state.T * kdot + k_new, state.tau)
+    return NtkState(*_pair_step(act, state.s1_sq, state.s2_sq, rho, sigma_w2,
+                                sigma_b2, state.T), state.tau)
 
 
 def scaled_ntk_iterate(act: Activation, state: NtkState, sigma_w2: float,
@@ -163,27 +182,19 @@ def scaled_ntk_iterate(act: Activation, state: NtkState, sigma_w2: float,
     """
     if state.tau is None or not 0.0 < state.tau <= 0.5:
         raise ValueError("scaled_ntk_iterate requires tau in (0, 1/2]")
-    s1 = np.sqrt(state.s1_sq)
-    s2 = np.sqrt(state.s2_sq)
     rho = float(_normalized(state.k, state.s1_sq, state.s2_sq))
-    k_new = float(kernel_values(act, s1, s2, rho, sigma_w2, sigma_b2))
-    kdot = float(kernel_dot_values(act, s1, s2, rho, sigma_w2))
-    t_new = state.tau * ((1.0 / state.tau - 1.0) * state.T * kdot + k_new)
-    s1_sq = sigma_w2 * float(diag_mean(act, s1)) + sigma_b2
-    s2_sq = sigma_w2 * float(diag_mean(act, s2)) + sigma_b2
-    return NtkState(s1_sq, s2_sq, k_new, t_new, state.tau / (1.0 + state.tau))
+    s1_sq, s2_sq, k, T = _pair_step(act, state.s1_sq, state.s2_sq, rho, sigma_w2,
+                                    sigma_b2, (1.0 / state.tau - 1.0) * state.T)
+    return NtkState(s1_sq, s2_sq, k, state.tau * T, state.tau / (1.0 + state.tau))
 
 
-def _pair_indices(n):
-    iu = np.triu_indices(n, k=1)
-    return iu
-
-
-def kernel_matrices_by_depth(act: Activation, X, sigma_w2: float, sigma_b2: float,
+def kernel_matrices_by_depth(act: Activation, X, sigma_w2, sigma_b2,
                              depths, use_ntk: bool = False):
     """Yield (depth, K) for each requested depth, sharing the iteration.
 
-    Vectorized over all index pairs; ``depths`` must be increasing.
+    ``sigma_w2`` and ``sigma_b2`` are one value for every level or, as in
+    ``NetworkHyper``, one per level 0..max(depths). Vectorized over
+    all index pairs; ``depths`` must be increasing.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -192,38 +203,22 @@ def kernel_matrices_by_depth(act: Activation, X, sigma_w2: float, sigma_b2: floa
     depths = list(depths)
     if depths != sorted(depths) or depths[0] < 1:
         raise ValueError("depths must be increasing and >= 1")
-    iu, ju = _pair_indices(n)
-    norms_sq = np.einsum("ij,ij->i", X, X)
-    s_sq = sigma_w2 * norms_sq + sigma_b2
-    k = sigma_w2 * np.einsum("ij,ij->i", X[iu], X[ju]) + sigma_b2
-    t_diag = s_sq.copy()
-    t_off = k.copy()
+    sw, sb = (np.broadcast_to(v, depths[-1] + 1) for v in (sigma_w2, sigma_b2))
+    iu, ju = np.triu_indices(n, k=1)
+    s_sq = sw[0] * np.einsum("ij,ij->i", X, X) + sb[0]
+    k = sw[0] * np.einsum("ij,ij->i", X[iu], X[ju]) + sb[0]
+    t_rows, t_pairs = (np.zeros(n), np.zeros(iu.size)) if use_ntk else (None, None)
     want = set(depths)
     for depth in range(1, depths[-1] + 1):
-        s = np.sqrt(s_sq)
         rho = _normalized(k, s_sq[iu], s_sq[ju])
-        k_new = kernel_values(act, s[iu], s[ju], rho, sigma_w2, sigma_b2)
-        s_sq_new = sigma_w2 * diag_mean(act, s) + sigma_b2
-        if use_ntk:
-            kdot_off = kernel_dot_values(act, s[iu], s[ju], rho, sigma_w2)
-            kdot_diag = kernel_dot_values(act, s, s, np.ones_like(s), sigma_w2)
-            if depth == 1:
-                t_off = k_new.copy()
-                t_diag = s_sq_new.copy()
-            else:
-                t_off = t_off * kdot_off + k_new
-                t_diag = t_diag * kdot_diag + s_sq_new
-        k, s_sq = k_new, s_sq_new
+        s_sq, k, t_rows, t_pairs = _layer_step(act, s_sq, (iu, ju), rho, sw[depth],
+                                               sb[depth], t_rows, t_pairs)
         if depth in want:
+            diag, off = (t_rows, t_pairs) if use_ntk else (s_sq, k)
             K = np.zeros((n, n))
-            if use_ntk:
-                K[iu, ju] = t_off
-                K[ju, iu] = t_off
-                np.fill_diagonal(K, t_diag)
-            else:
-                K[iu, ju] = k
-                K[ju, iu] = k
-                np.fill_diagonal(K, s_sq)
+            K[iu, ju] = off
+            K[ju, iu] = off
+            np.fill_diagonal(K, diag)
             yield depth, K
 
 
@@ -235,47 +230,8 @@ def deep_kernel_matrix(act: Activation, X, hyper: NetworkHyper,
     The result must pass a Cholesky check, with one jitter repair of
     1e-8 * trace/N allowed; remaining failures raise.
     """
-    sw, sb = set(hyper.sigma_w2), set(hyper.sigma_b2)
-    if len(sw) > 1 or len(sb) > 1:
-        return _deep_kernel_matrix_per_layer(act, X, hyper, use_ntk)
-    gen = kernel_matrices_by_depth(act, X, hyper.sigma_w2[0], hyper.sigma_b2[0],
-                                   [hyper.depth], use_ntk=use_ntk)
-    _, K = next(gen)
-    return _validated(K)
-
-
-def _deep_kernel_matrix_per_layer(act, X, hyper, use_ntk):
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    iu, ju = _pair_indices(n)
-    sw, sb = hyper.sigma_w2, hyper.sigma_b2
-    s_sq = sw[0] * np.einsum("ij,ij->i", X, X) + sb[0]
-    k = sw[0] * np.einsum("ij,ij->i", X[iu], X[ju]) + sb[0]
-    t_off = k.copy()
-    t_diag = s_sq.copy()
-    for l in range(1, hyper.depth + 1):
-        s = np.sqrt(s_sq)
-        rho = _normalized(k, s_sq[iu], s_sq[ju])
-        k_new = kernel_values(act, s[iu], s[ju], rho, sw[l], sb[l])
-        s_sq_new = sw[l] * diag_mean(act, s) + sb[l]
-        if use_ntk:
-            kdot_off = kernel_dot_values(act, s[iu], s[ju], rho, sw[l])
-            kdot_diag = kernel_dot_values(act, s, s, np.ones_like(s), sw[l])
-            if l == 1:
-                t_off, t_diag = k_new.copy(), s_sq_new.copy()
-            else:
-                t_off = t_off * kdot_off + k_new
-                t_diag = t_diag * kdot_diag + s_sq_new
-        k, s_sq = k_new, s_sq_new
-    K = np.zeros((n, n))
-    if use_ntk:
-        K[iu, ju] = t_off
-        K[ju, iu] = t_off
-        np.fill_diagonal(K, t_diag)
-    else:
-        K[iu, ju] = k
-        K[ju, iu] = k
-        np.fill_diagonal(K, s_sq)
+    _, K = next(kernel_matrices_by_depth(act, X, hyper.sigma_w2, hyper.sigma_b2,
+                                         [hyper.depth], use_ntk=use_ntk))
     return _validated(K)
 
 

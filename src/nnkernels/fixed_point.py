@@ -153,23 +153,28 @@ def sigma_star(act: Activation, norm: float, tol: float = 1e-8) -> float:
     Solves E[psi^2(sigma * norm * Z)] = norm^2. Analytic for
     ReLU/LReLU; otherwise a bisection root on sigma in [0.5, 3]
     (bracket expanded outward when the root falls outside). The upper
-    end never exceeds ELU_S_MAX / norm for ELU/SELU.
+    end never exceeds ELU_S_MAX / norm for ELU/SELU. ERF has no root at
+    norm >= 1, since E[erf^2] < 1.
     """
     if norm <= 0.0:
         raise ValueError("norm must be positive")
     if act.kind in _ANALYTIC_SIGMA_STAR:
         return float(_ANALYTIC_SIGMA_STAR[act.kind](act.lrelu_slope))
+    if act.kind == "erf" and norm >= 1.0:
+        raise ValueError(
+            f"norm preservation has no root for erf at norm {norm:.3g}: "
+            "E[erf(s Z)^2] < 1 for every s, so sigma_w^2 must be given (--sigma-w2)"
+        )
 
     def f(sigma):
         return float(diag_mean(act, sigma * norm)) - norm * norm
 
-    lo, hi = 0.5, 3.0
-    if act.kind in ("elu", "selu"):
-        hi = min(hi, ELU_S_MAX / norm)
+    cap = ELU_S_MAX / norm if act.kind in ("elu", "selu") else np.inf
+    lo, hi = 0.5, min(3.0, cap)
     for _ in range(8):
         if f(lo) * f(hi) < 0.0:
             return float(bisect(f, lo, hi, xtol=tol))
-        lo, hi = lo / 2.0, min(hi * 2.0, ELU_S_MAX / norm)
+        lo, hi = lo / 2.0, min(hi * 2.0, cap)
     raise ValueError(
         f"no sign change for sigma in [{lo:.3g}, {hi:.3g}]: norm preservation "
         f"has no root for {act.kind} at norm {norm:.3g}"

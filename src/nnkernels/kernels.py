@@ -15,9 +15,9 @@ Closed forms:
                 part of the leaky slope;
   ERF           Williams' (1997) arcsine kernel;
   GELU          rational/arctan expression in s1, s2, cos(theta);
-  ELU / SELU    assembled from the truncated-moment function of
-                Rosenbaum (1961), the bivariate normal CDF, and
-                exponential cross terms kept finite via bvn_cdf_exp.
+  ELU / SELU    the arc-cosine term of the linear parts plus
+                exponential cross terms, each a bivariate normal CDF
+                kept finite via bvn_cdf_exp and expscaled_cdf.
 
 The derivative kernel k-dot = sigma_w^2 E[psi'(s1 Z1) psi'(s2 Z2)] has
 closed forms for ReLU/LReLU (quadrant probability) and ELU/SELU; GELU
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import activations as act_mod
-from .activations import Activation
+from .activations import Activation, _selu_params
 from .quadrature import pair_mean_quad
 from .special import (SQRT_2PI, TWO_PI, _check_correlation, bvn_cdf_exp,
                       expscaled_cdf)
@@ -71,12 +71,6 @@ def _lrelu_slope(act: Activation) -> float:
     if act.kind == "relu":
         return 0.0
     return act.lrelu_slope
-
-
-def _selu_params(act: Activation):
-    if act.kind == "elu":
-        return 1.0, 1.0
-    return act.selu_lambda, act.selu_alpha
 
 
 def _guard_elu_scale(*ss):

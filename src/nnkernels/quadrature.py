@@ -16,18 +16,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_hermite, roots_legendre
+from scipy.special import roots_legendre
 
 from .special import std_normal_pdf
 
 ZMAX = 9.5
-
-
-@lru_cache(maxsize=32)
-def gauss_hermite(n: int):
-    """Physicists' Gauss-Hermite rule rescaled to E[f(Z)], Z ~ N(0,1)."""
-    x, w = roots_hermite(n)
-    return np.sqrt(2.0) * x, w / np.sqrt(np.pi)
 
 
 @lru_cache(maxsize=32)
@@ -97,17 +90,3 @@ def pair_mean_quad(f1, f2, s1, s2, rho, nodes: int = 120):
         out[sl] = (w1 * f1(s1_b * z1[None, :]) * acc).sum(axis=-1)
     out = out.reshape(shape)
     return out if out.shape else float(out)
-
-
-def pair_mean_gauss_hermite(f1, f2, s1, s2, rho, nodes: int = 80):
-    """Plain tensor-product Gauss-Hermite version of :func:`pair_mean_quad`.
-
-    Spectrally accurate for smooth integrands; converges only
-    algebraically when f1/f2 have kinks.
-    """
-    z, w = gauss_hermite(nodes)
-    rho = float(np.clip(rho, -1.0, 1.0))
-    tau = np.sqrt(max(1.0 - rho * rho, 0.0))
-    W = w[:, None] * w[None, :]
-    vals = f1(s1 * z)[:, None] * f2(s2 * (rho * z[:, None] + tau * z[None, :]))
-    return float((W * vals).sum())

@@ -1,4 +1,7 @@
 import csv
+import importlib
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -246,6 +249,20 @@ def test_console_entry_point():
     assert "sigma_star" in proc.stdout
 
 
+def test_benchmark_trace_targets_resolve(monkeypatch):
+    # perfbench/spans.py wraps these by name; a rename must fail here, not
+    # only in a traced benchmark run
+    spec = importlib.util.spec_from_file_location("spans", REPO / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "spans", spans)  # its dataclass looks itself up
+    spec.loader.exec_module(spans)
+    for mod_name, fn_name, *_ in spans.TARGETS:
+        module = importlib.import_module(f"nnkernels.{mod_name}")
+        assert callable(getattr(module, fn_name, None)), f"{mod_name}.{fn_name}"
+    deep = importlib.import_module("nnkernels.deep")
+    assert inspect.isgeneratorfunction(deep.kernel_matrices_by_depth)
+
+
 class TestScripts:
     def _run(self, script, *args):
         env = dict(os.environ)
@@ -262,6 +279,19 @@ class TestScripts:
 
     def test_norm_preserving_roots_reports_failure(self, tmp_path):
         proc = self._run("norm_preserving_roots.py", "--outdir", str(tmp_path / "missing"))
+        assert proc.returncode != 0
+        assert "wrote" not in proc.stdout
+        assert json.loads(proc.stderr.strip().splitlines()[-1])["error"]
+
+    def test_lambda3_sweeps_reports_failure(self, tmp_path):
+        proc = self._run("lambda3_sweeps.py", "--outdir", str(tmp_path / "missing"))
+        assert proc.returncode != 0
+        assert "wrote" not in proc.stdout
+        assert json.loads(proc.stderr.strip().splitlines()[-1])["error"]
+
+    def test_depth_sweep_reports_failure(self, tmp_path):
+        proc = self._run("depth_sweep_disc.py", "--outdir", str(tmp_path / "missing"),
+                         "--repeats", "1")
         assert proc.returncode != 0
         assert "wrote" not in proc.stdout
         assert json.loads(proc.stderr.strip().splitlines()[-1])["error"]

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from nnkernels.activations import ELU, ERF, GELU, RELU, lrelu
+from nnkernels.activations import ELU, ERF, GELU, RELU, from_name, lrelu
 from nnkernels.deep import (LayerState, NetworkHyper, NtkState,
                             deep_kernel_matrix, deep_normalized_kernel,
                             input_state, iterate_state, kernel_grad_fd,
@@ -175,6 +175,43 @@ class TestKernelMatrix:
             if l == 0:
                 st = NtkState(st.s1_sq, st.s2_sq, st.k, st.k)  # T starts at k
         assert K[0, 1] == pytest.approx(st.T, rel=1e-12)
+
+    @pytest.mark.parametrize("hyper", [
+        NetworkHyper.shared(3, 1.6, 0.1),
+        NetworkHyper(3, (1.5, 2.0, 0.8, 1.2), (0.05, 0.1, 0.2, 0.0))],
+        ids=["shared", "per-layer"])
+    @pytest.mark.parametrize("act", [GELU, ELU], ids=lambda a: a.kind)
+    def test_ntk_matrix_matches_ntk_iterate_chain(self, act, hyper):
+        rng = np.random.Generator(np.random.Philox(key=13))
+        X = rng.standard_normal((4, 2))
+        K = deep_kernel_matrix(act, X, hyper, use_ntk=True)
+        sw, sb = hyper.sigma_w2, hyper.sigma_b2
+        for i in range(4):
+            for j in range(i, 4):
+                x1, x2 = X[i], X[j]
+                st = NtkState(sw[0] * x1 @ x1 + sb[0], sw[0] * x2 @ x2 + sb[0],
+                              sw[0] * x1 @ x2 + sb[0], 0.0)
+                for l in range(1, hyper.depth + 1):
+                    st = ntk_iterate(act, st, sw[l], sb[l])
+                assert K[i, j] == pytest.approx(st.T, rel=1e-12)
+
+    @pytest.mark.parametrize("hyper", [
+        NetworkHyper.shared(1, 1.3, 0.1), NetworkHyper(1, (1.1, 1.6), (0.0, 0.2))],
+        ids=["shared", "per-layer"])
+    @pytest.mark.parametrize("act", ALL_ACTS + [from_name("selu")], ids=lambda a: a.kind)
+    def test_ntk_equals_nngp_at_depth_one(self, act, hyper):
+        X = np.random.Generator(np.random.Philox(key=14)).standard_normal((4, 3))
+        assert np.array_equal(deep_kernel_matrix(act, X, hyper, use_ntk=True),
+                              deep_kernel_matrix(act, X, hyper))
+
+    def test_generator_takes_per_level_variances(self):
+        X = np.random.Generator(np.random.Philox(key=15)).standard_normal((4, 2))
+        sw, sb = (1.5, 2.0, 0.8, 1.2), (0.05, 0.1, 0.2, 0.0)
+        for depth, K in kernel_matrices_by_depth(GELU, X, sw, sb, [1, 2, 3]):
+            hyper = NetworkHyper(depth, sw[:depth + 1], sb[:depth + 1])
+            assert np.array_equal(K, deep_kernel_matrix(GELU, X, hyper))
+        with pytest.raises(ValueError):
+            next(kernel_matrices_by_depth(GELU, X, sw, sb, [1, 2]))
 
     def test_depth_generator_increasing_requirement(self):
         with pytest.raises(ValueError):

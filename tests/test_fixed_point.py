@@ -195,6 +195,19 @@ class TestSigmaStar:
         with pytest.raises(ValueError, match="no sign change|no root"):
             sigma_star(ERF, 2.0)
 
+    def test_erf_root_beyond_elu_cap(self):
+        # the root lies past 25 / norm, where only the ELU/SELU bracket is capped
+        from scipy.special import erf
+        from nnkernels.quadrature import mean_1d
+        sigma = sigma_star(ERF, 0.99)
+        assert sigma == pytest.approx(32.3075, abs=1e-3)
+        assert mean_1d(lambda z: erf(sigma * 0.99 * z) ** 2) == pytest.approx(
+            0.99 ** 2, abs=1e-7)
+
+    def test_erf_norm_one_asks_for_sigma_w2(self):
+        with pytest.raises(ValueError, match=r"E\[erf\(s Z\)\^2\] < 1.*--sigma-w2"):
+            sigma_star(ERF, 1.0)
+
     def test_norm_validation(self):
         with pytest.raises(ValueError):
             sigma_star(GELU, 0.0)
