@@ -8,12 +8,12 @@ from .deep import (LayerState, NetworkHyper, NtkState, deep_kernel_matrix,
                    kernel_grad_relu_from_inputs, kernel_matrices_by_depth,
                    ntk_iterate, scaled_ntk_iterate, state_trajectory)
 from .fixed_point import (EigenTriple, FixedPointReport, eigenvalues,
-                          find_fixed_point, lambda3_elu, lambda3_gelu_lower,
-                          lambda3_lrelu, sigma_star)
+                          find_fixed_point, lambda3, lambda3_elu,
+                          lambda3_gelu_lower, lambda3_lrelu, sigma_star)
 from .gp import GpFit, fit, grid_search, nll, predict, rmse
 from .kernels import (KernelArgs, kernel, kernel_dot, kernel_dot_quadrature,
                       kernel_from_inputs, kernel_mc, kernel_quadrature)
-from .special import bvn_cdf, bvn_cdf_exp, rosenbaum_m, std_normal_cdf, std_normal_pdf
+from .special import bvn_cdf, bvn_cdf_exp, std_normal_cdf, std_normal_pdf
 
 __all__ = [
     "ACTIVATION_NAMES", "Activation", "ELU", "ERF", "GELU", "RELU",
@@ -25,8 +25,7 @@ __all__ = [
     "kernel_dot_quadrature", "kernel_from_inputs", "kernel_grad_fd",
     "kernel_grad_relu", "kernel_grad_relu_from_inputs",
     "kernel_matrices_by_depth", "kernel_mc", "kernel_quadrature",
-    "lambda3_elu", "lambda3_gelu_lower", "lambda3_lrelu", "lrelu", "nll",
-    "ntk_iterate", "predict", "rmse", "rosenbaum_m", "scaled_ntk_iterate",
-    "selu", "sigma_star", "state_trajectory", "std_normal_cdf",
-    "std_normal_pdf",
+    "lambda3", "lambda3_elu", "lambda3_gelu_lower", "lambda3_lrelu", "lrelu",
+    "nll", "ntk_iterate", "predict", "rmse", "scaled_ntk_iterate", "selu",
+    "sigma_star", "state_trajectory", "std_normal_cdf", "std_normal_pdf",
 ]

@@ -68,7 +68,7 @@ def _self_check(out, fmt, columns, n_rows):
 
 
 def _activation(args):
-    return from_name(args.activation, lrelu_slope=args.lrelu_slope)
+    return from_name(args.activation or "gelu", lrelu_slope=args.lrelu_slope)
 
 
 def _sigma_w2(args, act, norm):
@@ -251,8 +251,10 @@ def build_parser():
     common.add_argument("--config", default=None,
                         help="JSON file of flag defaults (precedence: "
                              "flags > config file > built-in defaults)")
-    common.add_argument("--activation", default="gelu",
-                        help="gelu | elu | selu | relu | lrelu | erf")
+    # unset rather than "gelu": simplicity then runs both gelu and relu
+    common.add_argument("--activation", default=None,
+                        help="gelu | elu | selu | relu | lrelu | erf "
+                             "(default gelu; simplicity runs gelu and relu)")
     common.add_argument("--lrelu-slope", type=float, default=0.2)
     common.add_argument("--depth", type=int, default=4)
     common.add_argument("--sigma-w2", type=float, default=None,
@@ -318,8 +320,7 @@ def build_parser():
     sp.add_argument("--n-train", type=int, default=30)
     sp.add_argument("--depth-max", type=int, default=100)
     sp.add_argument("--repeats", type=int, default=10)
-    # default runs both the overfitting and underfitting activations
-    sp.set_defaults(func=cmd_simplicity, activation=None)
+    sp.set_defaults(func=cmd_simplicity)
     return p
 
 

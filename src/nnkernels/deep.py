@@ -16,7 +16,6 @@ update 1, and follows T' = T * kdot + k'.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -342,21 +341,3 @@ def kernel_grad_fd(act: Activation, hyper: NetworkHyper, x1, x2,
                 grads[l, col] = (k_final(list(hyper.sigma_w2), hi)
                                  - k_final(list(hyper.sigma_w2), lo)) / (2 * h)
     return grads
-
-
-def write_trajectory_csv(path, states):
-    """Dump per-layer states: layer, s1_sq, s2_sq, rho [, k, T, tau]."""
-    with_ntk = states and isinstance(states[0], NtkState)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if with_ntk:
-            writer.writerow(["layer", "s1_sq", "s2_sq", "rho", "k", "T", "tau"])
-            for l, st in enumerate(states):
-                rho = st.k / np.sqrt(st.s1_sq * st.s2_sq)
-                writer.writerow([l, repr(st.s1_sq), repr(st.s2_sq), repr(float(rho)),
-                                 repr(st.k), repr(st.T),
-                                 "" if st.tau is None else repr(st.tau)])
-        else:
-            writer.writerow(["layer", "s1_sq", "s2_sq", "rho"])
-            for l, st in enumerate(states):
-                writer.writerow([l, repr(st.s1_sq), repr(st.s2_sq), repr(st.rho)])

@@ -12,6 +12,13 @@ A sup of |lambda_3| below 1 over the angle interval certifies a unique
 fixed point of the normalized kernel at rho = 1 (degenerate deep
 prior); LReLU satisfies this for every slope in [0, 1), while GELU and
 ELU at their norm-preserving weight variance exceed 1 near theta = 0.
+
+``lambda3`` is the one implementation of lambda_3, on the closed-form
+derivative kernel; ``lambda3_quad_grid`` is its quadrature oracle (the
+"quadrature" CSV rows). The paper's ``lambda3_lrelu``,
+``lambda3_gelu_lower`` and ``lambda3_elu`` are the scale-free form
+sigma^2 E[psi' psi'], which equals lambda_3 at sigma*; the GELU "lower
+bound" is exact.
 """
 
 from __future__ import annotations
@@ -21,11 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import bisect
 
-from .activations import Activation
+from .activations import ELU, GELU, Activation, lrelu
 from .deep import LayerState, iterate_state
-from .kernels import ELU_S_MAX, diag_mean, kernel_values
-from .quadrature import normal_panel_nodes
-from .special import TWO_PI, bvn_cdf_exp
+from .kernels import ELU_S_MAX, diag_mean, kernel_dot_values, kernel_values
+from .quadrature import normal_panel_nodes, pair_mean_quad
 from . import activations as act_mod
 
 
@@ -53,13 +59,21 @@ def _lambda1_quad(act: Activation, s, sigma_w2, nodes=160):
     return sigma_w2 * e / (2.0 * s * s)
 
 
+def lambda3(act: Activation, s1, s2, rho, sigma_w2, sigma_b2):
+    """Correlation eigenvalue ``s1 s2 kdot / sqrt(g1 g2)`` of the layer
+    map, with g_i = k(s_i, s_i, 1); closed form, vectorized over
+    (s1, s2, rho)."""
+    g1 = kernel_values(act, s1, s1, 1.0, sigma_w2, sigma_b2)
+    g2 = kernel_values(act, s2, s2, 1.0, sigma_w2, sigma_b2)
+    return s1 * s2 * kernel_dot_values(act, s1, s2, rho, sigma_w2) / np.sqrt(g1 * g2)
+
+
 def eigenvalues(act: Activation, s1_sq: float, s2_sq: float, rho: float,
-                sigma_w2: float, sigma_b2: float, nodes: int = 120) -> EigenTriple:
+                sigma_w2: float, sigma_b2: float) -> EigenTriple:
     """Jacobian eigenvalues of the layer map at the given state.
 
-    Expectations are evaluated by panel-split Gaussian quadrature (1-D
-    for lambda_1/lambda_2, 2-D over psi' products for lambda_3); the
-    diagonal factors g1, g2 come from the closed-form kernel.
+    lambda_1/lambda_2 come from panel-split 1-D quadrature, lambda_3
+    from the closed-form ``lambda3``.
     """
     if s1_sq <= 0.0 or s2_sq <= 0.0:
         raise ValueError("eigenvalues requires positive squared norms")
@@ -68,12 +82,7 @@ def eigenvalues(act: Activation, s1_sq: float, s2_sq: float, rho: float,
     s1, s2 = np.sqrt(s1_sq), np.sqrt(s2_sq)
     lam1 = _lambda1_quad(act, s1, sigma_w2)
     lam2 = lam1 if s2_sq == s1_sq else _lambda1_quad(act, s2, sigma_w2)
-    g1 = kernel_values(act, s1, s1, 1.0, sigma_w2, sigma_b2)
-    g2 = kernel_values(act, s2, s2, 1.0, sigma_w2, sigma_b2)
-    f = lambda z: act_mod.deriv(act, z)
-    from .quadrature import pair_mean_quad
-    e3 = float(pair_mean_quad(f, f, s1, s2, rho, nodes=nodes))
-    lam3 = sigma_w2 * s1 * s2 * e3 / np.sqrt(g1 * g2)
+    lam3 = lambda3(act, s1, s2, rho, sigma_w2, sigma_b2)
     triple = EigenTriple(float(lam1), float(lam2), float(lam3))
     if not all(np.isfinite(v) for v in (triple.lambda1, triple.lambda2, triple.lambda3)):
         raise ArithmeticError("non-finite Jacobian eigenvalue")
@@ -82,65 +91,31 @@ def eigenvalues(act: Activation, s1_sq: float, s2_sq: float, rho: float,
 
 def lambda3_quad_grid(act: Activation, s: float, thetas, sigma_w2: float,
                       sigma_b2: float, nodes: int = 120) -> np.ndarray:
-    """Quadrature lambda_3 along a theta grid at s1 = s2 = s (batched)."""
+    """Quadrature oracle for ``lambda3`` along a theta grid at s1 = s2 = s."""
     thetas = np.asarray(thetas, dtype=float)
     g = kernel_values(act, s, s, 1.0, sigma_w2, sigma_b2)
     f = lambda z: act_mod.deriv(act, z)
-    from .quadrature import pair_mean_quad
     e = pair_mean_quad(f, f, np.full_like(thetas, s), np.full_like(thetas, s),
                        np.cos(thetas), nodes=nodes)
     return sigma_w2 * s * s * np.asarray(e) / g
 
 
 def lambda3_lrelu(a: float, theta) -> float:
-    """Closed-form lambda_3 for the leaky ReLU at its norm-preserving
-    variance with sigma_b^2 = 0 (scale-free by absolute homogeneity)."""
-    if not 0.0 <= a < 1.0:
-        raise ValueError("slope must lie in [0, 1)")
-    theta = np.asarray(theta, dtype=float)
-    out = (((1.0 - a) ** 2 * (np.pi - theta) / TWO_PI + a)
-           / ((1.0 - a) ** 2 / 2.0 + a))
-    return out if out.shape else float(out)
+    """lambda_3 of the leaky ReLU at its norm-preserving variance
+    (scale-free by absolute homogeneity)."""
+    return kernel_dot_values(lrelu(a), 1.0, 1.0, np.cos(theta), 2.0 / (1.0 + a * a))
 
 
 def lambda3_gelu_lower(norm: float, sigma: float, theta) -> float:
-    """Lower bound on lambda_3 for the GELU at s1 = s2 = sigma * norm.
-
-    Assembled from the arcsine quadrant term, the integrated cross-term
-    bound at beta = 1, and the mixed-density term; the bound direction
-    is only guaranteed for cos(theta) >= 0, but numerically the
-    expression coincides with the quadrature value everywhere.
-    """
-    theta = np.asarray(theta, dtype=float)
-    s = sigma * norm
-    s2 = s * s
-    rho = np.cos(theta)
-    d = 1.0 + 2.0 * s2 + s2 * s2 * np.sin(theta) ** 2
-    t_quadrant = 0.25 * (1.0 + (2.0 / np.pi) * np.arcsin(s2 * rho / (1.0 + s2)))
-    h_one = s2 * rho / (TWO_PI * (1.0 + s2) * np.sqrt(d))
-    dh_one = s2 * rho / (TWO_PI * d ** 1.5)
-    out = sigma * sigma * (t_quadrant + 2.0 * h_one + dh_one)
-    return out if out.shape else float(out)
+    """The paper's GELU lower bound on lambda_3 at s1 = s2 = sigma * norm,
+    exact at sigma*."""
+    return kernel_dot_values(GELU, sigma * norm, sigma * norm, np.cos(theta), sigma * sigma)
 
 
 def lambda3_elu(norm: float, sigma: float, theta) -> float:
-    """Exact lambda_3 for the ELU at s1 = s2 = sigma * norm.
-
-    Quadrant term plus two exponential-times-Phi2 cross terms plus the
-    double-exponential term, all with the e^(s^2)-scale factors folded
-    into the bivariate cdf evaluation.
-    """
-    s = sigma * norm
-    if s > ELU_S_MAX:
-        raise OverflowError(f"lambda3_elu limited to sigma*norm <= {ELU_S_MAX}")
-    theta = np.asarray(theta, dtype=float)
-    rho = np.clip(np.cos(theta), -1.0 + 1e-12, 1.0 - 1e-12)
-    quadrant = (np.pi - np.arccos(rho)) / TWO_PI
-    cross = bvn_cdf_exp(s * rho, -s, -rho, s * s / 2.0)
-    dbl = bvn_cdf_exp(-s * (1.0 + rho), -s * (1.0 + rho), rho,
-                      s * s * (1.0 + rho))
-    out = sigma * sigma * (quadrant + 2.0 * cross + dbl)
-    return out if out.shape else float(out)
+    """lambda_3 for the ELU at s1 = s2 = sigma * norm, exact at sigma*
+    (s <= ELU_S_MAX)."""
+    return kernel_dot_values(ELU, sigma * norm, sigma * norm, np.cos(theta), sigma * sigma)
 
 
 _ANALYTIC_SIGMA_STAR = {"relu": lambda a: np.sqrt(2.0),
@@ -190,7 +165,7 @@ def _norm_fixed_point(act: Activation, u0: float, sigma_w2: float,
     (lambda_1 > 1), so long iterations drift off it. Refine by root
     finding; absolutely homogeneous activations make g1(u) - u vanish
     identically at the preserving variance, in which case u0 is
-    returned as-is.
+    returned as-is. For ELU/SELU the search stays within s <= ELU_S_MAX.
     """
     def h(u):
         return float(kernel_values(act, np.sqrt(u), np.sqrt(u), 1.0,
@@ -199,6 +174,8 @@ def _norm_fixed_point(act: Activation, u0: float, sigma_w2: float,
     if abs(h(u0)) <= 1e-9 * max(1.0, u0):
         return u0
     grid = u0 * np.geomspace(0.01, 100.0, 80)
+    if act.kind in ("elu", "selu"):
+        grid = grid[grid <= ELU_S_MAX ** 2]
     vals = np.array([h(u) for u in grid])
     sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
     if sign_change.size == 0:
@@ -244,7 +221,7 @@ def find_fixed_point(act: Activation, sigma_w2: float, sigma_b2: float,
     # sigma*) lets rounding noise drift it to another attractor.
     thetas = np.pi * (np.arange(theta_grid) + 1.0) / (theta_grid + 1.0)
     s_fp = float(np.sqrt(_norm_fixed_point(act, start.s1_sq, sigma_w2, sigma_b2)))
-    lam3 = lambda3_quad_grid(act, s_fp, thetas, sigma_w2, sigma_b2)
+    lam3 = lambda3(act, s_fp, s_fp, np.cos(thetas), sigma_w2, sigma_b2)
     sup = float(np.max(np.abs(lam3)))
     if sup < 1.0 - 1e-9:
         verdict = "unique-contraction"
@@ -259,25 +236,17 @@ def lambda3_sweep_rows(act: Activation, norm: float, sigma: float,
                        thetas) -> list:
     """Rows (theta, lambda3, activation, norm, sigma, method) for CSV dumps.
 
-    ELU rows carry the exact closed form, GELU rows the lower bound;
-    every activation also gets quadrature-exact rows.
+    Every activation but ERF gets closed-form ``lambda3`` rows (method
+    "lower-bound" for GELU, after the paper's name for that expression,
+    else "closed-form"); every activation also gets quadrature rows.
+    Both kinds are taken at s1 = s2 = sigma * norm with sigma_b^2 = 0.
     """
-    rows = []
     thetas = np.asarray(thetas, dtype=float)
-    if act.kind == "gelu":
-        vals = lambda3_gelu_lower(norm, sigma, thetas)
-        rows += [(float(t), float(v), act.kind, norm, sigma, "lower-bound")
-                 for t, v in zip(thetas, vals)]
-    elif act.kind in ("elu", "selu"):
-        vals = lambda3_elu(norm, sigma, thetas)
-        rows += [(float(t), float(v), act.kind, norm, sigma, "closed-form")
-                 for t, v in zip(thetas, vals)]
-    elif act.kind in ("relu", "lrelu"):
-        a = 0.0 if act.kind == "relu" else act.lrelu_slope
-        vals = lambda3_lrelu(a, thetas)
-        rows += [(float(t), float(v), act.kind, norm, sigma, "closed-form")
-                 for t, v in zip(thetas, vals)]
-    quad = lambda3_quad_grid(act, sigma * norm, thetas, sigma * sigma, 0.0)
-    rows += [(float(t), float(v), act.kind, norm, sigma, "quadrature")
-             for t, v in zip(thetas, quad)]
-    return rows
+    s = sigma * norm
+    series = []
+    if act.kind != "erf":
+        series.append(("lower-bound" if act.kind == "gelu" else "closed-form",
+                       lambda3(act, s, s, np.cos(thetas), sigma * sigma, 0.0)))
+    series.append(("quadrature", lambda3_quad_grid(act, s, thetas, sigma * sigma, 0.0)))
+    return [(float(t), float(v), act.kind, norm, sigma, method)
+            for method, vals in series for t, v in zip(thetas, vals)]

@@ -5,10 +5,9 @@ For zero-mean weight priors the kernel of one infinitely wide layer is
     k = sigma_w^2 E[psi(s1 Z1) psi(s2 Z2)] + sigma_b^2,
 
 with (Z1, Z2) standard bivariate normal, correlation rho = cos(theta).
-This module provides closed forms for every activation that admits one,
-plus quadrature and Monte-Carlo oracles for the rest (and for checking
-the closed forms). All closed-form paths are vectorized over
-(s1, s2, rho) arrays of a common shape.
+This module provides closed forms for every supported activation, plus
+quadrature and Monte-Carlo oracles for checking them. All closed-form
+paths are vectorized over (s1, s2, rho) arrays of a common shape.
 
 Closed forms:
   ReLU / LReLU  arc-cosine degree-1 (Cho & Saul, 2009) plus the linear
@@ -19,9 +18,14 @@ Closed forms:
                 exponential cross terms, each a bivariate normal CDF
                 kept finite via bvn_cdf_exp and expscaled_cdf.
 
-The derivative kernel k-dot = sigma_w^2 E[psi'(s1 Z1) psi'(s2 Z2)] has
-closed forms for ReLU/LReLU (quadrant probability) and ELU/SELU; GELU
-and ERF go through the quadrature oracle.
+The derivative kernel k-dot = sigma_w^2 E[psi'(s1 Z1) psi'(s2 Z2)] is
+closed-form for every activation as well:
+  ReLU / LReLU  quadrant probability plus the leaky slope;
+  ERF           a Gaussian integral of erf' products (Williams, 1997);
+  GELU          an arcsine quadrant term plus two algebraic terms, from
+                psi'(z) = Phi(z) + z phi(z);
+  ELU / SELU    the quadrant term plus exponential cross terms, through
+                bvn_cdf_exp.
 """
 
 from __future__ import annotations
@@ -151,9 +155,8 @@ def pair_mean(act: Activation, s1, s2, rho):
     return out if out.shape else float(out)
 
 
-def pair_dot_mean(act: Activation, s1, s2, rho, nodes: int = 120):
-    """``E[psi'(s1 Z1) psi'(s2 Z2)]``; closed form where available,
-    quadrature for GELU and ERF."""
+def pair_dot_mean(act: Activation, s1, s2, rho):
+    """``E[psi'(s1 Z1) psi'(s2 Z2)]`` with corr rho, closed form, vectorized."""
     s1, s2, rho = np.broadcast_arrays(
         *[np.asarray(v, dtype=float) for v in (s1, s2, rho)]
     )
@@ -178,10 +181,17 @@ def pair_dot_mean(act: Activation, s1, s2, rho, nodes: int = 120):
         lo = alpha * (expscaled_cdf(s1) + expscaled_cdf(s2))
         out = lam * lam * np.where(rho >= 1.0 - _RHO_EPS, hi,
                                    np.where(rho <= -1.0 + _RHO_EPS, lo, interior))
-    else:  # gelu / erf: quadrature over psi' products
-        f = lambda z: act_mod.deriv(act, z)
-        out = pair_mean_quad(f, f, s1, s2, rho, nodes=nodes)
-    out = np.asarray(out)
+    else:  # gelu / erf; the radicands stay >= 1 at |rho| = 1, so no endpoint branch
+        c = s1 * s2 * np.clip(rho, -1.0, 1.0)
+        if kind == "erf":
+            out = (4.0 / np.pi) / np.sqrt(
+                (1.0 + 2.0 * s1 * s1) * (1.0 + 2.0 * s2 * s2) - 4.0 * c * c)
+        else:
+            a, b = 1.0 + s1 * s1, 1.0 + s2 * s2
+            d = a * b - c * c
+            out = (0.25 + np.arcsin(c / np.sqrt(a * b)) / TWO_PI
+                   + c * (1.0 / a + 1.0 / b) / (TWO_PI * np.sqrt(d))
+                   + c / (TWO_PI * d ** 1.5))
     return out if out.shape else float(out)
 
 
@@ -216,12 +226,12 @@ def kernel_values(act: Activation, s1, s2, rho, sigma_w2, sigma_b2):
     return sigma_w2 * pair_mean(act, s1, s2, rho) + sigma_b2
 
 
-def kernel_dot_values(act: Activation, s1, s2, rho, sigma_w2, nodes: int = 120):
-    """Closed-form/quadrature derivative kernel on arrays."""
+def kernel_dot_values(act: Activation, s1, s2, rho, sigma_w2):
+    """Closed-form derivative kernel on arrays."""
     if np.isscalar(sigma_w2) and sigma_w2 == 0.0:
         out = np.broadcast_arrays(np.asarray(s1, float), np.asarray(rho, float))[0] * 0.0
         return out if out.shape else float(out)
-    return sigma_w2 * pair_dot_mean(act, s1, s2, rho, nodes=nodes)
+    return sigma_w2 * pair_dot_mean(act, s1, s2, rho)
 
 
 def kernel(act: Activation, args: KernelArgs) -> float:

@@ -1,11 +1,9 @@
 """Scalar special functions used by the closed-form kernels.
 
 Univariate normal pdf/cdf, an overflow-safe ``exp(t^2/2) * Phi(-t)``,
-the bivariate normal CDF (Genz's rewrite of the Drezner-Wesolowsky
+and the bivariate normal CDF (Genz's rewrite of the Drezner-Wesolowsky
 algorithm, with optional exponential prefactor folded into the
-quadrature so that products like ``exp(q) * Phi2`` stay finite), and
-the first moment of the doubly truncated bivariate normal (Rosenbaum,
-1961).
+quadrature so that products like ``exp(q) * Phi2`` stay finite).
 
 Everything here is pure, reentrant and vectorized over ndarray inputs.
 """
@@ -175,23 +173,3 @@ def bvn_cdf(h, k, rho):
     ``|z| = 8.5``.
     """
     return bvn_cdf_exp(h, k, rho, 0.0)
-
-
-def rosenbaum_m(h, k, theta):
-    """First moment ``E[Theta(Y1-h) Y1 Theta(Y2-k)]`` of a truncated
-    standard bivariate normal with correlation ``-cos(theta)``.
-
-    Closed form from Rosenbaum (1961):
-        ``phi(h) (1 - Phi((k + h cos t)/sin t))
-          - cos t phi(k) (1 - Phi((h + k cos t)/sin t))``
-    Requires ``theta`` strictly inside (0, pi) so that ``sin theta > 0``.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if np.isnan(theta).any() or (theta <= 0.0).any() or (theta >= np.pi).any():
-        raise ValueError("rosenbaum_m: theta must lie strictly inside (0, pi)")
-    h = np.asarray(h, dtype=float)
-    k = np.asarray(k, dtype=float)
-    sn, cs = np.sin(theta), np.cos(theta)
-    out = (std_normal_pdf(h) * ndtr(-(k + h * cs) / sn)
-           - cs * std_normal_pdf(k) * ndtr(-(h + k * cs) / sn))
-    return out if out.shape else float(out)

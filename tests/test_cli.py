@@ -31,6 +31,18 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+@pytest.fixture
+def dataset_csv(tmp_path):
+    rng = np.random.Generator(np.random.Philox(key=12))
+    X = rng.standard_normal((40, 3))
+    y = X @ np.array([0.5, -1.0, 0.2]) + 0.1 * rng.standard_normal(40)
+    p = tmp_path / "toy.csv"
+    with open(p, "w") as fh:
+        for row, target in zip(X, y):
+            fh.write(",".join(f"{v:.8f}" for v in row) + f",{target:.8f}\n")
+    return p
+
+
 class TestKernelEval:
     def test_schema_and_self_check(self, tmp_path, capsys):
         out = tmp_path / "ke.csv"
@@ -109,6 +121,14 @@ class TestFixedpoint:
         assert verdict["verdict"] == "not-contraction"
         assert verdict["sigma_star"] == pytest.approx(1.468, abs=0.01)
 
+    def test_elu_norm_five_stays_inside_guard(self, tmp_path, capsys):
+        # the norm fixed-point search grid must stop at s = 25
+        code, stdout, err = run_cli([
+            "fixedpoint", "--activation", "elu", "--norm", "5",
+            "--theta-points", "8", "--out", str(tmp_path / "fp.csv")], capsys)
+        assert code == 0, err
+        assert json.loads(stdout.strip().splitlines()[-1])["verdict"] == "not-contraction"
+
 
 class TestNormPreserve:
     def test_relu_constant_root(self, tmp_path, capsys):
@@ -136,17 +156,6 @@ class TestNormPreserve:
 
 
 class TestGpCommands:
-    @pytest.fixture
-    def dataset_csv(self, tmp_path):
-        rng = np.random.Generator(np.random.Philox(key=12))
-        X = rng.standard_normal((40, 3))
-        y = X @ np.array([0.5, -1.0, 0.2]) + 0.1 * rng.standard_normal(40)
-        p = tmp_path / "toy.csv"
-        with open(p, "w") as fh:
-            for row, target in zip(X, y):
-                fh.write(",".join(f"{v:.8f}" for v in row) + f",{target:.8f}\n")
-        return p
-
     def test_gp_fit_metrics(self, tmp_path, dataset_csv, capsys):
         out = tmp_path / "pred.csv"
         code, stdout, _ = run_cli([
@@ -195,6 +204,32 @@ class TestGpCommands:
                            "train_mse", "test_mse"]
         assert {r[0] for r in rows[1:]} == {"gelu", "relu"}
         assert len(rows) == 1 + 2 * 2 * 3
+
+
+DEFAULT_ACTIVATION_RUNS = {
+    "kernel-eval": ["--depth", "1", "--theta-points", "2"],
+    "mc-verify": ["--width", "50", "--depth", "1", "--theta-points", "2"],
+    "fixedpoint": ["--theta-points", "4"],
+    "norm-preserve": ["--norm-points", "2"],
+    "gp-fit": ["--depth", "1"],
+    "benchmark": ["--depth-max", "1", "--sw2-min", "1.0", "--sw2-max", "1.0",
+                  "--splits", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_ACTIVATION_RUNS))
+def test_default_activation_is_gelu(command, tmp_path, dataset_csv, capsys):
+    # simplicity's own default (both activations) is covered above
+    args = [command, *DEFAULT_ACTIVATION_RUNS[command]]
+    if command in ("gp-fit", "benchmark"):
+        args += ["--dataset", str(dataset_csv)]
+    outputs = []
+    for extra in ([], ["--activation", "gelu"]):
+        out = tmp_path / f"out{len(outputs)}.csv"
+        code, stdout, err = run_cli(args + extra + ["--out", str(out)], capsys)
+        assert code == 0, err
+        outputs.append((stdout, out.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 class TestErrorContract:

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -9,8 +7,7 @@ from nnkernels.deep import (LayerState, NetworkHyper, NtkState,
                             input_state, iterate_state, kernel_grad_fd,
                             kernel_grad_relu, kernel_grad_relu_from_inputs,
                             kernel_matrices_by_depth, ntk_iterate,
-                            scaled_ntk_iterate, state_trajectory,
-                            write_trajectory_csv)
+                            scaled_ntk_iterate, state_trajectory)
 from nnkernels.fixed_point import sigma_star
 
 ALL_ACTS = [GELU, ELU, RELU, ERF, lrelu(0.2)]
@@ -280,31 +277,6 @@ class TestGradients:
         grad = kernel_grad_relu_from_inputs([1.0, 0.2], [0.3, -0.5], hyper)
         fd = kernel_grad_fd(RELU, hyper, [1.0, 0.2], [0.3, -0.5])
         assert np.abs(grad - fd).max() / np.abs(fd).max() <= 1e-4
-
-
-class TestTrajectoryCsv:
-    def test_layer_state_dump(self, tmp_path):
-        hyper = NetworkHyper.shared(3, 1.5, 0.1)
-        states = [input_state(1.0, 1.0, 1.5, 0.1)]
-        for l in range(1, 4):
-            states.append(iterate_state(GELU, states[-1], 1.5, 0.1))
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(path, states)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["layer", "s1_sq", "s2_sq", "rho"]
-        assert len(rows) == 5
-        assert float(rows[2][3]) == pytest.approx(states[1].rho)
-
-    def test_ntk_state_dump(self, tmp_path):
-        states = [NtkState(1.0, 1.0, 0.5, 0.5, tau=0.5)]
-        states.append(scaled_ntk_iterate(RELU, states[0], 2.0, 0.0))
-        path = tmp_path / "ntk.csv"
-        write_trajectory_csv(path, states)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["layer", "s1_sq", "s2_sq", "rho", "k", "T", "tau"]
-        assert float(rows[2][6]) == pytest.approx(1 / 3)
 
 
 def test_hyper_validation():

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from nnkernels.activations import ELU, ERF, GELU, RELU, lrelu
+from nnkernels.activations import ELU, ERF, GELU, RELU, lrelu, selu
 from nnkernels.deep import LayerState, input_state
-from nnkernels.fixed_point import (eigenvalues, find_fixed_point, lambda3_elu,
-                                   lambda3_gelu_lower, lambda3_lrelu,
-                                   lambda3_quad_grid, lambda3_sweep_rows,
-                                   sigma_star)
+from nnkernels.fixed_point import (eigenvalues, find_fixed_point, lambda3,
+                                   lambda3_elu, lambda3_gelu_lower,
+                                   lambda3_lrelu, lambda3_quad_grid,
+                                   lambda3_sweep_rows, sigma_star)
 from nnkernels.kernels import kernel_values
 
 
@@ -154,6 +154,22 @@ class TestLambda3Elu:
             lambda3_elu(26.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("norm", [0.5, 1.0, 5.0])
+def test_paper_forms_are_lambda3_at_sigma_star(norm):
+    # sigma^2 E[psi' psi'] equals lambda_3 where g(s) = s^2; sigma* is a
+    # bisection root (xtol 1e-8), so g/s^2 - 1 is ~1e-8 there
+    thetas = np.linspace(0.01, np.pi - 0.01, 50)
+    for act, paper in ((GELU, lambda3_gelu_lower), (ELU, lambda3_elu)):
+        sigma = sigma_star(act, norm)
+        s = sigma * norm
+        want = lambda3(act, s, s, np.cos(thetas), sigma ** 2, 0.0)
+        assert paper(norm, sigma, thetas) == pytest.approx(want, rel=1e-6)
+    a = 0.2
+    sigma = sigma_star(lrelu(a), norm)
+    want = lambda3(lrelu(a), norm * sigma, norm * sigma, np.cos(thetas), sigma ** 2, 0.0)
+    assert lambda3_lrelu(a, thetas) == pytest.approx(want, rel=1e-12)
+
+
 class TestSigmaStar:
     def test_relu_he(self):
         assert sigma_star(RELU, 1.0) == pytest.approx(np.sqrt(2.0), abs=1e-8)
@@ -249,8 +265,25 @@ def test_sweep_rows_schema():
     thetas = np.linspace(0.3, 2.8, 5)
     rows = lambda3_sweep_rows(GELU, 1.0, 1.47, thetas)
     assert {r[5] for r in rows} == {"lower-bound", "quadrature"}
+    rows = lambda3_sweep_rows(ERF, 0.5, sigma_star(ERF, 0.5), thetas)
+    assert {r[5] for r in rows} == {"quadrature"}
     rows = lambda3_sweep_rows(ELU, 1.0, sigma_star(ELU, 1.0), thetas)
     assert {r[5] for r in rows} == {"closed-form", "quadrature"}
     closed = {r[0]: r[1] for r in rows if r[5] == "closed-form"}
     quad = {r[0]: r[1] for r in rows if r[5] == "quadrature"}
     assert all(abs(closed[t] - quad[t]) < 1e-6 for t in closed)
+
+
+@pytest.mark.parametrize("act, sigma", [(ELU, np.sqrt(2.0)),
+                                        (selu(1.0507, 1.67326), None)],
+                         ids=["elu-sw2-2", "selu-sigma-star"])
+def test_sweep_closed_rows_match_quadrature_off_sigma_star(act, sigma):
+    # away from sigma* (sigma_w^2 = 2) and with SELU scales, the closed-form
+    # rows are still lambda_3, not the scale-free sigma^2 E[psi' psi']
+    sigma = sigma or sigma_star(act, 1.0)
+    thetas = np.linspace(0.05, np.pi - 0.05, 9)
+    rows = lambda3_sweep_rows(act, 1.0, sigma, thetas)
+    closed = np.array([r[1] for r in rows if r[5] == "closed-form"])
+    quad = np.array([r[1] for r in rows if r[5] == "quadrature"])
+    assert closed.size == quad.size == thetas.size
+    assert np.abs(closed - quad).max() <= 1e-6

@@ -11,7 +11,7 @@ from nnkernels.kernels import (ELU_S_MAX, KernelArgs, diag_mean, kernel,
                                pair_mean)
 
 CLOSED_FORM_ACTS = [RELU, lrelu(0.2), ERF, GELU, ELU, selu(1.0507, 1.6733)]
-CLOSED_DOT_ACTS = [RELU, lrelu(0.2), ELU, selu(1.0507, 1.6733)]
+CLOSED_DOT_ACTS = [RELU, lrelu(0.2), ERF, GELU, ELU, selu(1.0507, 1.6733)]
 
 GRID_S = (0.25, 0.5, 1.0, 2.0, 5.0)
 GRID_THETA = (0.05, 0.5, 1.0, np.pi / 2, 2.5, np.pi - 0.05)
@@ -132,6 +132,21 @@ class TestOracleEquivalence:
         oracle = pair_mean_quad(f, f, s1, s2, rho, nodes=120) * sw2
         rel = np.abs(closed - oracle) / np.maximum(1.0, np.abs(closed))
         assert rel.max() <= 1e-6, f"worst rel err {rel.max():.2e}"
+
+    @pytest.mark.parametrize("act", [GELU, ERF], ids=lambda a: a.kind)
+    def test_smooth_kernel_dot_to_guard_scale(self, act):
+        # out to s = 25 with both correlation endpoints; 200 nodes, since at
+        # 120 the oracle itself is 4e-10 off for ERF at s1 = s2 = 25, rho = -1
+        grid_s = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0)
+        grid_rho = (-1.0, -0.99, -0.5, 0.0, 0.3, 0.9, 0.999, 1.0)
+        s1, s2, rho = (v.ravel() for v in np.meshgrid(grid_s, grid_s, grid_rho))
+        closed = kernel_dot_values(act, s1, s2, rho, 1.0)
+        from nnkernels.quadrature import pair_mean_quad
+        from nnkernels import activations as am
+        f = lambda z: am.deriv(act, z)
+        oracle = pair_mean_quad(f, f, s1, s2, rho, nodes=200)
+        rel = np.abs(closed - oracle) / np.abs(oracle)
+        assert rel.max() <= 1e-10, f"worst rel err {rel.max():.2e}"
 
 
 class TestInvariants:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from nnkernels.special import (bvn_cdf, bvn_cdf_exp, expscaled_cdf,
-                               rosenbaum_m, std_normal_cdf, std_normal_pdf)
+                               std_normal_cdf, std_normal_pdf)
 
 
 def bvn_reference(h, k, rho):
@@ -124,52 +124,3 @@ class TestBvnCdf:
         # exp(q) alone overflows, Phi2 alone underflows; the product is finite
         v = bvn_cdf_exp(-40.0, -40.0, 0.5, 800.0)
         assert np.isfinite(v) and v >= 0.0
-
-
-class TestRosenbaum:
-    def test_orthogonal_case(self):
-        assert rosenbaum_m(0.0, 0.0, np.pi / 2) == pytest.approx(
-            std_normal_pdf(0.0) / 2, abs=1e-14)
-
-    def test_truncation_beyond_support(self):
-        assert abs(rosenbaum_m(20.0, 0.0, 1.0)) <= 1e-12
-        assert abs(rosenbaum_m(20.0, -2.0, 2.5)) <= 1e-12
-
-    def test_frozen_golden(self):
-        # golden frozen from a 1e7-sample Monte-Carlo run (z = -1.18)
-        assert rosenbaum_m(-1.0, 0.5, np.pi / 3) == pytest.approx(
-            -0.021031081004300844, abs=3e-4)
-        assert rosenbaum_m(-1.0, 0.5, np.pi / 3) == pytest.approx(
-            -0.021031081004300844, rel=1e-12)
-
-    def test_domain_errors(self):
-        for theta in (0.0, np.pi, -0.5, 4.0, np.nan):
-            with pytest.raises(ValueError):
-                rosenbaum_m(0.0, 0.0, theta)
-
-    def test_monte_carlo_grid(self):
-        # 5x5x5 grid within 3 standard errors; one 1e7 sample pool per theta
-        hs = np.array([-1.5, -0.5, 0.0, 0.7, 1.5])
-        ks = np.array([-1.2, -0.3, 0.0, 0.5, 1.3])
-        thetas = np.array([0.4, 1.0, np.pi / 2, 2.2, 2.8])
-        n = 10 ** 7
-        worst = 0.0
-        for ti, theta in enumerate(thetas):
-            rng = np.random.Generator(np.random.Philox(key=500 + ti))
-            y1 = rng.standard_normal(n)
-            y2 = -np.cos(theta) * y1 + np.sin(theta) * rng.standard_normal(n)
-            for h in hs:
-                mask1 = y1 > h
-                vals1 = y1 * mask1
-                for k in ks:
-                    samp = vals1 * (y2 > k)
-                    mc = samp.mean()
-                    se = samp.std() / np.sqrt(n)
-                    val = rosenbaum_m(h, k, theta)
-                    if se == 0.0:
-                        # event probability below MC resolution; the formula
-                        # must agree that the moment is negligible
-                        assert abs(val) < 1e-7
-                        continue
-                    worst = max(worst, abs(val - mc) / se)
-        assert worst <= 3.0, f"worst |z| = {worst:.2f}"
