@@ -41,11 +41,6 @@ class Activation:
         if self.kind != "selu" and (self.selu_lambda != 1.0 or self.selu_alpha != 1.0):
             raise ValueError("selu scales only apply to kind='selu'")
 
-    @property
-    def is_smooth(self) -> bool:
-        """True when both psi and psi' are free of kinks/jumps."""
-        return self.kind in ("gelu", "erf")
-
 
 GELU = Activation("gelu")
 ELU = Activation("elu")

@@ -125,7 +125,7 @@ def cmd_fixedpoint(args):
     act = _activation(args)
     sw2, sigma = _sigma_w2(args, act, args.norm)
     thetas = np.pi * (np.arange(args.theta_points) + 1.0) / (args.theta_points + 1.0)
-    rows = fp.lambda3_sweep_rows(act, args.norm, sigma, thetas)
+    rows = fp.lambda3_sweep_rows(act, args.norm, sigma, thetas, args.sigma_b2)
     columns = ("theta", "lambda3", "activation", "norm", "sigma", "method")
     _write_rows(args.out, args.format, columns, rows)
     s_sq = sw2 * args.norm ** 2 + args.sigma_b2

@@ -112,12 +112,6 @@ def standardize(ds: Dataset):
     return Dataset(X, y, name=ds.name, indices=ds.indices), stats
 
 
-def apply_stats(ds: Dataset, stats: Stats) -> Dataset:
-    X = (ds.X - stats.mean) / stats.std
-    y = (ds.y - stats.y_mean) / stats.y_std
-    return Dataset(X, y, name=ds.name, indices=ds.indices)
-
-
 def split(ds: Dataset, train_frac: float, seed: int):
     """Seeded permutation split into (train, test)."""
     if ds.n < 2:
@@ -174,8 +168,3 @@ def disc_grid(f_name: str, n: int = 100) -> Dataset:
     gamma = 2.0 * np.pi * np.arange(n) / n
     X = np.column_stack([np.cos(gamma), np.sin(gamma)])
     return Dataset(X, f(gamma), name=f"disc-{f_name}:grid")
-
-
-def manifest(ds: Dataset, path, target_column) -> dict:
-    return {"name": ds.name, "path": str(path), "target_column": target_column,
-            "n": ds.n, "d": ds.d}

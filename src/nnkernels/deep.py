@@ -12,6 +12,8 @@ Every update, scalar or matrix, kernel or tangent kernel, shared or
 per-level variances, goes through one array function, ``_layer_step``.
 The tangent kernel T starts at zero on the input map, so T = k after
 update 1, and follows T' = T * kdot + k'.
+``_layer_jacobian`` is the closed-form Jacobian of one pair update, for
+every activation; ``kernel_grad`` chains it into exact gradients.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import Activation
-from .kernels import diag_mean, kernel_dot_values, kernel_values
+from .activations import RELU, Activation
+from .kernels import (diag_mean, kernel_dot_values, kernel_values,
+                      pair_dd_mean, pair_dot_mean)
 
 _RHO_OVERSHOOT = 1e-12
 
@@ -142,7 +145,11 @@ def deep_normalized_kernel(act: Activation, theta0: float, norm: float,
     return rhos
 
 
-def _trajectory_raw(act, x1, x2, sw, sb):
+def state_trajectory(act: Activation, x1, x2, hyper: NetworkHyper):
+    """Per-level (s1_sq, s2_sq, k) from the input map through depth L."""
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    sw, sb = hyper.sigma_w2, hyper.sigma_b2
     s1_sq = sw[0] * float(x1 @ x1) + sb[0]
     s2_sq = sw[0] * float(x2 @ x2) + sb[0]
     k = sw[0] * float(x1 @ x2) + sb[0]
@@ -152,13 +159,6 @@ def _trajectory_raw(act, x1, x2, sw, sb):
         s1_sq, s2_sq, k, _ = _pair_step(act, s1_sq, s2_sq, rho, sw[l], sb[l])
         traj.append((s1_sq, s2_sq, k))
     return traj
-
-
-def state_trajectory(act: Activation, x1, x2, hyper: NetworkHyper):
-    """Per-level (s1_sq, s2_sq, k) from the input map through depth L."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    return _trajectory_raw(act, x1, x2, hyper.sigma_w2, hyper.sigma_b2)
 
 
 def ntk_iterate(act: Activation, state: NtkState, sigma_w2: float,
@@ -253,45 +253,37 @@ def _validated(K):
 
 
 # ---------------------------------------------------------------------------
-# Hyperparameter gradients of the depth-L kernel
+# Layer Jacobian and hyperparameter gradients of the depth-L kernel
 # ---------------------------------------------------------------------------
 
-def _relu_layer_jacobian(prev, sigma_w2):
-    """Jacobian of the state map (s1^2, s2^2, k) -> next level, ReLU only.
+def _layer_jacobian(act: Activation, s1_sq, s2_sq, k, sigma_w2) -> np.ndarray:
+    """Jacobian of the state map (s1^2, s2^2, k) -> next level, 3 x 3.
 
-    All three partials hold the remaining state coordinates fixed. The
-    off-diagonal entries follow from Euler's relation: the centered
-    kernel is jointly degree-1 homogeneous in (s1, k), so
-    s1 dk'/ds1 = k' - sigma_b^2 - k dk'/dk = sigma_w^2 s1 s2 sin(theta)/(2 pi).
+    By Price's theorem, with D(a, b, rho) = E[psi''(a Z1) psi(b Z2)]:
+    ds_i^2'/ds_i^2 = sigma_w^2 (E[psi'^2] + D)(s_i, s_i, 1), dk'/ds1^2 =
+    (sigma_w^2 / 2) D(s1, s2, rho), likewise in s2, and dk'/dk = kdot.
     """
-    s1_sq_p, s2_sq_p, k_p = prev
-    rho_p = float(np.clip(k_p / np.sqrt(s1_sq_p * s2_sq_p), -1.0, 1.0))
-    theta_p = np.arccos(rho_p)
-    s1_p, s2_p = np.sqrt(s1_sq_p), np.sqrt(s2_sq_p)
-    lam = sigma_w2 / 2.0
-    sin_term = sigma_w2 * np.sin(theta_p) / (4.0 * np.pi)
-    dk_dk = sigma_w2 * (np.pi - theta_p) / (2.0 * np.pi)
+    rho = float(_normalized(k, s1_sq, s2_sq))
+    s = np.sqrt([s1_sq, s2_sq])
+    diag = sigma_w2 * (pair_dot_mean(act, s, s, 1.0) + pair_dd_mean(act, s, s, 1.0))
+    dk_ds = 0.5 * sigma_w2 * pair_dd_mean(act, s, s[::-1], rho)
     return np.array([
-        [lam, 0.0, 0.0],
-        [0.0, lam, 0.0],
-        [sin_term * s2_p / s1_p, sin_term * s1_p / s2_p, dk_dk],
+        [diag[0], 0.0, 0.0],
+        [0.0, diag[1], 0.0],
+        [dk_ds[0], dk_ds[1], kernel_dot_values(act, s[0], s[1], rho, sigma_w2)],
     ])
 
 
-def kernel_grad_relu(hyper: NetworkHyper, trajectory) -> np.ndarray:
-    """Chain-rule gradient of the final ReLU kernel in all hyperparameters.
+def kernel_grad(act: Activation, hyper: NetworkHyper, trajectory) -> np.ndarray:
+    """Reverse-mode gradient of the final kernel in all hyperparameters.
 
     ``trajectory`` is the output of :func:`state_trajectory`. Returns an
     array of shape (depth + 1, 2): column 0 is d k_final / d sigma_w^2
-    at each level, column 1 the sigma_b^2 gradients. Closed form relies
-    on the absolute homogeneity of the ReLU; other activations raise.
+    at each level, column 1 the sigma_b^2 gradients.
     """
     if len(trajectory) != hyper.depth + 1:
         raise ValueError("trajectory length must be depth + 1")
     L = hyper.depth
-    jacs = [None] * (L + 1)
-    for l in range(1, L + 1):
-        jacs[l] = _relu_layer_jacobian(trajectory[l - 1], hyper.sigma_w2[l])
     grads = np.zeros((L + 1, 2))
     suffix = np.eye(3)  # product J_L ... J_{l+1}, built from the top down
     for l in range(L, -1, -1):
@@ -304,40 +296,15 @@ def kernel_grad_relu(hyper: NetworkHyper, trajectory) -> np.ndarray:
         grads[l, 0] = (suffix @ v_w)[2]
         grads[l, 1] = (suffix @ v_b)[2]
         if l > 0:
-            suffix = suffix @ jacs[l]
+            suffix = suffix @ _layer_jacobian(act, *trajectory[l - 1], hyper.sigma_w2[l])
     return grads
+
+
+def kernel_grad_relu(hyper: NetworkHyper, trajectory) -> np.ndarray:
+    """:func:`kernel_grad` for the ReLU."""
+    return kernel_grad(RELU, hyper, trajectory)
 
 
 def kernel_grad_relu_from_inputs(x1, x2, hyper: NetworkHyper) -> np.ndarray:
-    from .activations import RELU
-    return kernel_grad_relu(hyper, state_trajectory(RELU, x1, x2, hyper))
-
-
-def kernel_grad_fd(act: Activation, hyper: NetworkHyper, x1, x2,
-                   rel_step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of the depth-L kernel, any activation.
-
-    Perturbed evaluations bypass the nonnegativity validation so that
-    a boundary value sigma_b^2 = 0 can be differenced symmetrically.
-    """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-
-    def k_final(sw, sb):
-        return _trajectory_raw(act, x1, x2, sw, sb)[-1][2]
-
-    grads = np.zeros((hyper.depth + 1, 2))
-    for l in range(hyper.depth + 1):
-        for col, params in enumerate((hyper.sigma_w2, hyper.sigma_b2)):
-            base = list(params)
-            h = rel_step * max(abs(base[l]), 1.0)
-            hi, lo = list(base), list(base)
-            hi[l] += h
-            lo[l] -= h
-            if col == 0:
-                grads[l, col] = (k_final(hi, list(hyper.sigma_b2))
-                                 - k_final(lo, list(hyper.sigma_b2))) / (2 * h)
-            else:
-                grads[l, col] = (k_final(list(hyper.sigma_w2), hi)
-                                 - k_final(list(hyper.sigma_w2), lo)) / (2 * h)
-    return grads
+    """:func:`kernel_grad` for the ReLU on a pair of input vectors."""
+    return kernel_grad(RELU, hyper, state_trajectory(RELU, x1, x2, hyper))

@@ -4,9 +4,11 @@ The layer map g sends (s1^2, s2^2, rho) to the next layer's squared
 norms and normalized kernel. Its Jacobian is triangular with
 eigenvalues
 
-    lambda_1 = sigma_w^2 E[(Z^2 - 1) psi^2(s1 Z)] / (2 s1^2)
+    lambda_1 = sigma_w^2 E[psi'^2(s1 Z) + psi(s1 Z) psi''(s1 Z)]
     lambda_2 = likewise in s2
     lambda_3 = sigma_w^2 s1 s2 E[psi'(s1 Z1) psi'(s2 Z2)] / sqrt(g1 g2)
+
+lambda_1 and lambda_2 are the diagonal of ``deep._layer_jacobian``.
 
 A sup of |lambda_3| below 1 over the angle interval certifies a unique
 fixed point of the normalized kernel at rho = 1 (degenerate deep
@@ -29,9 +31,9 @@ import numpy as np
 from scipy.optimize import bisect
 
 from .activations import ELU, GELU, Activation, lrelu
-from .deep import LayerState, iterate_state
+from .deep import LayerState, _layer_jacobian, iterate_state
 from .kernels import ELU_S_MAX, diag_mean, kernel_dot_values, kernel_values
-from .quadrature import normal_panel_nodes, pair_mean_quad
+from .quadrature import pair_mean_quad
 from . import activations as act_mod
 
 
@@ -52,13 +54,6 @@ class FixedPointReport:
     sup_lambda3: float
 
 
-def _lambda1_quad(act: Activation, s, sigma_w2, nodes=160):
-    z, w = normal_panel_nodes(nodes, (0.0,))
-    vals = (z * z - 1.0) * act_mod.eval(act, s * z) ** 2
-    e = float(w @ vals)
-    return sigma_w2 * e / (2.0 * s * s)
-
-
 def lambda3(act: Activation, s1, s2, rho, sigma_w2, sigma_b2):
     """Correlation eigenvalue ``s1 s2 kdot / sqrt(g1 g2)`` of the layer
     map, with g_i = k(s_i, s_i, 1); closed form, vectorized over
@@ -72,18 +67,16 @@ def eigenvalues(act: Activation, s1_sq: float, s2_sq: float, rho: float,
                 sigma_w2: float, sigma_b2: float) -> EigenTriple:
     """Jacobian eigenvalues of the layer map at the given state.
 
-    lambda_1/lambda_2 come from panel-split 1-D quadrature, lambda_3
-    from the closed-form ``lambda3``.
+    lambda_1/lambda_2 are the diagonal of the closed-form layer
+    Jacobian, lambda_3 comes from ``lambda3``.
     """
     if s1_sq <= 0.0 or s2_sq <= 0.0:
         raise ValueError("eigenvalues requires positive squared norms")
     if np.isnan(rho) or abs(rho) > 1.0:
         raise ValueError("rho must lie in [-1, 1]")
-    s1, s2 = np.sqrt(s1_sq), np.sqrt(s2_sq)
-    lam1 = _lambda1_quad(act, s1, sigma_w2)
-    lam2 = lam1 if s2_sq == s1_sq else _lambda1_quad(act, s2, sigma_w2)
-    lam3 = lambda3(act, s1, s2, rho, sigma_w2, sigma_b2)
-    triple = EigenTriple(float(lam1), float(lam2), float(lam3))
+    jac = _layer_jacobian(act, s1_sq, s2_sq, rho * np.sqrt(s1_sq * s2_sq), sigma_w2)
+    lam3 = lambda3(act, np.sqrt(s1_sq), np.sqrt(s2_sq), rho, sigma_w2, sigma_b2)
+    triple = EigenTriple(float(jac[0, 0]), float(jac[1, 1]), float(lam3))
     if not all(np.isfinite(v) for v in (triple.lambda1, triple.lambda2, triple.lambda3)):
         raise ArithmeticError("non-finite Jacobian eigenvalue")
     return triple
@@ -233,20 +226,21 @@ def find_fixed_point(act: Activation, sigma_w2: float, sigma_b2: float,
 
 
 def lambda3_sweep_rows(act: Activation, norm: float, sigma: float,
-                       thetas) -> list:
+                       thetas, sigma_b2: float = 0.0) -> list:
     """Rows (theta, lambda3, activation, norm, sigma, method) for CSV dumps.
 
     Every activation but ERF gets closed-form ``lambda3`` rows (method
     "lower-bound" for GELU, after the paper's name for that expression,
     else "closed-form"); every activation also gets quadrature rows.
-    Both kinds are taken at s1 = s2 = sigma * norm with sigma_b^2 = 0.
+    Both kinds are taken at the input signal s1 = s2 =
+    sqrt(sigma^2 norm^2 + sigma_b^2), with sigma_b^2 in g.
     """
     thetas = np.asarray(thetas, dtype=float)
-    s = sigma * norm
+    s = np.hypot(sigma * norm, np.sqrt(sigma_b2))
     series = []
     if act.kind != "erf":
         series.append(("lower-bound" if act.kind == "gelu" else "closed-form",
-                       lambda3(act, s, s, np.cos(thetas), sigma * sigma, 0.0)))
-    series.append(("quadrature", lambda3_quad_grid(act, s, thetas, sigma * sigma, 0.0)))
+                       lambda3(act, s, s, np.cos(thetas), sigma * sigma, sigma_b2)))
+    series.append(("quadrature", lambda3_quad_grid(act, s, thetas, sigma * sigma, sigma_b2)))
     return [(float(t), float(v), act.kind, norm, sigma, method)
             for method, vals in series for t, v in zip(thetas, vals)]

@@ -117,14 +117,21 @@ def _max_threads() -> int:
 
 def _grid_one_sigma(act, X, y, sigma_w2, sigma_b2, depths, noise_var, splits):
     rows = []
-    for depth, K in kernel_matrices_by_depth(act, X, sigma_w2, sigma_b2, depths):
-        for split_id, (tr, te) in enumerate(splits):
-            gp = fit(K[np.ix_(tr, tr)], y[tr], noise_var)
-            mean_tr, _ = predict(gp, K[np.ix_(tr, tr)], np.diag(K)[tr])
-            mean_te, _ = predict(gp, K[np.ix_(te, tr)], np.diag(K)[te])
-            rows.append(GridResult(act.kind, depth, sigma_w2, sigma_b2, noise_var,
-                                   split_id, rmse(mean_tr, y[tr]),
-                                   rmse(mean_te, y[te]), nll(gp, y[tr])))
+    try:
+        for depth, K in kernel_matrices_by_depth(act, X, sigma_w2, sigma_b2, depths):
+            for split_id, (tr, te) in enumerate(splits):
+                gp = fit(K[np.ix_(tr, tr)], y[tr], noise_var)
+                mean_tr, _ = predict(gp, K[np.ix_(tr, tr)], np.diag(K)[tr])
+                mean_te, _ = predict(gp, K[np.ix_(te, tr)], np.diag(K)[te])
+                rows.append(GridResult(act.kind, depth, sigma_w2, sigma_b2, noise_var,
+                                       split_id, rmse(mean_tr, y[tr]),
+                                       rmse(mean_te, y[te]), nll(gp, y[tr])))
+    except OverflowError:
+        # the ELU/SELU closed forms refuse s > ELU_S_MAX: this column's
+        # deeper cells get nan metrics
+        done, nan = {r.depth for r in rows}, float("nan")
+        rows += [GridResult(act.kind, d, sigma_w2, sigma_b2, noise_var, i, nan, nan, nan)
+                 for d in depths if d not in done for i in range(len(splits))]
     return rows
 
 
@@ -136,7 +143,8 @@ def grid_search(dataset: Dataset, act: Activation, depth_range, sigma_w2_range,
     Returns (ranked, rows): ``rows`` holds one GridResult per
     (configuration, split); ``ranked`` aggregates the chosen metric
     over splits, sorted by (metric, depth, sigma_w2) so ties resolve to
-    the smallest depth, then the smallest weight variance.
+    the smallest depth, then the smallest weight variance. Cells whose
+    kernel leaves the ELU/SELU guard get nan metrics and are not ranked.
     """
     if dataset.n < 4:
         raise ValueError("dataset too small for a grid search (need >= 4 points)")
@@ -166,7 +174,8 @@ def grid_search(dataset: Dataset, act: Activation, depth_range, sigma_w2_range,
 
     agg = {}
     for r in rows:
-        agg.setdefault((r.depth, r.sigma_w2), []).append(getattr(r, metric))
+        if not np.isnan(r.test_rmse):
+            agg.setdefault((r.depth, r.sigma_w2), []).append(getattr(r, metric))
     ranked = sorted(
         ({"depth": d, "sigma_w2": s, metric: float(np.mean(vals)),
           "n_splits": len(vals)} for (d, s), vals in agg.items()),

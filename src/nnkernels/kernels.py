@@ -26,6 +26,10 @@ closed-form for every activation as well:
                 psi'(z) = Phi(z) + z phi(z);
   ELU / SELU    the quadrant term plus exponential cross terms, through
                 bvn_cdf_exp.
+
+So is ``pair_dd_mean``, D = E[psi''(s1 Z1) psi(s2 Z2)] (a kink adds a
+delta to psi''): by Price's theorem, 2 dE[psi psi]/ds1^2, the entry the
+layer Jacobian in ``deep`` is built from.
 """
 
 from __future__ import annotations
@@ -86,6 +90,12 @@ def _guard_elu_scale(*ss):
             )
 
 
+def _exp_orthant(a, b, cs):
+    """``E[e^(a Z1 + b Z2); Z1 < 0, Z2 < 0]`` at correlation cs in (-1, 1)."""
+    q = (a * a + 2.0 * a * b * cs + b * b) / 2.0
+    return bvn_cdf_exp(-(a + b * cs), -(a * cs + b), cs, q)
+
+
 def _elu_pair_interior(s1, s2, rho, lam, alpha):
     """E[psi psi] for ELU/SELU on rho in the open interval (-1, 1)."""
     theta = _arccos_theta(rho)
@@ -100,13 +110,9 @@ def _elu_pair_interior(s1, s2, rho, lam, alpha):
 
     t12 = s1 * cross(s2)
     t21 = s2 * cross(s1)
-
-    def e4(a, b):
-        q = (a * a + 2.0 * a * b * cs + b * b) / 2.0
-        return bvn_cdf_exp(-(a + b * cs), -(a * cs + b), cs, q)
-
-    zero = np.zeros_like(cs)
-    t22 = e4(s1, s2) - e4(s1, zero) - e4(zero, s2) + e4(zero, zero)
+    # the last term is the orthant probability P(Z1 < 0, Z2 < 0)
+    t22 = (_exp_orthant(s1, s2, cs) - _exp_orthant(s1, 0.0, cs)
+           - _exp_orthant(0.0, s2, cs) + (np.pi - theta) / TWO_PI)
     return lam * lam * (t11 + alpha * (t12 + t21) + alpha * alpha * t22)
 
 
@@ -174,9 +180,7 @@ def pair_dot_mean(act: Activation, s1, s2, rho):
         quadrant = (np.pi - theta) / TWO_PI
         c1 = bvn_cdf_exp(s2 * cs, -s2, -cs, s2 * s2 / 2.0)
         c2 = bvn_cdf_exp(s1 * cs, -s1, -cs, s1 * s1 / 2.0)
-        dbl = bvn_cdf_exp(-(s1 + s2 * cs), -(s1 * cs + s2), cs,
-                          (s1 * s1 + 2.0 * s1 * s2 * cs + s2 * s2) / 2.0)
-        interior = quadrant + alpha * (c1 + c2) + alpha * alpha * dbl
+        interior = quadrant + alpha * (c1 + c2) + alpha * alpha * _exp_orthant(s1, s2, cs)
         hi = 0.5 + alpha * alpha * expscaled_cdf(s1 + s2)
         lo = alpha * (expscaled_cdf(s1) + expscaled_cdf(s2))
         out = lam * lam * np.where(rho >= 1.0 - _RHO_EPS, hi,
@@ -192,6 +196,46 @@ def pair_dot_mean(act: Activation, s1, s2, rho):
             out = (0.25 + np.arcsin(c / np.sqrt(a * b)) / TWO_PI
                    + c * (1.0 / a + 1.0 / b) / (TWO_PI * np.sqrt(d))
                    + c / (TWO_PI * d ** 1.5))
+    return out if out.shape else float(out)
+
+
+def pair_dd_mean(act: Activation, s1, s2, rho):
+    """``E[psi''(s1 Z1) psi(s2 Z2)]`` with corr rho, closed form, vectorized.
+
+    A kink of slope jump j at 0 adds j E[psi(s2 tau Z)] / (sqrt(2 pi) s1),
+    tau = sqrt(1 - rho^2), from the delta in psi''.
+    """
+    s1, s2, rho = np.broadcast_arrays(
+        *[np.asarray(v, dtype=float) for v in (s1, s2, rho)]
+    )
+    kind = act.kind
+    if kind in ("relu", "lrelu"):
+        a = _lrelu_slope(act)
+        r = np.clip(rho, -1.0, 1.0)
+        out = (1.0 - a) ** 2 * s2 * np.sqrt((1.0 - r) * (1.0 + r)) / (TWO_PI * s1)
+    elif kind in ("elu", "selu"):
+        _guard_elu_scale(s1, s2)
+        lam, alpha = _selu_params(act)
+        theta = _arccos_theta(np.clip(rho, -1.0 + _RHO_EPS, 1.0 - _RHO_EPS))
+        sn, cs = np.sin(theta), np.cos(theta)
+        e10 = _exp_orthant(s1, 0.0, cs)
+        lin = s2 * ((expscaled_cdf(s1 * sn) - cs / 2.0) / SQRT_2PI
+                    + s1 * cs * (expscaled_cdf(s1) - e10))
+        jump = (s2 * sn / SQRT_2PI + alpha * (expscaled_cdf(s2 * sn) - 0.5)) / (SQRT_2PI * s1)
+        interior = alpha * (lin + alpha * (_exp_orthant(s1, s2, cs) - e10)) + (1.0 - alpha) * jump
+        hi = alpha * alpha * (expscaled_cdf(s1 + s2) - expscaled_cdf(s1))
+        lo = alpha * s2 * (1.0 / SQRT_2PI - s1 * expscaled_cdf(s1))
+        out = lam * lam * np.where(rho >= 1.0 - _RHO_EPS, hi,
+                                   np.where(rho <= -1.0 + _RHO_EPS, lo, interior))
+    else:  # gelu / erf; no endpoint branch, as in pair_dot_mean
+        c = s1 * s2 * np.clip(rho, -1.0, 1.0)
+        if kind == "erf":
+            a = 1.0 + 2.0 * s1 * s1
+            out = -(8.0 / np.pi) * c / (a * np.sqrt(a * (1.0 + 2.0 * s2 * s2) - 4.0 * c * c))
+        else:
+            a, b = 1.0 + s1 * s1, 1.0 + s2 * s2
+            d = a * b - c * c
+            out = ((a + 2.0) * d * d - a * (a + b) * d - a * a * b) / (TWO_PI * a * a * d ** 1.5)
     return out if out.shape else float(out)
 
 

@@ -24,7 +24,7 @@ from nnkernels import activations as am
 from nnkernels.activations import ELU, GELU, RELU, lrelu
 from nnkernels.data import disc_grid, disc_task, load_csv, standardize
 from nnkernels.deep import (NetworkHyper, deep_normalized_kernel,
-                            kernel_grad_fd, kernel_grad_relu_from_inputs,
+                            kernel_grad_relu_from_inputs,
                             kernel_matrices_by_depth)
 from nnkernels.finite_width import empirical_trajectory
 from nnkernels.fixed_point import (eigenvalues, lambda3_elu,
@@ -35,6 +35,8 @@ from nnkernels.kernels import KernelArgs, kernel_mc, kernel_values
 from nnkernels.quadrature import mean_1d, pair_mean_quad
 from scipy.integrate import quad
 from scipy.optimize import brentq
+
+from fd_oracle import kernel_grad_fd
 
 GRID_S = (0.25, 0.5, 1.0, 2.0, 5.0)
 GRID_THETA = (0.05, 0.5, 1.0, np.pi / 2, 2.5, np.pi - 0.05)

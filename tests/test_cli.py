@@ -14,7 +14,7 @@ import pytest
 from nnkernels import activations as am
 from nnkernels.activations import ELU, GELU
 from nnkernels.cli import main
-from nnkernels.fixed_point import sigma_star
+from nnkernels.fixed_point import lambda3, sigma_star
 from nnkernels.quadrature import mean_1d
 
 REPO = Path(__file__).resolve().parent.parent
@@ -129,6 +129,27 @@ class TestFixedpoint:
         assert code == 0, err
         assert json.loads(stdout.strip().splitlines()[-1])["verdict"] == "not-contraction"
 
+    def test_sigma_b2_reaches_the_csv(self, tmp_path, capsys):
+        rows = {}
+        for b in ("0.0", "0.5"):
+            out = tmp_path / f"fp{b}.csv"
+            code, _, err = run_cli(["fixedpoint", "--activation", "gelu",
+                                    "--theta-points", "8", "--sigma-b2", b,
+                                    "--out", str(out)], capsys)
+            assert code == 0, err
+            rows[b] = read_csv(out)[1:]
+        assert rows["0.0"] != rows["0.5"]
+        closed = [float(r[1]) for r in rows["0.5"] if r[5] == "lower-bound"]
+        quad = [float(r[1]) for r in rows["0.5"] if r[5] == "quadrature"]
+        assert len(closed) == len(quad) == 8
+        assert np.abs(np.subtract(closed, quad)).max() <= 1e-6
+        # both at the input signal s^2 = sigma^2 norm^2 + sigma_b^2
+        sigma = sigma_star(GELU, 1.0)
+        s = np.sqrt(sigma ** 2 + 0.5)
+        thetas = np.pi * np.arange(1, 9) / 9.0
+        expected = lambda3(GELU, s, s, np.cos(thetas), sigma ** 2, 0.5)
+        assert np.abs(np.subtract(closed, expected)).max() <= 1e-12
+
 
 class TestNormPreserve:
     def test_relu_constant_root(self, tmp_path, capsys):
@@ -192,6 +213,26 @@ class TestGpCommands:
         assert len(rows) == 1 + 2 * 2 * 2  # depths x sigmas x splits
         best = json.loads(stdout.strip().splitlines()[0])["best"]
         assert len(best) <= 5
+
+    def test_benchmark_elu_past_the_guard(self, tmp_path, dataset_csv, capsys):
+        # at sigma_w^2 = 5 the signal passes s = 25 within six layers on
+        # this data; the cells before that are kept, the rest are nan rows
+        out = tmp_path / "bench.csv"
+        code, stdout, err = run_cli([
+            "benchmark", "--dataset", str(dataset_csv), "--activation", "elu",
+            "--depth-max", "6", "--sw2-min", "1.0", "--sw2-max", "5.0",
+            "--sw2-step", "2.0", "--splits", "2", "--out", str(out)], capsys)
+        assert code == 0, err
+        rows = read_csv(out)[1:]
+        cells = [(int(r[1]), float(r[2]), int(r[5])) for r in rows]
+        assert len(cells) == len(set(cells)) == 6 * 3 * 2
+        nan_cells = {(d, sw) for (d, sw, _), r in zip(cells, rows) if r[7] == "nan"}
+        assert nan_cells and {sw for _, sw in nan_cells} == {5.0}
+        assert (1, 5.0) not in nan_cells
+        best = json.loads(stdout.strip().splitlines()[0])["best"]
+        assert len(best) == 5
+        assert all(np.isfinite(b["test_rmse"]) for b in best)
+        assert not {(b["depth"], b["sigma_w2"]) for b in best} & nan_cells
 
     def test_simplicity_runs_both_activations(self, tmp_path, capsys):
         out = tmp_path / "simp.csv"

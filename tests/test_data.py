@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nnkernels.data import (DISC_FUNCTION_NAMES, Dataset, apply_stats,
-                            disc_function, disc_grid, disc_task, load_csv,
-                            manifest, split, standardize)
+from nnkernels.data import (DISC_FUNCTION_NAMES, Dataset, disc_function,
+                            disc_grid, disc_task, load_csv, split,
+                            standardize)
 
 
 @pytest.fixture
@@ -56,11 +56,6 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="header"):
             load_csv(p, "target", has_header=False)
 
-    def test_manifest(self, three_row_csv):
-        ds = load_csv(three_row_csv, "target")
-        m = manifest(ds, three_row_csv, "target")
-        assert m["n"] == 3 and m["d"] == 2 and m["target_column"] == "target"
-
 
 class TestStandardize:
     def test_moments(self):
@@ -84,13 +79,6 @@ class TestStandardize:
         ds = Dataset(np.column_stack([np.ones(5), np.arange(5.0)]), np.arange(5.0))
         with pytest.raises(ValueError, match="constant"):
             standardize(ds)
-
-    def test_apply_stats_round_trip(self):
-        rng = np.random.Generator(np.random.Philox(key=4))
-        ds = Dataset(rng.standard_normal((12, 2)) * 4 + 1, rng.standard_normal(12))
-        out, stats = standardize(ds)
-        again = apply_stats(ds, stats)
-        assert np.allclose(out.X, again.X)
 
 
 class TestSplit:

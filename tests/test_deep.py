@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
-from nnkernels.activations import ELU, ERF, GELU, RELU, from_name, lrelu
-from nnkernels.deep import (LayerState, NetworkHyper, NtkState,
-                            deep_kernel_matrix, deep_normalized_kernel,
-                            input_state, iterate_state, kernel_grad_fd,
-                            kernel_grad_relu, kernel_grad_relu_from_inputs,
+from nnkernels.activations import ELU, ERF, GELU, RELU, from_name, lrelu, selu
+from nnkernels.deep import (LayerState, NetworkHyper, NtkState, _layer_jacobian,
+                            _pair_step, deep_kernel_matrix,
+                            deep_normalized_kernel, input_state, iterate_state,
+                            kernel_grad, kernel_grad_relu,
+                            kernel_grad_relu_from_inputs,
                             kernel_matrices_by_depth, ntk_iterate,
                             scaled_ntk_iterate, state_trajectory)
 from nnkernels.fixed_point import sigma_star
 
+from fd_oracle import kernel_grad_fd
+
 ALL_ACTS = [GELU, ELU, RELU, ERF, lrelu(0.2)]
+SIX_ACTS = [GELU, ERF, ELU, selu(1.0507, 1.6733), RELU, lrelu(0.2)]
 
 
 class TestIterateState:
@@ -225,7 +229,60 @@ class TestKernelMatrix:
                 assert K[i, j] == pytest.approx(k_scalar, rel=1e-12)
 
 
+class TestLayerJacobian:
+    @pytest.mark.parametrize("act", SIX_ACTS, ids=lambda a: a.kind)
+    def test_matches_fd_of_layer_step(self, act):
+        sw2, sb2 = 1.3, 0.1
+
+        def step(x):
+            rho = x[2] / np.sqrt(x[0] * x[1])
+            return np.array(_pair_step(act, x[0], x[1], rho, sw2, sb2)[:3])
+
+        worst = 0.0
+        for s1_sq in (0.3, 1.0, 4.0, 25.0):
+            for s2_sq in (0.5, 2.0):
+                for rho in (-0.95, -0.3, 0.0, 0.5, 0.95):
+                    x = np.array([s1_sq, s2_sq, rho * np.sqrt(s1_sq * s2_sq)])
+                    jac = _layer_jacobian(act, *x, sw2)
+                    fd = np.empty((3, 3))
+                    for i in range(3):
+                        e = np.zeros(3)
+                        e[i] = 1e-5 * max(abs(x[i]), 1.0)
+                        fd[:, i] = (step(x + e) - step(x - e)) / (2.0 * e[i])
+                    worst = max(worst, np.abs(jac - fd).max() / max(1.0, np.abs(jac).max()))
+        assert worst <= 1e-7, f"worst {worst:.2e}"
+
+    def test_relu_entries(self):
+        # the ReLU's homogeneity gives dk'/ds1^2 = sigma_w^2 s2 sin(theta) / (4 pi s1)
+        s1_sq, s2_sq, theta, sw2 = 1.5, 0.7, 1.1, 2.0
+        k = np.cos(theta) * np.sqrt(s1_sq * s2_sq)
+        jac = _layer_jacobian(RELU, s1_sq, s2_sq, k, sw2)
+        sin_term = sw2 * np.sin(theta) / (4.0 * np.pi)
+        expected = np.array([
+            [sw2 / 2.0, 0.0, 0.0],
+            [0.0, sw2 / 2.0, 0.0],
+            [sin_term * np.sqrt(s2_sq / s1_sq), sin_term * np.sqrt(s1_sq / s2_sq),
+             sw2 * (np.pi - theta) / (2.0 * np.pi)],
+        ])
+        assert np.abs(jac - expected).max() <= 1e-14
+
+
 class TestGradients:
+    @pytest.mark.parametrize("act", SIX_ACTS, ids=lambda a: a.kind)
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("per_level", [False, True], ids=["shared", "per-level"])
+    def test_kernel_grad_matches_fd(self, act, depth, per_level):
+        if per_level:
+            hyper = NetworkHyper(depth, tuple(np.linspace(1.2, 2.0, depth + 1)),
+                                 tuple(np.linspace(0.05, 0.2, depth + 1)))
+        else:
+            hyper = NetworkHyper.shared(depth, 1.5, 0.1)
+        x1, x2 = [1.0, 0.2], [0.3, -0.5]
+        grad = kernel_grad(act, hyper, state_trajectory(act, x1, x2, hyper))
+        fd = kernel_grad_fd(act, hyper, x1, x2)
+        rel = np.abs(grad - fd) / np.maximum(1e-8, np.abs(fd))
+        assert rel.max() <= 1e-7, f"worst rel {rel.max():.2e}"
+
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_relu_chain_rule_matches_fd(self, depth):
         hyper = NetworkHyper.shared(depth, 2.0, 0.1)

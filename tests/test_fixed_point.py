@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from nnkernels import activations as am
 from nnkernels.activations import ELU, ERF, GELU, RELU, lrelu, selu
-from nnkernels.deep import LayerState, input_state
+from nnkernels.deep import (LayerState, NetworkHyper, input_state, kernel_grad,
+                            state_trajectory)
 from nnkernels.fixed_point import (eigenvalues, find_fixed_point, lambda3,
                                    lambda3_elu, lambda3_gelu_lower,
                                    lambda3_lrelu, lambda3_quad_grid,
                                    lambda3_sweep_rows, sigma_star)
 from nnkernels.kernels import kernel_values
+from nnkernels.quadrature import mean_1d
 
 
 def g1_value(act, s1_sq, sw2, sb2):
@@ -61,6 +64,36 @@ class TestEigenvalues:
                 fd = (g3_value(act, s_sq, s_sq, rho + h, 1.2, 0.1)
                       - g3_value(act, s_sq, s_sq, rho - h, 1.2, 0.1)) / (2 * h)
                 assert tri.lambda3 == pytest.approx(fd, abs=1e-4)
+
+    @pytest.mark.parametrize("act", [GELU, ERF, ELU, selu(1.0507, 1.6733), RELU,
+                                     lrelu(0.2)], ids=lambda a: a.kind)
+    def test_lambda1_matches_quadrature(self, act):
+        # Stein's lemma: lambda_1 = sigma_w^2 E[(Z^2 - 1) psi^2(s Z)] / (2 s^2)
+        grid = (0.25, 0.5, 1.0, 2.0, 5.0, 10.0)
+        if act.kind in ("elu", "selu"):
+            grid += (12.0, 25.0)
+        for s in grid:
+            tri = eigenvalues(act, s * s, (0.9 * s) ** 2, 0.3, 1.2, 0.1)
+            for lam, si in ((tri.lambda1, s), (tri.lambda2, 0.9 * s)):
+                quad = 1.2 * mean_1d(lambda z: (z * z - 1.0) * am.eval(act, si * z) ** 2,
+                                     nodes=160) / (2.0 * si * si)
+                assert lam == pytest.approx(quad, rel=1e-12)
+
+    def test_no_quadrature_on_the_jacobian_path(self, monkeypatch):
+        from nnkernels import fixed_point, kernels, quadrature
+
+        def boom(*args, **kwargs):
+            raise AssertionError("quadrature called")
+
+        for mod in (quadrature, kernels, fixed_point):
+            for name in ("pair_mean_quad", "normal_panel_nodes"):
+                monkeypatch.setattr(mod, name, boom, raising=False)
+        hyper = NetworkHyper.shared(2, 1.5, 0.1)
+        for act in (GELU, ERF, ELU, RELU):
+            tri = eigenvalues(act, 1.3, 0.8, 0.4, 1.5, 0.1)
+            assert np.isfinite([tri.lambda1, tri.lambda2, tri.lambda3]).all()
+            traj = state_trajectory(act, [1.0, 0.2], [0.3, -0.5], hyper)
+            assert np.isfinite(kernel_grad(act, hyper, traj)).all()
 
     @pytest.mark.parametrize("act", [GELU, ELU, lrelu(0.2)], ids=lambda a: a.kind)
     def test_lambda1_matches_fd_of_g1(self, act):

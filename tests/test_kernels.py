@@ -8,7 +8,7 @@ from nnkernels.kernels import (ELU_S_MAX, KernelArgs, diag_mean, kernel,
                                kernel_dot, kernel_dot_quadrature,
                                kernel_dot_values, kernel_from_inputs,
                                kernel_mc, kernel_quadrature, kernel_values,
-                               pair_mean)
+                               pair_dd_mean, pair_mean)
 
 CLOSED_FORM_ACTS = [RELU, lrelu(0.2), ERF, GELU, ELU, selu(1.0507, 1.6733)]
 CLOSED_DOT_ACTS = [RELU, lrelu(0.2), ERF, GELU, ELU, selu(1.0507, 1.6733)]
@@ -147,6 +147,48 @@ class TestOracleEquivalence:
         oracle = pair_mean_quad(f, f, s1, s2, rho, nodes=200)
         rel = np.abs(closed - oracle) / np.abs(oracle)
         assert rel.max() <= 1e-10, f"worst rel err {rel.max():.2e}"
+
+    @pytest.mark.parametrize("act", CLOSED_FORM_ACTS, ids=lambda a: a.kind)
+    def test_pair_dd_mean_grid(self, act):
+        # E[psi''(s1 Z1) psi(s2 Z2)]: the regular part of psi'' by 2-D
+        # quadrature plus, for a kink of slope jump j at 0,
+        # j E[psi(s2 tau Z)] / (sqrt(2 pi) s1)
+        from nnkernels.quadrature import mean_1d, pair_mean_quad
+        from nnkernels import activations as am
+        lam, alpha = ((act.selu_lambda, act.selu_alpha) if act.kind == "selu"
+                      else (1.0, 1.0))
+        regular = {
+            "gelu": lambda z: np.exp(-0.5 * z * z) * (2.0 - z * z) / np.sqrt(2 * np.pi),
+            "erf": lambda z: -(4.0 / np.sqrt(np.pi)) * z * np.exp(-z * z),
+            "elu": lambda z: np.where(z < 0, np.exp(np.minimum(z, 0.0)), 0.0),
+            "selu": lambda z: np.where(z < 0, lam * alpha * np.exp(np.minimum(z, 0.0)), 0.0),
+        }.get(act.kind, lambda z: np.zeros_like(z))
+        jump = {"relu": 1.0, "lrelu": 1.0 - act.lrelu_slope,
+                "selu": lam * (1.0 - alpha)}.get(act.kind, 0.0)
+        f = lambda z: am.eval(act, z)
+        s1, s2, rho = (v.ravel() for v in np.meshgrid(
+            GRID_S, GRID_S, (-0.95, -0.5, 0.0, 0.3, 0.95)))
+        tau = np.sqrt(1.0 - rho * rho)
+        oracle = pair_mean_quad(regular, f, s1, s2, rho, nodes=200)
+        oracle += jump * np.array([mean_1d(lambda z: f(b * t * z), nodes=200)
+                                   for b, t in zip(s2, tau)]) / (np.sqrt(2 * np.pi) * s1)
+        closed = pair_dd_mean(act, s1, s2, rho)
+        err = np.abs(closed - oracle) / np.maximum(1.0, np.abs(oracle))
+        assert err.max() <= 1e-12, f"worst err {err.max():.2e}"
+        # the rho = +-1 limits: Z2 = +-Z1, and psi(0) = 0 removes the jump
+        for sign in (1.0, -1.0):
+            for a, b in ((0.25, 1.0), (1.0, 1.0), (5.0, 2.0), (2.0, 5.0)):
+                end = mean_1d(lambda z: regular(a * z) * f(sign * b * z), nodes=200)
+                assert abs(pair_dd_mean(act, a, b, sign) - end) <= 1e-12 * max(1.0, abs(end))
+
+    @pytest.mark.parametrize("act", [ELU, selu(1.0507, 1.6733)], ids=lambda a: a.kind)
+    def test_pair_dd_mean_endpoints_quiet_to_guard(self, act):
+        # at rho = +-1 the endpoint limits are used, so no bvn call sees
+        # |r| = 1 with an exponent that overflows
+        with np.errstate(over="raise", invalid="raise"):
+            for s in (12.0, 18.0, 25.0):
+                for sign in (1.0, -1.0):
+                    assert np.isfinite(pair_dd_mean(act, s, s, sign))
 
 
 class TestInvariants:
