@@ -1,0 +1,166 @@
+#!/usr/bin/env python3
+"""Record the benchmark of one or more checkouts as BENCH_<label>.json.
+
+    python3 scripts/bench_record.py --checkout LABEL=DIR [--checkout LABEL=DIR ...]
+        [--workloads W ...] [--seeds K] [--seconds T]
+        [--no-tier1] [--out-dir DIR]
+
+For each seed 1..K and each workload, runs the benchmark command of
+``BENCHMARK.json`` (``perfbench/run.py`` with ``--trace 0``) once in every
+checkout, rotating the order of the checkouts from seed to seed, so two
+checkouts make alternating pairs of runs. Each checkout's file holds:
+every run, and per workload the median and quartiles of each end-to-end
+metric, failed/attempted and whether every run was correct; the tier-1
+wall time and pass count (run once per checkout, unless ``--no-tier1``);
+the ``src/`` line count; and the git SHA, with ``dirty`` set when
+``src/`` differs from it. With two or more checkouts, each file after
+the first also counts, per workload and metric, the pairs of runs it won
+against the first checkout (ties count for neither).
+
+The default checkout is this repository, labelled by its short SHA.
+"""
+
+import argparse
+import json
+import os
+import re
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parent.parent
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+
+
+def _git(checkout, *args):
+    return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def _src_lines(checkout):
+    return sum(len(p.read_text().splitlines())
+               for p in sorted((checkout / "src").rglob("*.py")))
+
+
+def _env(checkout):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(checkout / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def run_tier1(checkout):
+    t0 = time.perf_counter()
+    proc = subprocess.run(TIER1, cwd=checkout, env=_env(checkout),
+                          capture_output=True, text=True)
+    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    counts = {key: int(n) for n, key in re.findall(r"(\d+) (passed|failed|errors?)", summary)}
+    return {"wall_s": time.perf_counter() - t0, "exit_code": proc.returncode,
+            "passed": counts.get("passed", 0), "summary": summary}
+
+
+def run_benchmark(checkout, command, workload, seed, seconds):
+    proc = subprocess.run([*command, "--workload", workload, "--seed", str(seed),
+                           "--seconds", str(seconds), "--trace", "0"],
+                          cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: {workload} seed {seed} exited "
+                           f"{proc.returncode}: {proc.stderr.strip()[-2000:]}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"],
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def summarize(runs, metrics):
+    out = {"attempted": sum(r["attempted"] for r in runs),
+           "failed": sum(r["failed"] for r in runs),
+           "all_correct": all(r["correct"] for r in runs), "metrics": {}}
+    for m in metrics:
+        q1, med, q3 = np.percentile([r["metrics"][m["name"]] for r in runs], [25, 50, 75])
+        out["metrics"][m["name"]] = {"unit": m["unit"], "better": m["better"],
+                                     "median": med, "q1": q1, "q3": q3}
+    return out
+
+
+def pairs_won(runs, base_runs, metrics):
+    won = {}
+    for m in metrics:
+        name, sign = m["name"], 1.0 if m["better"] == "higher" else -1.0
+        diffs = [sign * (r["metrics"][name] - b["metrics"][name])
+                 for r, b in zip(runs, base_runs)]
+        won[name] = {"won": sum(d > 0 for d in diffs), "lost": sum(d < 0 for d in diffs),
+                     "pairs": len(diffs)}
+    return won
+
+
+def parse_args(argv):
+    p = argparse.ArgumentParser(description=__doc__,
+                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("--checkout", action="append", default=[], metavar="LABEL=DIR")
+    p.add_argument("--workloads", nargs="+")
+    p.add_argument("--seeds", type=int, default=3)
+    p.add_argument("--seconds", type=float)
+    p.add_argument("--no-tier1", action="store_true")
+    p.add_argument("--out-dir", type=Path, default=REPO)
+    args = p.parse_args(argv)
+    if args.seeds < 1:
+        p.error("--seeds must be >= 1")
+    checkouts = {}
+    for item in args.checkout or [f"{_git(REPO, 'rev-parse', '--short', 'HEAD')}={REPO}"]:
+        label, sep, path = item.partition("=")
+        if not sep or not label or label in checkouts:
+            p.error(f"--checkout needs a unique LABEL=DIR, got {item!r}")
+        checkouts[label] = Path(path).resolve()
+    return args, checkouts
+
+
+def main(argv=None):
+    args, checkouts = parse_args(argv)
+    spec = json.loads((REPO / "BENCHMARK.json").read_text())
+    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    seconds = args.seconds or spec["run_seconds"]
+    seeds = list(range(1, args.seeds + 1))
+    labels = list(checkouts)
+
+    runs = {label: {w: [] for w in workloads} for label in labels}
+    for i, seed in enumerate(seeds):
+        order = labels[i % len(labels):] + labels[:i % len(labels)]
+        for w in workloads:
+            for label in order:
+                run = run_benchmark(checkouts[label], spec["command"], w, seed, seconds)
+                run["position"] = order.index(label)
+                runs[label][w].append(run)
+                print(f"{label} {w} seed {seed}: {json.dumps(run['metrics'])}", flush=True)
+
+    for label in labels:
+        checkout = checkouts[label]
+        record = {
+            "label": label,
+            "git_sha": _git(checkout, "rev-parse", "HEAD"),
+            "dirty": bool(_git(checkout, "status", "--porcelain", "--", "src")),
+            "src_lines": _src_lines(checkout),
+            "tier1": None if args.no_tier1 else run_tier1(checkout),
+            "settings": {"seconds": seconds, "seeds": seeds, "checkouts": labels,
+                         "cpus": os.cpu_count(), "quartiles": "numpy linear"},
+            "workloads": {},
+        }
+        for w in workloads:
+            entry = summarize(runs[label][w], spec["end_to_end"])
+            if label != labels[0]:
+                entry["pairs_won_vs_" + labels[0]] = pairs_won(
+                    runs[label][w], runs[labels[0]][w], spec["end_to_end"])
+            entry["runs"] = runs[label][w]
+            record["workloads"][w] = entry
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+        out = args.out_dir / f"BENCH_{label}.json"
+        out.write_text(json.dumps(record, indent=1) + "\n")
+        print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

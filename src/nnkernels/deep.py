@@ -24,7 +24,7 @@ import numpy as np
 
 from .activations import RELU, Activation
 from .kernels import (diag_mean, kernel_dot_values, kernel_values,
-                      pair_dd_mean, pair_dot_mean)
+                      pair_dd_mean, pair_dot_mean, pair_moments)
 
 _RHO_OVERSHOOT = 1e-12
 
@@ -95,16 +95,20 @@ def _layer_step(act: Activation, s_sq, pairs, rho, sigma_w2, sigma_b2,
     ``pairs[0][p]`` and ``pairs[1][p]`` at correlation ``rho[p]``. Returns
     the next level's ``(s_sq, k, t_rows, t_pairs)``: k' = sigma_w^2
     E[psi psi] + sigma_b^2 on the pairs, and T' = T kdot + k' for each
-    tangent-kernel part given (None stays None).
+    tangent-kernel part given (None stays None). With pair T given, both
+    pair means come from one ``pair_moments`` call.
     """
     i, j = pairs
     s = np.sqrt(s_sq)
-    k = kernel_values(act, s[i], s[j], rho, sigma_w2, sigma_b2)
+    if t_pairs is None:
+        k = kernel_values(act, s[i], s[j], rho, sigma_w2, sigma_b2)
+    else:
+        mean, dot_mean = pair_moments(act, s[i], s[j], rho)
+        k = sigma_w2 * mean + sigma_b2
+        t_pairs = t_pairs * (sigma_w2 * dot_mean) + k
     s_sq_new = sigma_w2 * diag_mean(act, s) + sigma_b2
     if t_rows is not None:
         t_rows = t_rows * kernel_dot_values(act, s, s, np.ones_like(s), sigma_w2) + s_sq_new
-    if t_pairs is not None:
-        t_pairs = t_pairs * kernel_dot_values(act, s[i], s[j], rho, sigma_w2) + k
     return s_sq_new, k, t_rows, t_pairs
 
 
@@ -226,8 +230,9 @@ def deep_kernel_matrix(act: Activation, X, hyper: NetworkHyper,
     """Depth-L kernel (or tangent-kernel) matrix over the rows of X.
 
     Symmetry is exact by construction (upper triangle computed once).
-    The result must pass a Cholesky check, with one jitter repair of
-    1e-8 * trace/N allowed; remaining failures raise.
+    Non-finite entries raise. K must pass a Cholesky check; if it fails,
+    K + 1e-8 (trace/N) I is checked instead and, if that passes, K is
+    returned unchanged (without the jitter), else ArithmeticError.
     """
     _, K = next(kernel_matrices_by_depth(act, X, hyper.sigma_w2, hyper.sigma_b2,
                                          [hyper.depth], use_ntk=use_ntk))

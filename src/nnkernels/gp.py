@@ -18,7 +18,11 @@ _VAR_CLAMP = -1e-10
 
 @dataclass
 class GpFit:
-    """Cholesky factorization of K + noise_var * I with solved weights."""
+    """Cholesky factorization of K + noise_var * I with solved weights.
+
+    ``jitter`` is the diagonal term the one retry added to K + noise_var
+    * I (0.0 when the first factorization succeeded).
+    """
 
     chol_lower: np.ndarray
     alpha: np.ndarray
@@ -26,6 +30,7 @@ class GpFit:
     log_det: float
     y: np.ndarray
     n_var_clamped: int = 0
+    jitter: float = 0.0
 
 
 def fit(K, y, noise_var: float) -> GpFit:
@@ -41,6 +46,7 @@ def fit(K, y, noise_var: float) -> GpFit:
     if noise_var <= 0.0:
         raise ValueError("noise variance must be strictly positive")
     A = K + noise_var * np.eye(K.shape[0])
+    jitter = 0.0
     try:
         L = cholesky(A, lower=True)
     except np.linalg.LinAlgError:
@@ -51,7 +57,7 @@ def fit(K, y, noise_var: float) -> GpFit:
             raise ArithmeticError("factorization failed after one jitter retry") from exc
     alpha = cho_solve((L, True), y)
     log_det = 2.0 * float(np.log(np.diag(L)).sum())
-    return GpFit(L, alpha, float(noise_var), log_det, y.copy())
+    return GpFit(L, alpha, float(noise_var), log_det, y.copy(), jitter=float(jitter))
 
 
 def predict(gp: GpFit, K_star, K_star_star_diag):

@@ -29,7 +29,8 @@ closed-form for every activation as well:
 
 So is ``pair_dd_mean``, D = E[psi''(s1 Z1) psi(s2 Z2)] (a kink adds a
 delta to psi''): by Price's theorem, 2 dE[psi psi]/ds1^2, the entry the
-layer Jacobian in ``deep`` is built from.
+layer Jacobian in ``deep`` is built from. ``pair_moments`` gives
+E[psi psi] and E[psi' psi'] together, for the tangent-kernel step.
 """
 
 from __future__ import annotations
@@ -96,40 +97,75 @@ def _exp_orthant(a, b, cs):
     return bvn_cdf_exp(-(a + b * cs), -(a * cs + b), cs, q)
 
 
-def _elu_pair_interior(s1, s2, rho, lam, alpha):
-    """E[psi psi] for ELU/SELU on rho in the open interval (-1, 1)."""
-    theta = _arccos_theta(rho)
+def _elu_form(act, s1, s2, rho, ends, interior):
+    """ELU/SELU closed forms, filled region by region.
+
+    Each of ``ends`` maps (s1, s2, lam, alpha) to one output's (rho = 1,
+    rho = -1) limits, taken where |rho| >= 1 - _RHO_EPS.
+    ``interior(s1, s2, theta, lam, alpha)`` gives the outputs on the rest
+    and is evaluated on those entries only, so the limits cost no bvn work.
+    """
+    _guard_elu_scale(s1, s2)
+    lam, alpha = _selu_params(act)
+    outs = [np.where(rho > 0.0, *end(s1, s2, lam, alpha)) for end in ends]
+    mid = ~(np.abs(rho) >= 1.0 - _RHO_EPS)  # NaN stays inside, to be refused there
+    if mid.any():
+        for out, v in zip(outs, interior(s1[mid], s2[mid], _arccos_theta(rho[mid]),
+                                         lam, alpha)):
+            out[mid] = v
+    return [out if out.shape else float(out) for out in outs]
+
+
+def _elu_shared(s1, s2, cs):
+    """The bvn terms E[psi psi] and E[psi' psi'] share, at correlation cs:
+    B(s2), B(s1) with B(b) = E[e^(b Z2); Z1 > 0, Z2 < 0], and the orthant
+    term E(s1, s2)."""
+    return (bvn_cdf_exp(s2 * cs, -s2, -cs, s2 * s2 / 2.0),
+            bvn_cdf_exp(s1 * cs, -s1, -cs, s1 * s1 / 2.0),
+            _exp_orthant(s1, s2, cs))
+
+
+def _elu_mean_interior(s1, s2, theta, shared, lam, alpha):
+    """E[psi psi] for ELU/SELU on rho = cos(theta) in (-1, 1)."""
+    b2, b1, e12 = shared
     sn, cs = np.sin(theta), np.cos(theta)
     t11 = s1 * s2 * (sn + (np.pi - theta) * cs) / TWO_PI
-
-    def cross(sb):
-        # E[Theta(Z1) Z1 Theta(-Z2)(e^{sb Z2} - 1)], the linear side's
-        # scale factored out by homogeneity
-        return ((expscaled_cdf(sb * sn) - 0.5) / SQRT_2PI
-                + sb * cs * bvn_cdf_exp(sb * cs, -sb, -cs, sb * sb / 2.0))
-
-    t12 = s1 * cross(s2)
-    t21 = s2 * cross(s1)
+    # E[Theta(Z1) Z1 Theta(-Z2)(e^{s2 Z2} - 1)] and its mirror, the linear
+    # side's scale factored out by homogeneity
+    t12 = s1 * ((expscaled_cdf(s2 * sn) - 0.5) / SQRT_2PI + s2 * cs * b2)
+    t21 = s2 * ((expscaled_cdf(s1 * sn) - 0.5) / SQRT_2PI + s1 * cs * b1)
     # the last term is the orthant probability P(Z1 < 0, Z2 < 0)
-    t22 = (_exp_orthant(s1, s2, cs) - _exp_orthant(s1, 0.0, cs)
-           - _exp_orthant(0.0, s2, cs) + (np.pi - theta) / TWO_PI)
+    t22 = (e12 - _exp_orthant(s1, 0.0, cs) - _exp_orthant(0.0, s2, cs)
+           + (np.pi - theta) / TWO_PI)
     return lam * lam * (t11 + alpha * (t12 + t21) + alpha * alpha * t22)
 
 
-def _elu_pair_end(s1, s2, sign, lam, alpha):
-    """E[psi(s1 Z) psi(sign * s2 Z)], the rho = +/-1 limits."""
-    if sign > 0:
-        t11 = s1 * s2 / 2.0
-        t22 = expscaled_cdf(s1 + s2) - expscaled_cdf(s1) - expscaled_cdf(s2) + 0.5
-        return lam * lam * (t11 + alpha * alpha * t22)
-    return -lam * lam * alpha * s1 * s2 * (expscaled_cdf(s1) + expscaled_cdf(s2))
+def _elu_dot_interior(theta, shared, lam, alpha):
+    """E[psi' psi'] for ELU/SELU on rho = cos(theta) in (-1, 1)."""
+    b2, b1, e12 = shared
+    return lam * lam * ((np.pi - theta) / TWO_PI + alpha * (b2 + b1) + alpha * alpha * e12)
+
+
+def _elu_mean_ends(s1, s2, lam, alpha):
+    """(rho = 1, rho = -1) limits of E[psi psi] for ELU/SELU."""
+    hi = lam * lam * (s1 * s2 / 2.0 + alpha * alpha * (
+        expscaled_cdf(s1 + s2) - expscaled_cdf(s1) - expscaled_cdf(s2) + 0.5))
+    return hi, -lam * lam * alpha * s1 * s2 * (expscaled_cdf(s1) + expscaled_cdf(s2))
+
+
+def _elu_dot_ends(s1, s2, lam, alpha):
+    """(rho = 1, rho = -1) limits of E[psi' psi'] for ELU/SELU."""
+    return (lam * lam * (0.5 + alpha * alpha * expscaled_cdf(s1 + s2)),
+            lam * lam * (alpha * (expscaled_cdf(s1) + expscaled_cdf(s2))))
+
+
+def _broadcast(*arrays):
+    return np.broadcast_arrays(*[np.asarray(v, dtype=float) for v in arrays])
 
 
 def pair_mean(act: Activation, s1, s2, rho):
     """``E[psi(s1 Z1) psi(s2 Z2)]`` with corr rho, closed form, vectorized."""
-    s1, s2, rho = np.broadcast_arrays(
-        *[np.asarray(v, dtype=float) for v in (s1, s2, rho)]
-    )
+    s1, s2, rho = _broadcast(s1, s2, rho)
     kind = act.kind
     if kind in ("relu", "lrelu"):
         a = _lrelu_slope(act)
@@ -151,40 +187,25 @@ def pair_mean(act: Activation, s1, s2, rho):
                + (s1s * s2s / TWO_PI) * num / ((1.0 + s1s) * (1.0 + s2s) * np.sqrt(d))
                + (s1 * s2 * r / TWO_PI) * np.arctan(r * s1 * s2 / np.sqrt(d)))
     else:  # elu / selu
-        _guard_elu_scale(s1, s2)
-        lam, alpha = _selu_params(act)
-        r = np.clip(rho, -1.0 + _RHO_EPS, 1.0 - _RHO_EPS)
-        interior = _elu_pair_interior(s1, s2, r, lam, alpha)
-        out = np.where(rho >= 1.0 - _RHO_EPS, _elu_pair_end(s1, s2, +1, lam, alpha),
-                       np.where(rho <= -1.0 + _RHO_EPS,
-                                _elu_pair_end(s1, s2, -1, lam, alpha), interior))
+        def interior(s1, s2, theta, lam, alpha):
+            shared = _elu_shared(s1, s2, np.cos(theta))
+            return (_elu_mean_interior(s1, s2, theta, shared, lam, alpha),)
+        return _elu_form(act, s1, s2, rho, [_elu_mean_ends], interior)[0]
     return out if out.shape else float(out)
 
 
 def pair_dot_mean(act: Activation, s1, s2, rho):
     """``E[psi'(s1 Z1) psi'(s2 Z2)]`` with corr rho, closed form, vectorized."""
-    s1, s2, rho = np.broadcast_arrays(
-        *[np.asarray(v, dtype=float) for v in (s1, s2, rho)]
-    )
+    s1, s2, rho = _broadcast(s1, s2, rho)
     kind = act.kind
     if kind in ("relu", "lrelu"):
         a = _lrelu_slope(act)
         theta = _arccos_theta(rho)
         out = (1.0 - a) ** 2 * (np.pi - theta) / TWO_PI + a
     elif kind in ("elu", "selu"):
-        _guard_elu_scale(s1, s2)
-        lam, alpha = _selu_params(act)
-        r = np.clip(rho, -1.0 + _RHO_EPS, 1.0 - _RHO_EPS)
-        theta = _arccos_theta(r)
-        cs = np.cos(theta)
-        quadrant = (np.pi - theta) / TWO_PI
-        c1 = bvn_cdf_exp(s2 * cs, -s2, -cs, s2 * s2 / 2.0)
-        c2 = bvn_cdf_exp(s1 * cs, -s1, -cs, s1 * s1 / 2.0)
-        interior = quadrant + alpha * (c1 + c2) + alpha * alpha * _exp_orthant(s1, s2, cs)
-        hi = 0.5 + alpha * alpha * expscaled_cdf(s1 + s2)
-        lo = alpha * (expscaled_cdf(s1) + expscaled_cdf(s2))
-        out = lam * lam * np.where(rho >= 1.0 - _RHO_EPS, hi,
-                                   np.where(rho <= -1.0 + _RHO_EPS, lo, interior))
+        def interior(s1, s2, theta, lam, alpha):
+            return (_elu_dot_interior(theta, _elu_shared(s1, s2, np.cos(theta)), lam, alpha),)
+        return _elu_form(act, s1, s2, rho, [_elu_dot_ends], interior)[0]
     else:  # gelu / erf; the radicands stay >= 1 at |rho| = 1, so no endpoint branch
         c = s1 * s2 * np.clip(rho, -1.0, 1.0)
         if kind == "erf":
@@ -199,34 +220,47 @@ def pair_dot_mean(act: Activation, s1, s2, rho):
     return out if out.shape else float(out)
 
 
+def pair_moments(act: Activation, s1, s2, rho):
+    """``(E[psi psi], E[psi' psi'])``: ``pair_mean`` and ``pair_dot_mean``
+    in one call. ELU/SELU evaluate the three bvn terms the two share once,
+    five bvn terms per pair in place of eight."""
+    if act.kind not in ("elu", "selu"):
+        return pair_mean(act, s1, s2, rho), pair_dot_mean(act, s1, s2, rho)
+
+    def interior(s1, s2, theta, lam, alpha):
+        shared = _elu_shared(s1, s2, np.cos(theta))
+        return (_elu_mean_interior(s1, s2, theta, shared, lam, alpha),
+                _elu_dot_interior(theta, shared, lam, alpha))
+    return tuple(_elu_form(act, *_broadcast(s1, s2, rho),
+                           [_elu_mean_ends, _elu_dot_ends], interior))
+
+
 def pair_dd_mean(act: Activation, s1, s2, rho):
     """``E[psi''(s1 Z1) psi(s2 Z2)]`` with corr rho, closed form, vectorized.
 
     A kink of slope jump j at 0 adds j E[psi(s2 tau Z)] / (sqrt(2 pi) s1),
     tau = sqrt(1 - rho^2), from the delta in psi''.
     """
-    s1, s2, rho = np.broadcast_arrays(
-        *[np.asarray(v, dtype=float) for v in (s1, s2, rho)]
-    )
+    s1, s2, rho = _broadcast(s1, s2, rho)
     kind = act.kind
     if kind in ("relu", "lrelu"):
         a = _lrelu_slope(act)
         r = np.clip(rho, -1.0, 1.0)
         out = (1.0 - a) ** 2 * s2 * np.sqrt((1.0 - r) * (1.0 + r)) / (TWO_PI * s1)
     elif kind in ("elu", "selu"):
-        _guard_elu_scale(s1, s2)
-        lam, alpha = _selu_params(act)
-        theta = _arccos_theta(np.clip(rho, -1.0 + _RHO_EPS, 1.0 - _RHO_EPS))
-        sn, cs = np.sin(theta), np.cos(theta)
-        e10 = _exp_orthant(s1, 0.0, cs)
-        lin = s2 * ((expscaled_cdf(s1 * sn) - cs / 2.0) / SQRT_2PI
-                    + s1 * cs * (expscaled_cdf(s1) - e10))
-        jump = (s2 * sn / SQRT_2PI + alpha * (expscaled_cdf(s2 * sn) - 0.5)) / (SQRT_2PI * s1)
-        interior = alpha * (lin + alpha * (_exp_orthant(s1, s2, cs) - e10)) + (1.0 - alpha) * jump
-        hi = alpha * alpha * (expscaled_cdf(s1 + s2) - expscaled_cdf(s1))
-        lo = alpha * s2 * (1.0 / SQRT_2PI - s1 * expscaled_cdf(s1))
-        out = lam * lam * np.where(rho >= 1.0 - _RHO_EPS, hi,
-                                   np.where(rho <= -1.0 + _RHO_EPS, lo, interior))
+        def ends(s1, s2, lam, alpha):
+            return (lam * lam * (alpha * alpha * (expscaled_cdf(s1 + s2) - expscaled_cdf(s1))),
+                    lam * lam * (alpha * s2 * (1.0 / SQRT_2PI - s1 * expscaled_cdf(s1))))
+
+        def interior(s1, s2, theta, lam, alpha):
+            sn, cs = np.sin(theta), np.cos(theta)
+            e10 = _exp_orthant(s1, 0.0, cs)
+            lin = s2 * ((expscaled_cdf(s1 * sn) - cs / 2.0) / SQRT_2PI
+                        + s1 * cs * (expscaled_cdf(s1) - e10))
+            jump = (s2 * sn / SQRT_2PI + alpha * (expscaled_cdf(s2 * sn) - 0.5)) / (SQRT_2PI * s1)
+            return (lam * lam * (alpha * (lin + alpha * (_exp_orthant(s1, s2, cs) - e10))
+                                 + (1.0 - alpha) * jump),)
+        return _elu_form(act, s1, s2, rho, [ends], interior)[0]
     else:  # gelu / erf; no endpoint branch, as in pair_dot_mean
         c = s1 * s2 * np.clip(rho, -1.0, 1.0)
         if kind == "erf":

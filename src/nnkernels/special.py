@@ -22,6 +22,11 @@ _Z_CLAMP = 8.5
 
 _GL_NODES, _GL_WEIGHTS = roots_legendre(24)
 
+# Rows per block of the batched bvn quadrature rules. At 256 rows each
+# (rows, 24) temporary of the Genz rule is 48 KB, so its ~8 live ones fit
+# the per-core L2; CHANGES.md records the sweep (128-2048 rows) behind it.
+_BLOCK_ROWS = 256
+
 
 def std_normal_pdf(z):
     """Standard normal density ``phi(z)``."""
@@ -103,15 +108,45 @@ def _bvnu_tail_1d(h, k, r, q):
     return np.where(np.isfinite(peak), np.exp(q + safe_peak + np.log(total)), 0.0)
 
 
+def _bvnu_genz(h, k, r, q):
+    """The |r| < 0.925 branch of ``_bvnu_exp``: Genz's correlation integral."""
+    hk = h * k
+    hs = (h * h + k * k) / 2.0
+    asr = np.arcsin(r)
+    theta = asr[:, None] * (_GL_NODES[None, :] + 1.0) / 2.0
+    sn = np.sin(theta)
+    expo = (sn * hk[:, None] - hs[:, None]) / (1.0 - sn * sn) + q[:, None]
+    expo = np.minimum(expo, 700.0)
+    integral = (asr / 2.0) * (_GL_WEIGHTS[None, :] * np.exp(expo)).sum(axis=1)
+    return integral / TWO_PI + np.exp(log_ndtr(-h) + log_ndtr(-k) + q)
+
+
+def _blocked(rule, h, k, r, q):
+    """``rule(h, k, r, q)`` over consecutive blocks of ``_BLOCK_ROWS`` rows.
+
+    Both rules are row-independent, so the result equals one call on the
+    whole batch bit for bit; the blocks keep their (rows, nodes)
+    temporaries in the per-core cache.
+    """
+    if h.shape[0] <= _BLOCK_ROWS:
+        return rule(h, k, r, q)
+    return np.concatenate([rule(*(a[i:i + _BLOCK_ROWS] for a in (h, k, r, q)))
+                           for i in range(0, h.shape[0], _BLOCK_ROWS)])
+
+
 def _bvnu_exp(h, k, r, q):
     """``exp(q) * P(X > h, Y > k)`` for a standard bivariate normal.
 
     |r| < 0.925 uses the correlation-integral form of the Genz (2004)
     rewrite of the Drezner-Wesolowsky algorithm, vectorized, with the
-    ``exp(q)`` prefactor folded into every exponential (all terms are
-    positive, so the fold is cancellation-free at any scale). Higher
+    ``exp(q)`` prefactor folded into every exponential. For r < 0 the
+    integral is negative and cancels against the product term, so the
+    result loses relative accuracy, and can come out negative, where it
+    is small next to that term: ``bvn_cdf(-2.5, -2.5, -0.9)`` is below 0,
+    and the ELU/SELU kernels fail at s >~ 10 (ROADMAP item 2). Higher
     correlations go through the log-space conditional integral, and
-    |r| = 1 is exact.
+    |r| = 1 is exact. Both quadrature branches run over row blocks of
+    ``_BLOCK_ROWS``.
     """
     out = np.zeros(h.shape, dtype=float)
     absr = np.abs(r)
@@ -123,22 +158,10 @@ def _bvnu_exp(h, k, r, q):
         neg = np.maximum(0.0, np.exp(qm + log_ndtr(-hm)) - np.exp(qm + log_ndtr(km)))
         out[m] = np.where(rm > 0, pos, neg)
 
-    m = absr < 0.925
-    if m.any():
-        hm, km, rm, qm = h[m], k[m], r[m], q[m]
-        hk = hm * km
-        hs = (hm * hm + km * km) / 2.0
-        asr = np.arcsin(rm)
-        theta = asr[:, None] * (_GL_NODES[None, :] + 1.0) / 2.0
-        sn = np.sin(theta)
-        expo = (sn * hk[:, None] - hs[:, None]) / (1.0 - sn * sn) + qm[:, None]
-        expo = np.minimum(expo, 700.0)
-        integral = (asr / 2.0) * (_GL_WEIGHTS[None, :] * np.exp(expo)).sum(axis=1)
-        out[m] = integral / TWO_PI + np.exp(log_ndtr(-hm) + log_ndtr(-km) + qm)
-
-    m = (absr >= 0.925) & (absr < 1.0)
-    if m.any():
-        out[m] = _bvnu_tail_1d(h[m], k[m], r[m], q[m])
+    for m, rule in ((absr < 0.925, _bvnu_genz),
+                    ((absr >= 0.925) & (absr < 1.0), _bvnu_tail_1d)):
+        if m.any():
+            out[m] = _blocked(rule, h[m], k[m], r[m], q[m])
 
     return out
 

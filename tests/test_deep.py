@@ -228,6 +228,22 @@ class TestKernelMatrix:
                 k_scalar = state_trajectory(GELU, X[i], X[j], hyper)[-1][2]
                 assert K[i, j] == pytest.approx(k_scalar, rel=1e-12)
 
+    def test_elu_ntk_bvn_work(self, monkeypatch):
+        # five bvn terms per pair per layer (k and kdot share three), and
+        # none on the rho = 1 diagonal, whose limits are closed forms
+        from nnkernels import special
+        rs, bvnu_exp = [], special._bvnu_exp
+        def counting(h, k, r, q):
+            rs.append(r.copy())
+            return bvnu_exp(h, k, r, q)
+        monkeypatch.setattr(special, "_bvnu_exp", counting)
+        n, depth = 9, 3
+        X = np.random.default_rng(3).standard_normal((n, 4))
+        deep_kernel_matrix(ELU, X, NetworkHyper.shared(depth, 1.5), use_ntk=True)
+        r = np.concatenate(rs)
+        assert r.size == 5 * n * (n - 1) // 2 * depth
+        assert np.abs(r).max() < 1.0 - 1e-12
+
 
 class TestLayerJacobian:
     @pytest.mark.parametrize("act", SIX_ACTS, ids=lambda a: a.kind)

@@ -55,6 +55,16 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(np.full((2, 2), np.nan), np.zeros(2), 0.1)
 
+    def test_jitter_retry_is_recorded(self):
+        # K + noise I is singular; K + noise I + 1e-8 (trace K / N) I is not
+        noise = 0.1
+        K = np.diag([1.0, -noise])
+        assert fit(random_spd(3, 1), np.ones(3), noise).jitter == 0.0
+        gp = fit(K, np.array([1.0, 0.0]), noise)
+        assert gp.jitter == 1e-8 * (1.0 - noise) / 2
+        np.testing.assert_allclose(gp.chol_lower @ gp.chol_lower.T,
+                                   K + (noise + gp.jitter) * np.eye(2), rtol=0, atol=1e-15)
+
     def test_factorization_residual(self):
         K = random_spd(30, 3)
         gp = fit(K, np.zeros(30), 0.1)

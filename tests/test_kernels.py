@@ -8,7 +8,8 @@ from nnkernels.kernels import (ELU_S_MAX, KernelArgs, diag_mean, kernel,
                                kernel_dot, kernel_dot_quadrature,
                                kernel_dot_values, kernel_from_inputs,
                                kernel_mc, kernel_quadrature, kernel_values,
-                               pair_dd_mean, pair_mean)
+                               pair_dd_mean, pair_dot_mean, pair_mean,
+                               pair_moments)
 
 CLOSED_FORM_ACTS = [RELU, lrelu(0.2), ERF, GELU, ELU, selu(1.0507, 1.6733)]
 CLOSED_DOT_ACTS = [RELU, lrelu(0.2), ERF, GELU, ELU, selu(1.0507, 1.6733)]
@@ -228,6 +229,18 @@ class TestInvariants:
         b = kernel_values(ELU, s1, s2, rho, 1.0, 0.0)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("act", CLOSED_FORM_ACTS, ids=lambda a: a.kind)
+    def test_pair_moments_bit_for_bit(self, act):
+        rho = np.array([-1.0, -1.0 + 1e-13, -0.97, -0.3, 0.0, 0.6, 0.95, 1.0 - 1e-13, 1.0])
+        batches = [np.meshgrid((0.3, 1.0, 4.0), (0.5, 2.0), rho),  # mixed
+                   (np.full(4, 1.2), np.full(4, 0.8), np.array([1.0, -1.0, 1.0, 1.0])),
+                   (1.3, 0.7, 1.0), (1.3, 0.7, -1.0), (1.3, 0.7, 0.3)]
+        for s1, s2, r in batches:
+            mean, dot_mean = pair_moments(act, s1, s2, r)
+            assert np.array_equal(mean, pair_mean(act, s1, s2, r))
+            assert np.array_equal(dot_mean, pair_dot_mean(act, s1, s2, r))
+            assert type(mean) is type(pair_mean(act, s1, s2, r))
+
     def test_diag_mean_consistency(self):
         for act in CLOSED_FORM_ACTS:
             for s in GRID_S:
@@ -236,6 +249,11 @@ class TestInvariants:
 
 
 class TestGuards:
+    @pytest.mark.parametrize("fn", [pair_mean, pair_dot_mean, pair_dd_mean])
+    def test_elu_nan_correlation_refused(self, fn):
+        with pytest.raises(ValueError):
+            fn(ELU, np.array([1.0, 1.0]), 1.0, np.array([1.0, np.nan]))
+
     def test_elu_overflow_guard(self):
         with pytest.raises(OverflowError):
             kernel(ELU, KernelArgs(26.0, 1.0, 0.5))
