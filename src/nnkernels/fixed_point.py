@@ -52,6 +52,7 @@ class FixedPointReport:
     per_step_ratio: tuple
     verdict: str  # unique-contraction | not-contraction | inconclusive
     sup_lambda3: float
+    stopped: str  # converged | max_iter | diverged
 
 
 def lambda3(act: Activation, s1, s2, rho, sigma_w2, sigma_b2):
@@ -182,7 +183,10 @@ def find_fixed_point(act: Activation, sigma_w2: float, sigma_b2: float,
                      max_iter: int = 10_000, theta_grid: int = 512) -> FixedPointReport:
     """Iterate the layer map and classify the fixed point.
 
-    Non-convergence is reported, not raised. The verdict derives from
+    Non-convergence is reported, not raised: ``stopped`` says whether
+    the iteration converged, ran out of ``max_iter`` steps or diverged
+    (a step that overflows, fails or moves by a non-finite distance ends
+    the loop at the last finite state). The verdict derives from
     the sup of |lambda_3| on a theta grid over (0, pi) at the final
     norm state: below 1 is "unique-contraction", above 1
     "not-contraction", else "inconclusive".
@@ -190,22 +194,27 @@ def find_fixed_point(act: Activation, sigma_w2: float, sigma_b2: float,
     state = start
     distances = []
     iterations = 0
+    stopped = "max_iter"
     for _ in range(max_iter):
         try:
-            new = iterate_state(act, state, sigma_w2, sigma_b2)
-        except (ArithmeticError, ValueError, OverflowError):
-            break  # diverged (norm map can be repelling); report as-is
+            with np.errstate(over="raise"):
+                new = iterate_state(act, state, sigma_w2, sigma_b2)
+        except (ArithmeticError, ValueError):
+            stopped = "diverged"  # the norm map can be repelling
+            break
         d = float(np.sqrt((new.s1_sq - state.s1_sq) ** 2
                           + (new.s2_sq - state.s2_sq) ** 2
                           + (new.rho - state.rho) ** 2))
         if not np.isfinite(d):
+            stopped = "diverged"
             break
         state = new
         iterations += 1
         distances.append(d)
         if d < tol:
+            stopped = "converged"
             break
-    converged = bool(distances and distances[-1] < tol)
+    converged = stopped == "converged"
     ratios = tuple(d1 / d0 for d0, d1 in zip(distances[:-1], distances[1:]) if d0 > 0.0)
 
     # The verdict's lambda_3 grid is anchored at the norm fixed point on
@@ -222,7 +231,7 @@ def find_fixed_point(act: Activation, sigma_w2: float, sigma_b2: float,
         verdict = "not-contraction"
     else:
         verdict = "inconclusive"
-    return FixedPointReport(converged, state, iterations, ratios, verdict, sup)
+    return FixedPointReport(converged, state, iterations, ratios, verdict, sup, stopped)
 
 
 def lambda3_sweep_rows(act: Activation, norm: float, sigma: float,

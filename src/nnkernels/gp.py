@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,13 +112,6 @@ GRID_CSV_COLUMNS = ("activation", "depth", "sigma_w2", "sigma_b2", "noise_var",
                     "split_id", "train_rmse", "test_rmse", "nll")
 
 
-def _max_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("NK_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _grid_one_sigma(act, X, y, sigma_w2, sigma_b2, depths, noise_var, splits):
     rows = []
     try:
@@ -165,18 +156,9 @@ def grid_search(dataset: Dataset, act: Activation, depth_range, sigma_w2_range,
         tr, te = split(dataset, train_frac, seed + i)
         idx_splits.append((tr.indices, te.indices))
 
-    threads = _max_threads()
-    if threads > 1 and len(sigmas) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(
-                lambda sw: _grid_one_sigma(act, dataset.X, dataset.y, sw, sigma_b2,
-                                           depths, noise_var, idx_splits),
-                sigmas))
-    else:
-        chunks = [_grid_one_sigma(act, dataset.X, dataset.y, sw, sigma_b2,
-                                  depths, noise_var, idx_splits)
-                  for sw in sigmas]
-    rows = [r for chunk in chunks for r in chunk]
+    rows = [r for sw in sigmas
+            for r in _grid_one_sigma(act, dataset.X, dataset.y, sw, sigma_b2,
+                                     depths, noise_var, idx_splits)]
 
     agg = {}
     for r in rows:

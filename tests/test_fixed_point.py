@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from nnkernels.deep import (LayerState, NetworkHyper, input_state, kernel_grad,
 from nnkernels.fixed_point import (eigenvalues, find_fixed_point, lambda3,
                                    lambda3_elu, lambda3_gelu_lower,
                                    lambda3_lrelu, lambda3_quad_grid,
-                                   lambda3_sweep_rows, sigma_star)
+                                   lambda3_sweep_rows, sigma_star,
+                                   _norm_fixed_point)
 from nnkernels.kernels import kernel_values
 from nnkernels.quadrature import mean_1d
 
@@ -278,11 +281,10 @@ class TestFindFixedPoint:
         assert all(r <= sup + 1e-6 for r in report.per_step_ratio)
 
     def test_start_at_fixed_point(self):
-        from nnkernels.fixed_point import _norm_fixed_point
         sigma = sigma_star(GELU, 1.0)
         u = _norm_fixed_point(GELU, sigma ** 2, sigma ** 2, 0.0)
         report = find_fixed_point(GELU, sigma ** 2, 0.0, LayerState(u, u, 1.0))
-        assert report.converged
+        assert report.converged and report.stopped == "converged"
         assert report.iterations <= 2
         assert report.final_state.rho == 1.0
 
@@ -292,6 +294,24 @@ class TestFindFixedPoint:
         report = find_fixed_point(GELU, sigma ** 2, 0.0, start, max_iter=256)
         assert report.verdict == "not-contraction"
         assert report.sup_lambda3 > 1.0
+
+    def test_max_iter_stop(self):
+        sigma = sigma_star(GELU, 1.0)
+        report = find_fixed_point(GELU, sigma ** 2, 0.0, input_state(2.0, 1.0, sigma ** 2, 0.0),
+                                  max_iter=8)
+        assert (report.stopped, report.iterations, report.converged) == ("max_iter", 8, False)
+
+    def test_overflowing_norm_stops_as_diverged(self):
+        # at sigma*(0.5) the GELU norm fixed point repels, and from
+        # theta0 = 1 the squared norm grows past 1e78 until a step overflows
+        sigma = sigma_star(GELU, 0.5)
+        start = input_state(1.0, 0.5, sigma ** 2, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = find_fixed_point(GELU, sigma ** 2, 0.0, start)
+        assert report.stopped == "diverged"
+        assert not report.converged
+        assert np.isfinite(report.final_state.s1_sq) and report.final_state.s1_sq > 1e70
 
 
 def test_sweep_rows_schema():

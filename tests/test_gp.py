@@ -168,14 +168,6 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search(ds, RELU, [1], [1.0], 0.1)
 
-    def test_threaded_matches_sequential(self, monkeypatch):
-        ds = self._toy(n=16, seed=3)
-        ranked_seq, rows_seq = grid_search(ds, RELU, [1, 2], [0.5, 1.0], 0.1, n_splits=2)
-        monkeypatch.setenv("NK_THREADS", "4")
-        ranked_par, rows_par = grid_search(ds, RELU, [1, 2], [0.5, 1.0], 0.1, n_splits=2)
-        assert ranked_seq == ranked_par
-        assert rows_seq == rows_par
-
 
 class TestRmseSurface:
     def test_grid_rmse_surface_is_smooth(self):
