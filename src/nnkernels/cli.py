@@ -225,7 +225,7 @@ def cmd_simplicity(args):
     grid = data_mod.disc_grid(args.f, 100)
     depths = list(range(1, args.depth_max + 1))
     for name in acts:
-        act = from_name(name)
+        act = from_name(name, lrelu_slope=args.lrelu_slope)
         sigma = fp.sigma_star(act, 1.0)
         sw2 = sigma * sigma
         for rep in range(args.repeats):
@@ -324,6 +324,19 @@ def build_parser():
     return p
 
 
+def _given(argv):
+    """Names of the options argv sets, as argparse itself resolves them
+    (an abbreviation such as ``--dep`` counts as ``--depth``)."""
+    parser = build_parser()
+    parsers = [parser]
+    for p in parsers:
+        for action in p._actions:
+            action.default = argparse.SUPPRESS
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    return set(vars(parser.parse_args(argv)))
+
+
 def _apply_config(args, argv):
     """Overlay config-file values onto unset flags (flags win)."""
     with open(args.config) as fh:
@@ -332,9 +345,9 @@ def _apply_config(args, argv):
     unknown = set(cfg) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    given = {tok.split("=")[0] for tok in argv if tok.startswith("--")}
+    given = _given(argv)
     for key, value in cfg.items():
-        if "--" + key.replace("_", "-") not in given:
+        if key not in given:
             setattr(args, key, value)
     return args
 

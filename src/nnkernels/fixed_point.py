@@ -162,15 +162,14 @@ def _norm_fixed_point(act: Activation, u0: float, sigma_w2: float,
     returned as-is. For ELU/SELU the search stays within s <= ELU_S_MAX.
     """
     def h(u):
-        return float(kernel_values(act, np.sqrt(u), np.sqrt(u), 1.0,
-                                    sigma_w2, sigma_b2)) - u
+        return kernel_values(act, np.sqrt(u), np.sqrt(u), 1.0, sigma_w2, sigma_b2) - u
 
     if abs(h(u0)) <= 1e-9 * max(1.0, u0):
         return u0
     grid = u0 * np.geomspace(0.01, 100.0, 80)
     if act.kind in ("elu", "selu"):
         grid = grid[grid <= ELU_S_MAX ** 2]
-    vals = np.array([h(u) for u in grid])
+    vals = h(grid)
     sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
     if sign_change.size == 0:
         return u0

@@ -30,7 +30,9 @@ closed-form for every activation as well:
 So is ``pair_dd_mean``, D = E[psi''(s1 Z1) psi(s2 Z2)] (a kink adds a
 delta to psi''): by Price's theorem, 2 dE[psi psi]/ds1^2, the entry the
 layer Jacobian in ``deep`` is built from. ``pair_moments`` gives
-E[psi psi] and E[psi' psi'] together, for the tangent-kernel step.
+E[psi psi] and E[psi' psi'] together, for the tangent-kernel step. For
+ELU/SELU all three come from one evaluator, ``_elu_moments``: five bvn
+terms per entry, none at rho = +-1. ``diag_mean`` is ``pair_mean`` at rho = 1.
 """
 
 from __future__ import annotations
@@ -82,81 +84,52 @@ def _lrelu_slope(act: Activation) -> float:
     return act.lrelu_slope
 
 
-def _guard_elu_scale(*ss):
-    for s in ss:
-        if (np.asarray(s) > ELU_S_MAX).any():
-            raise OverflowError(
-                f"ELU/SELU closed form limited to s <= {ELU_S_MAX}; exponential "
-                "factors overflow the double range beyond that"
-            )
+def _elu_moments(act, s1, s2, rho):
+    """``(E[psi psi], E[psi' psi'], E[psi'' psi])`` for ELU/SELU, vectorized.
 
-
-def _exp_orthant(a, b, cs):
-    """``E[e^(a Z1 + b Z2); Z1 < 0, Z2 < 0]`` at correlation cs in (-1, 1)."""
-    q = (a * a + 2.0 * a * b * cs + b * b) / 2.0
-    return bvn_cdf_exp(-(a + b * cs), -(a * cs + b), cs, q)
-
-
-def _elu_form(act, s1, s2, rho, ends, interior):
-    """ELU/SELU closed forms, filled region by region.
-
-    Each of ``ends`` maps (s1, s2, lam, alpha) to one output's (rho = 1,
-    rho = -1) limits, taken where |rho| >= 1 - _RHO_EPS.
-    ``interior(s1, s2, theta, lam, alpha)`` gives the outputs on the rest
-    and is evaluated on those entries only, so the limits cost no bvn work.
+    Entries with |rho| >= 1 - _RHO_EPS take their rho = +-1 limits. The
+    rest take five bvn terms, evaluated on those entries only, so the
+    limits cost no bvn work: B(s2), B(s1) with
+    B(b) = E[e^(b Z2); Z1 > 0, Z2 < 0], and E(s1, s2), E(s1, 0), E(0, s2)
+    with E(a, b) = E[e^(a Z1 + b Z2); Z1 < 0, Z2 < 0].
     """
-    _guard_elu_scale(s1, s2)
+    s1, s2, rho = _broadcast(s1, s2, rho)
+    if (s1 > ELU_S_MAX).any() or (s2 > ELU_S_MAX).any():
+        raise OverflowError(f"ELU/SELU closed form limited to s <= {ELU_S_MAX}; exponential "
+                            "factors overflow the double range beyond that")
     lam, alpha = _selu_params(act)
-    outs = [np.where(rho > 0.0, *end(s1, s2, lam, alpha)) for end in ends]
+    l2, a2 = lam * lam, alpha * alpha
+    c1, c2, c12 = expscaled_cdf(s1), expscaled_cdf(s2), expscaled_cdf(s1 + s2)
+    hi = rho > 0.0
+    outs = [np.where(hi, l2 * (s1 * s2 / 2.0 + a2 * (c12 - c1 - c2 + 0.5)),
+                     -l2 * alpha * s1 * s2 * (c1 + c2)),
+            np.where(hi, l2 * (0.5 + a2 * c12), l2 * (alpha * (c1 + c2))),
+            np.where(hi, l2 * (a2 * (c12 - c1)), l2 * (alpha * s2 * (1.0 / SQRT_2PI - s1 * c1)))]
     mid = ~(np.abs(rho) >= 1.0 - _RHO_EPS)  # NaN stays inside, to be refused there
     if mid.any():
-        for out, v in zip(outs, interior(s1[mid], s2[mid], _arccos_theta(rho[mid]),
-                                         lam, alpha)):
+        s1, s2, theta = s1[mid], s2[mid], _arccos_theta(rho[mid])
+        sn, cs = np.sin(theta), np.cos(theta)
+        b2 = bvn_cdf_exp(s2 * cs, -s2, -cs, s2 * s2 / 2.0)
+        b1 = bvn_cdf_exp(s1 * cs, -s1, -cs, s1 * s1 / 2.0)
+        e12 = bvn_cdf_exp(-(s1 + s2 * cs), -(s1 * cs + s2), cs,
+                          (s1 * s1 + 2.0 * s1 * s2 * cs + s2 * s2) / 2.0)
+        e10 = bvn_cdf_exp(-s1, -(s1 * cs), cs, s1 * s1 / 2.0)
+        e01 = bvn_cdf_exp(-(s2 * cs), -s2, cs, s2 * s2 / 2.0)
+        quadrant = (np.pi - theta) / TWO_PI  # P(Z1 < 0, Z2 < 0)
+        x1, x2 = expscaled_cdf(s1 * sn), expscaled_cdf(s2 * sn)
+        # E[Theta(Z1) Z1 Theta(-Z2)(e^{s2 Z2} - 1)] and its mirror, the linear
+        # side's scale factored out by homogeneity
+        cross = (s1 * ((x2 - 0.5) / SQRT_2PI + s2 * cs * b2)
+                 + s2 * ((x1 - 0.5) / SQRT_2PI + s1 * cs * b1))
+        mean = l2 * (s1 * s2 * (sn + (np.pi - theta) * cs) / TWO_PI + alpha * cross
+                     + a2 * (e12 - e10 - e01 + quadrant))
+        dot = l2 * (quadrant + alpha * (b2 + b1) + a2 * e12)
+        lin = s2 * ((x1 - cs / 2.0) / SQRT_2PI + s1 * cs * (expscaled_cdf(s1) - e10))
+        jump = (s2 * sn / SQRT_2PI + alpha * (x2 - 0.5)) / (SQRT_2PI * s1)
+        dd = l2 * (alpha * (lin + alpha * (e12 - e10)) + (1.0 - alpha) * jump)
+        for out, v in zip(outs, (mean, dot, dd)):
             out[mid] = v
     return [out if out.shape else float(out) for out in outs]
-
-
-def _elu_shared(s1, s2, cs):
-    """The bvn terms E[psi psi] and E[psi' psi'] share, at correlation cs:
-    B(s2), B(s1) with B(b) = E[e^(b Z2); Z1 > 0, Z2 < 0], and the orthant
-    term E(s1, s2)."""
-    return (bvn_cdf_exp(s2 * cs, -s2, -cs, s2 * s2 / 2.0),
-            bvn_cdf_exp(s1 * cs, -s1, -cs, s1 * s1 / 2.0),
-            _exp_orthant(s1, s2, cs))
-
-
-def _elu_mean_interior(s1, s2, theta, shared, lam, alpha):
-    """E[psi psi] for ELU/SELU on rho = cos(theta) in (-1, 1)."""
-    b2, b1, e12 = shared
-    sn, cs = np.sin(theta), np.cos(theta)
-    t11 = s1 * s2 * (sn + (np.pi - theta) * cs) / TWO_PI
-    # E[Theta(Z1) Z1 Theta(-Z2)(e^{s2 Z2} - 1)] and its mirror, the linear
-    # side's scale factored out by homogeneity
-    t12 = s1 * ((expscaled_cdf(s2 * sn) - 0.5) / SQRT_2PI + s2 * cs * b2)
-    t21 = s2 * ((expscaled_cdf(s1 * sn) - 0.5) / SQRT_2PI + s1 * cs * b1)
-    # the last term is the orthant probability P(Z1 < 0, Z2 < 0)
-    t22 = (e12 - _exp_orthant(s1, 0.0, cs) - _exp_orthant(0.0, s2, cs)
-           + (np.pi - theta) / TWO_PI)
-    return lam * lam * (t11 + alpha * (t12 + t21) + alpha * alpha * t22)
-
-
-def _elu_dot_interior(theta, shared, lam, alpha):
-    """E[psi' psi'] for ELU/SELU on rho = cos(theta) in (-1, 1)."""
-    b2, b1, e12 = shared
-    return lam * lam * ((np.pi - theta) / TWO_PI + alpha * (b2 + b1) + alpha * alpha * e12)
-
-
-def _elu_mean_ends(s1, s2, lam, alpha):
-    """(rho = 1, rho = -1) limits of E[psi psi] for ELU/SELU."""
-    hi = lam * lam * (s1 * s2 / 2.0 + alpha * alpha * (
-        expscaled_cdf(s1 + s2) - expscaled_cdf(s1) - expscaled_cdf(s2) + 0.5))
-    return hi, -lam * lam * alpha * s1 * s2 * (expscaled_cdf(s1) + expscaled_cdf(s2))
-
-
-def _elu_dot_ends(s1, s2, lam, alpha):
-    """(rho = 1, rho = -1) limits of E[psi' psi'] for ELU/SELU."""
-    return (lam * lam * (0.5 + alpha * alpha * expscaled_cdf(s1 + s2)),
-            lam * lam * (alpha * (expscaled_cdf(s1) + expscaled_cdf(s2))))
 
 
 def _broadcast(*arrays):
@@ -187,10 +160,7 @@ def pair_mean(act: Activation, s1, s2, rho):
                + (s1s * s2s / TWO_PI) * num / ((1.0 + s1s) * (1.0 + s2s) * np.sqrt(d))
                + (s1 * s2 * r / TWO_PI) * np.arctan(r * s1 * s2 / np.sqrt(d)))
     else:  # elu / selu
-        def interior(s1, s2, theta, lam, alpha):
-            shared = _elu_shared(s1, s2, np.cos(theta))
-            return (_elu_mean_interior(s1, s2, theta, shared, lam, alpha),)
-        return _elu_form(act, s1, s2, rho, [_elu_mean_ends], interior)[0]
+        return _elu_moments(act, s1, s2, rho)[0]
     return out if out.shape else float(out)
 
 
@@ -203,9 +173,7 @@ def pair_dot_mean(act: Activation, s1, s2, rho):
         theta = _arccos_theta(rho)
         out = (1.0 - a) ** 2 * (np.pi - theta) / TWO_PI + a
     elif kind in ("elu", "selu"):
-        def interior(s1, s2, theta, lam, alpha):
-            return (_elu_dot_interior(theta, _elu_shared(s1, s2, np.cos(theta)), lam, alpha),)
-        return _elu_form(act, s1, s2, rho, [_elu_dot_ends], interior)[0]
+        return _elu_moments(act, s1, s2, rho)[1]
     else:  # gelu / erf; the radicands stay >= 1 at |rho| = 1, so no endpoint branch
         c = s1 * s2 * np.clip(rho, -1.0, 1.0)
         if kind == "erf":
@@ -222,17 +190,11 @@ def pair_dot_mean(act: Activation, s1, s2, rho):
 
 def pair_moments(act: Activation, s1, s2, rho):
     """``(E[psi psi], E[psi' psi'])``: ``pair_mean`` and ``pair_dot_mean``
-    in one call. ELU/SELU evaluate the three bvn terms the two share once,
-    five bvn terms per pair in place of eight."""
+    in one call; ELU/SELU take both from one ``_elu_moments`` call, five
+    bvn terms per pair."""
     if act.kind not in ("elu", "selu"):
         return pair_mean(act, s1, s2, rho), pair_dot_mean(act, s1, s2, rho)
-
-    def interior(s1, s2, theta, lam, alpha):
-        shared = _elu_shared(s1, s2, np.cos(theta))
-        return (_elu_mean_interior(s1, s2, theta, shared, lam, alpha),
-                _elu_dot_interior(theta, shared, lam, alpha))
-    return tuple(_elu_form(act, *_broadcast(s1, s2, rho),
-                           [_elu_mean_ends, _elu_dot_ends], interior))
+    return tuple(_elu_moments(act, s1, s2, rho)[:2])
 
 
 def pair_dd_mean(act: Activation, s1, s2, rho):
@@ -248,19 +210,7 @@ def pair_dd_mean(act: Activation, s1, s2, rho):
         r = np.clip(rho, -1.0, 1.0)
         out = (1.0 - a) ** 2 * s2 * np.sqrt((1.0 - r) * (1.0 + r)) / (TWO_PI * s1)
     elif kind in ("elu", "selu"):
-        def ends(s1, s2, lam, alpha):
-            return (lam * lam * (alpha * alpha * (expscaled_cdf(s1 + s2) - expscaled_cdf(s1))),
-                    lam * lam * (alpha * s2 * (1.0 / SQRT_2PI - s1 * expscaled_cdf(s1))))
-
-        def interior(s1, s2, theta, lam, alpha):
-            sn, cs = np.sin(theta), np.cos(theta)
-            e10 = _exp_orthant(s1, 0.0, cs)
-            lin = s2 * ((expscaled_cdf(s1 * sn) - cs / 2.0) / SQRT_2PI
-                        + s1 * cs * (expscaled_cdf(s1) - e10))
-            jump = (s2 * sn / SQRT_2PI + alpha * (expscaled_cdf(s2 * sn) - 0.5)) / (SQRT_2PI * s1)
-            return (lam * lam * (alpha * (lin + alpha * (_exp_orthant(s1, s2, cs) - e10))
-                                 + (1.0 - alpha) * jump),)
-        return _elu_form(act, s1, s2, rho, [ends], interior)[0]
+        return _elu_moments(act, s1, s2, rho)[2]
     else:  # gelu / erf; no endpoint branch, as in pair_dot_mean
         c = s1 * s2 * np.clip(rho, -1.0, 1.0)
         if kind == "erf":
@@ -275,40 +225,17 @@ def pair_dd_mean(act: Activation, s1, s2, rho):
 
 def diag_mean(act: Activation, s):
     """``E[psi(s Z)^2]``, the rho = 1, s1 = s2 = s diagonal."""
-    s = np.asarray(s, dtype=float)
-    kind = act.kind
-    if kind in ("relu", "lrelu"):
-        a = _lrelu_slope(act)
-        out = s * s * (1.0 + a * a) / 2.0
-    elif kind == "erf":
-        out = (2.0 / np.pi) * np.arcsin(2.0 * s * s / (1.0 + 2.0 * s * s))
-    elif kind == "gelu":
-        s2 = s * s
-        d = 1.0 + 2.0 * s2
-        out = (s2 / 4.0
-               + (s2 * s2 / TWO_PI) * (2.0 + 2.0 * s2) / ((1.0 + s2) ** 2 * np.sqrt(d))
-               + (s2 / TWO_PI) * np.arctan(s2 / np.sqrt(d)))
-    else:
-        _guard_elu_scale(s)
-        lam, alpha = _selu_params(act)
-        out = lam * lam * (s * s / 2.0 + alpha * alpha
-                           * (expscaled_cdf(2.0 * s) - 2.0 * expscaled_cdf(s) + 0.5))
-    return out if out.shape else float(out)
+    # a full rho array: the ufuncs run slower on a broadcast scalar
+    return pair_mean(act, s, s, np.ones_like(s, dtype=float))
 
 
 def kernel_values(act: Activation, s1, s2, rho, sigma_w2, sigma_b2):
     """Closed-form layer kernel on arrays (no KernelArgs validation)."""
-    if np.isscalar(sigma_w2) and sigma_w2 == 0.0:
-        out = np.broadcast_arrays(np.asarray(s1, float), np.asarray(rho, float))[0] * 0.0 + sigma_b2
-        return out if out.shape else float(out)
     return sigma_w2 * pair_mean(act, s1, s2, rho) + sigma_b2
 
 
 def kernel_dot_values(act: Activation, s1, s2, rho, sigma_w2):
     """Closed-form derivative kernel on arrays."""
-    if np.isscalar(sigma_w2) and sigma_w2 == 0.0:
-        out = np.broadcast_arrays(np.asarray(s1, float), np.asarray(rho, float))[0] * 0.0
-        return out if out.shape else float(out)
     return sigma_w2 * pair_dot_mean(act, s1, s2, rho)
 
 

@@ -55,9 +55,9 @@ def mean_1d(f, nodes: int = 120, cuts=(0.0,)):
     return float(w @ f(z))
 
 
-# Outer nodes per tile of ``pair_mean_quad``: each (tile, nodes) temporary
-# stays in L2 (120 x 120 doubles = 115 KB), picked from a measured sweep.
-_TILE = 120
+# Doubles per (tile, nodes) temporary of ``pair_mean_quad``: 115 KB stays
+# in L2; 120-node tiles at 120 nodes were fastest in a measured sweep.
+_TILE_DOUBLES = 14_400
 
 
 def pair_mean_quad(f1, f2, s1, s2, rho, nodes: int = 120):
@@ -67,9 +67,10 @@ def pair_mean_quad(f1, f2, s1, s2, rho, nodes: int = 120):
     outer dimension always splits at 0 (kink or sharp feature of f1);
     the inner dimension splits where the argument of f2 crosses 0.
     s1, s2, rho may be arrays of a common shape; returns that shape.
-    Each entry runs its tensor rule in tiles of ``_TILE`` outer nodes, so
-    the temporaries are ``(_TILE, nodes)`` whatever the batch size, and
-    every entry's sums run in the same order as in a one-entry call.
+    Each entry runs its tensor rule in tiles of ``_TILE_DOUBLES // nodes``
+    outer nodes, so the temporaries hold ~``_TILE_DOUBLES`` doubles whatever
+    the batch size, and every entry's sums run in the same order as in a
+    one-entry call.
     """
     s1, s2, rho = np.broadcast_arrays(
         *[np.asarray(v, dtype=float) for v in (s1, s2, rho)]
@@ -81,18 +82,19 @@ def pair_mean_quad(f1, f2, s1, s2, rho, nodes: int = 120):
 
     z1, w1 = normal_panel_nodes(nodes, (0.0,))
     x, w = _legendre(nodes)
+    tile = max(1, _TILE_DOUBLES // nodes)
 
     out = np.empty(s1f.shape)
     for i in range(s1f.size):
         r, t, acc = rf[i], tau[i], np.zeros_like(z1)
-        for j in range(0, z1.size, _TILE):
-            zt = z1[j:j + _TILE]
+        for j in range(0, z1.size, tile):
+            zt = z1[j:j + tile]
             cut = np.clip(-r * zt / t, -ZMAX, ZMAX)
             for lo, hi in ((-ZMAX, cut), (cut, ZMAX)):
                 half = 0.5 * (hi - lo)
                 z2 = half[:, None] * x + 0.5 * (lo + hi)[:, None]
                 wz = half[:, None] * w * std_normal_pdf(z2)
-                acc[j:j + _TILE] += (wz * f2(s2f[i] * (r * zt[:, None] + t * z2))).sum(axis=-1)
+                acc[j:j + tile] += (wz * f2(s2f[i] * (r * zt[:, None] + t * z2))).sum(axis=-1)
         out[i] = (w1 * f1(s1f[i] * z1) * acc).sum()
     out = out.reshape(shape)
     return out if out.shape else float(out)

@@ -246,6 +246,18 @@ class TestGpCommands:
         assert {r[0] for r in rows[1:]} == {"gelu", "relu"}
         assert len(rows) == 1 + 2 * 2 * 3
 
+    def test_simplicity_lrelu_slope_reaches_the_kernel(self, tmp_path, capsys):
+        outputs = []
+        for slope in ("0.2", "0.5"):
+            out = tmp_path / f"simp{slope}.csv"
+            code, _, err = run_cli([
+                "simplicity", "--activation", "lrelu", "--lrelu-slope", slope,
+                "--n-train", "10", "--depth-max", "2", "--repeats", "1",
+                "--out", str(out)], capsys)
+            assert code == 0, err
+            outputs.append(out.read_bytes())
+        assert outputs[0] != outputs[1]
+
 
 DEFAULT_ACTIVATION_RUNS = {
     "kernel-eval": ["--depth", "1", "--theta-points", "2"],
@@ -308,6 +320,17 @@ class TestConfigFile:
         rows = read_csv(out)
         assert len(rows) == 1 + 2                 # flag wins over config
         assert rows[1][2] == "relu"               # config fills the default
+
+    @pytest.mark.parametrize("flag", [["--dept", "2"], ["--dep=2"]])
+    def test_abbreviated_flag_wins_over_config(self, flag, tmp_path, capsys):
+        # argparse accepts unambiguous prefixes; they are flags all the same
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"depth": 7}))
+        out = tmp_path / "ke.csv"
+        code, _, err = run_cli(["kernel-eval", *flag, "--theta-points", "1",
+                                "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 0, err
+        assert [r[1] for r in read_csv(out)[1:]] == ["1", "2"]
 
     def test_unknown_config_keys_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -247,6 +247,16 @@ class TestInvariants:
                 assert float(diag_mean(act, s)) == pytest.approx(
                     float(pair_mean(act, s, s, 1.0)), rel=1e-11)
 
+    @pytest.mark.parametrize("act", CLOSED_FORM_ACTS, ids=lambda a: a.kind)
+    def test_diag_mean_matches_1d_oracle(self, act):
+        # the whole guarded range: the rho = 1 limit needs no bvn, so ELU/SELU
+        # hold here up to s = 25 (measured <= 1e-14 relative)
+        from nnkernels import activations as am
+        from nnkernels.quadrature import mean_1d
+        for s in np.geomspace(0.1, ELU_S_MAX, 13):
+            oracle = mean_1d(lambda z: am.eval(act, s * z) ** 2, nodes=200)
+            assert float(diag_mean(act, s)) == pytest.approx(oracle, rel=1e-13)
+
 
 class TestGuards:
     @pytest.mark.parametrize("fn", [pair_mean, pair_dot_mean, pair_dd_mean])
