@@ -4,9 +4,8 @@ from .activations import (ACTIVATION_NAMES, ELU, ERF, GELU, RELU, Activation,
                           from_name, lrelu, selu)
 from .deep import (LayerState, NetworkHyper, NtkState, deep_kernel_matrix,
                    deep_normalized_kernel, input_state, iterate_state,
-                   kernel_grad, kernel_grad_relu,
-                   kernel_grad_relu_from_inputs, kernel_matrices_by_depth,
-                   ntk_iterate, scaled_ntk_iterate, state_trajectory)
+                   kernel_grad, kernel_matrices_by_depth, ntk_iterate,
+                   scaled_ntk_iterate, state_trajectory)
 from .fixed_point import (EigenTriple, FixedPointReport, eigenvalues,
                           find_fixed_point, lambda3, lambda3_elu,
                           lambda3_gelu_lower, lambda3_lrelu, sigma_star)
@@ -23,7 +22,6 @@ __all__ = [
     "eigenvalues", "find_fixed_point", "fit", "from_name", "grid_search",
     "input_state", "iterate_state", "kernel", "kernel_dot",
     "kernel_dot_quadrature", "kernel_from_inputs", "kernel_grad",
-    "kernel_grad_relu", "kernel_grad_relu_from_inputs",
     "kernel_matrices_by_depth", "kernel_mc", "kernel_quadrature",
     "lambda3", "lambda3_elu", "lambda3_gelu_lower", "lambda3_lrelu", "lrelu",
     "nll", "ntk_iterate", "predict", "rmse", "scaled_ntk_iterate", "selu",

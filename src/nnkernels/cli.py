@@ -83,16 +83,17 @@ def cmd_kernel_eval(args):
     sw2, _ = _sigma_w2(args, act, args.norm)
     thetas = np.linspace(0.0, np.pi, args.theta_points)
     columns = ("theta0", "layer", "s1_sq", "s2_sq", "rho", "k", "kdot")
-    rows = []
-    for theta0 in thetas:
-        state = input_state(theta0, args.norm, sw2, args.sigma_b2)
-        for layer in range(1, args.depth + 1):
-            s1, s2 = np.sqrt(state.s1_sq), np.sqrt(state.s2_sq)
-            kdot = kernel_dot_values(act, s1, s2, state.rho, sw2)
-            state = iterate_state(act, state, sw2, args.sigma_b2)
-            k = state.rho * np.sqrt(state.s1_sq * state.s2_sq)
-            rows.append((float(theta0), layer, state.s1_sq, state.s2_sq,
-                         state.rho, float(k), float(kdot)))
+    state = input_state(thetas, args.norm, sw2, args.sigma_b2)
+    layers = []
+    for _ in range(args.depth):
+        kdot = kernel_dot_values(act, np.sqrt(state.s1_sq), np.sqrt(state.s2_sq),
+                                 state.rho, sw2)
+        state = iterate_state(act, state, sw2, args.sigma_b2)
+        k = state.rho * np.sqrt(state.s1_sq * state.s2_sq)
+        layers.append((state.s1_sq, state.s2_sq, state.rho, k, kdot))
+    rows = [(float(theta0), layer, *(float(col[i]) for col in cols))
+            for i, theta0 in enumerate(thetas)
+            for layer, cols in enumerate(layers, start=1)]
     _write_rows(args.out, args.format, columns, rows)
     if args.self_check:
         _self_check(args.out, args.format, columns, len(rows))
@@ -105,16 +106,16 @@ def cmd_mc_verify(args):
     thetas = np.linspace(0.0, np.pi, args.theta_points)
     columns = ("theta0", "layer", "empirical_rho", "analytic_rho", "seed")
     hyper = NetworkHyper.shared(args.depth, sw2, args.sigma_b2)
+    analytic = deep_normalized_kernel(act, thetas, args.norm, hyper)
     rows = []
     for i, theta0 in enumerate(thetas):
-        analytic = deep_normalized_kernel(act, float(theta0), args.norm, hyper)
         for rep in range(args.repeats):
             seed = args.seed + 1000 * rep + i
             emp = empirical_trajectory(act, float(theta0), args.norm, args.width,
                                        args.depth, sw2, args.sigma_b2, seed)
             for layer in range(1, args.depth + 1):
                 rows.append((float(theta0), layer, float(emp[layer - 1]),
-                             float(analytic[layer - 1]), seed))
+                             float(analytic[i, layer - 1]), seed))
     _write_rows(args.out, args.format, columns, rows)
     if args.self_check:
         _self_check(args.out, args.format, columns, len(rows))

@@ -10,7 +10,8 @@ constructor replicates a single pair, which is the default protocol.
 
 Every update, scalar or matrix, kernel or tangent kernel, shared or
 per-level variances, goes through one array function, ``_layer_step``.
-The tangent kernel T starts at zero on the input map, so T = k after
+The pair calls take a state of floats or of arrays (one pair per entry)
+and step the stacked norms ``[s1_sq, s2_sq]`` as rows 0 and 1. The tangent kernel T starts at zero on the input map, so T = k after
 update 1, and follows T' = T * kdot + k'.
 ``_layer_jacobian`` is the closed-form Jacobian of one pair update, for
 every activation; ``kernel_grad`` chains it into exact gradients.
@@ -18,35 +19,42 @@ every activation; ``kernel_grad`` chains it into exact gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .activations import RELU, Activation
+from .activations import Activation
 from .kernels import (diag_mean, kernel_dot_values, kernel_values,
                       pair_dd_mean, pair_dot_mean, pair_moments)
 
 _RHO_OVERSHOOT = 1e-12
 
 
+def _any(flags):
+    """``np.any`` over every entry, at a quarter of its cost on a scalar."""
+    return np.logical_or.reduce(flags, axis=None)
+
+
 @dataclass(frozen=True)
 class LayerState:
-    """Squared signal norms and normalized kernel of one layer."""
+    """Squared signal norms and normalized kernel of one layer; floats,
+    or arrays of one shape holding one pair per entry."""
 
     s1_sq: float
     s2_sq: float
     rho: float
 
     def __post_init__(self):
-        if np.isnan(self.rho) or abs(self.rho) > 1.0:
+        if _any(np.isnan(self.rho) | (abs(self.rho) > 1.0)):
             raise ValueError("rho must lie in [-1, 1]")
-        if self.s1_sq < 0.0 or self.s2_sq < 0.0:
+        if _any((self.s1_sq < 0.0) | (self.s2_sq < 0.0)):
             raise ValueError("squared norms must be nonnegative")
 
 
 @dataclass(frozen=True)
 class NtkState:
-    """Kernel and tangent-kernel state; ``tau`` only for the rescaled form."""
+    """Kernel and tangent-kernel state, floats or arrays of one shape;
+    ``tau`` only for the rescaled form."""
 
     s1_sq: float
     s2_sq: float
@@ -79,7 +87,7 @@ class NetworkHyper:
 def _normalized(k, s1_sq, s2_sq):
     rho = k / np.sqrt(s1_sq * s2_sq)
     over = np.abs(rho) - 1.0
-    if np.any(over > _RHO_OVERSHOOT):
+    if _any(over > _RHO_OVERSHOOT):
         raise ArithmeticError(
             f"normalized kernel overshoots [-1, 1] by {float(np.max(over)):.3e}; "
             "this signals a kernel bug"
@@ -112,41 +120,41 @@ def _layer_step(act: Activation, s_sq, pairs, rho, sigma_w2, sigma_b2,
     return s_sq_new, k, t_rows, t_pairs
 
 
-def _pair_step(act, s1_sq, s2_sq, rho, sigma_w2, sigma_b2, T=None):
-    """``_layer_step`` on one pair: (s1_sq', s2_sq', k', T') as floats."""
-    s_sq, k, _, T = _layer_step(act, np.array([s1_sq, s2_sq]), (0, 1), rho,
-                                sigma_w2, sigma_b2, t_pairs=T)
-    return float(s_sq[0]), float(s_sq[1]), float(k), None if T is None else float(T)
+def _positive_norms(state, name):
+    """The stacked squared norms ``[s1_sq, s2_sq]`` of a pair state."""
+    s_sq = np.array([state.s1_sq, state.s2_sq])
+    if _any(s_sq <= 0.0):
+        raise ValueError(f"{name} requires strictly positive signal norms")
+    return s_sq
 
 
 def iterate_state(act: Activation, state: LayerState, sigma_w2: float,
                   sigma_b2: float) -> LayerState:
-    """One layer update of (s1^2, s2^2, rho)."""
-    if state.s1_sq <= 0.0 or state.s2_sq <= 0.0:
-        raise ValueError("iterate_state requires strictly positive signal norms")
-    s1_sq, s2_sq, k, _ = _pair_step(act, state.s1_sq, state.s2_sq, state.rho,
-                                    sigma_w2, sigma_b2)
-    return LayerState(s1_sq, s2_sq, float(_normalized(k, s1_sq, s2_sq)))
+    """One layer update of (s1^2, s2^2, rho), on one pair or an array of pairs."""
+    s_sq = _positive_norms(state, "iterate_state")
+    (s1_sq, s2_sq), k, _, _ = _layer_step(act, s_sq, (0, 1), state.rho, sigma_w2, sigma_b2)
+    return LayerState(s1_sq, s2_sq, _normalized(k, s1_sq, s2_sq))
 
 
-def input_state(theta0: float, norm: float, sigma_w2: float, sigma_b2: float) -> LayerState:
-    """Level-0 state of two inputs of equal norm at angle theta0."""
+def input_state(theta0, norm: float, sigma_w2: float, sigma_b2: float) -> LayerState:
+    """Level-0 state of two inputs of equal norm at the angle(s) theta0."""
     if norm <= 0.0:
         raise ValueError("norm must be positive")
-    s_sq = sigma_w2 * norm * norm + sigma_b2
     k0 = sigma_w2 * norm * norm * np.cos(theta0) + sigma_b2
-    return LayerState(s_sq, s_sq, float(_normalized(k0, s_sq, s_sq)))
+    s_sq = np.zeros_like(k0) + (sigma_w2 * norm * norm + sigma_b2)
+    return LayerState(s_sq, s_sq, _normalized(k0, s_sq, s_sq))
 
 
-def deep_normalized_kernel(act: Activation, theta0: float, norm: float,
+def deep_normalized_kernel(act: Activation, theta0, norm: float,
                            hyper: NetworkHyper) -> np.ndarray:
-    """Trajectory cos(theta^(l)), l = 1..L, from the angle theta0."""
+    """Trajectory cos(theta^(l)), l = 1..L, from the angle(s) theta0,
+    along the last axis."""
     state = input_state(theta0, norm, hyper.sigma_w2[0], hyper.sigma_b2[0])
-    rhos = np.empty(hyper.depth)
+    rhos = []
     for l in range(1, hyper.depth + 1):
         state = iterate_state(act, state, hyper.sigma_w2[l], hyper.sigma_b2[l])
-        rhos[l - 1] = state.rho
-    return rhos
+        rhos.append(state.rho)
+    return np.stack(rhos, axis=-1)
 
 
 def state_trajectory(act: Activation, x1, x2, hyper: NetworkHyper):
@@ -154,25 +162,23 @@ def state_trajectory(act: Activation, x1, x2, hyper: NetworkHyper):
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     sw, sb = hyper.sigma_w2, hyper.sigma_b2
-    s1_sq = sw[0] * float(x1 @ x1) + sb[0]
-    s2_sq = sw[0] * float(x2 @ x2) + sb[0]
+    s_sq = sw[0] * np.array([x1 @ x1, x2 @ x2]) + sb[0]
     k = sw[0] * float(x1 @ x2) + sb[0]
-    traj = [(s1_sq, s2_sq, k)]
+    traj = [(*s_sq, k)]
     for l in range(1, len(sw)):
-        rho = float(_normalized(k, s1_sq, s2_sq))
-        s1_sq, s2_sq, k, _ = _pair_step(act, s1_sq, s2_sq, rho, sw[l], sb[l])
-        traj.append((s1_sq, s2_sq, k))
+        s_sq, k, _, _ = _layer_step(act, s_sq, (0, 1), _normalized(k, *s_sq), sw[l], sb[l])
+        traj.append((*s_sq, k))
     return traj
 
 
 def ntk_iterate(act: Activation, state: NtkState, sigma_w2: float,
                 sigma_b2: float) -> NtkState:
     """One tangent-kernel update: T' = T kdot' + k' (plus diag updates)."""
-    if state.s1_sq <= 0.0 or state.s2_sq <= 0.0:
-        raise ValueError("ntk_iterate requires strictly positive signal norms")
-    rho = float(_normalized(state.k, state.s1_sq, state.s2_sq))
-    return NtkState(*_pair_step(act, state.s1_sq, state.s2_sq, rho, sigma_w2,
-                                sigma_b2, state.T), state.tau)
+    s_sq = _positive_norms(state, "ntk_iterate")
+    rho = _normalized(state.k, state.s1_sq, state.s2_sq)
+    (s1_sq, s2_sq), k, _, T = _layer_step(act, s_sq, (0, 1), rho, sigma_w2, sigma_b2,
+                                          t_pairs=state.T)
+    return NtkState(s1_sq, s2_sq, k, T, state.tau)
 
 
 def scaled_ntk_iterate(act: Activation, state: NtkState, sigma_w2: float,
@@ -183,12 +189,11 @@ def scaled_ntk_iterate(act: Activation, state: NtkState, sigma_w2: float,
     runs through 1/2, 1/3, 1/4, ... and T stays in a bounded set when
     the kernel map contracts.
     """
-    if state.tau is None or not 0.0 < state.tau <= 0.5:
+    tau = state.tau
+    if tau is None or not np.all((0.0 < tau) & (tau <= 0.5)):
         raise ValueError("scaled_ntk_iterate requires tau in (0, 1/2]")
-    rho = float(_normalized(state.k, state.s1_sq, state.s2_sq))
-    s1_sq, s2_sq, k, T = _pair_step(act, state.s1_sq, state.s2_sq, rho, sigma_w2,
-                                    sigma_b2, (1.0 / state.tau - 1.0) * state.T)
-    return NtkState(s1_sq, s2_sq, k, state.tau * T, state.tau / (1.0 + state.tau))
+    new = ntk_iterate(act, replace(state, T=(1.0 / tau - 1.0) * state.T), sigma_w2, sigma_b2)
+    return replace(new, T=tau * new.T, tau=tau / (1.0 + tau))
 
 
 def kernel_matrices_by_depth(act: Activation, X, sigma_w2, sigma_b2,
@@ -303,13 +308,3 @@ def kernel_grad(act: Activation, hyper: NetworkHyper, trajectory) -> np.ndarray:
         if l > 0:
             suffix = suffix @ _layer_jacobian(act, *trajectory[l - 1], hyper.sigma_w2[l])
     return grads
-
-
-def kernel_grad_relu(hyper: NetworkHyper, trajectory) -> np.ndarray:
-    """:func:`kernel_grad` for the ReLU."""
-    return kernel_grad(RELU, hyper, trajectory)
-
-
-def kernel_grad_relu_from_inputs(x1, x2, hyper: NetworkHyper) -> np.ndarray:
-    """:func:`kernel_grad` for the ReLU on a pair of input vectors."""
-    return kernel_grad(RELU, hyper, state_trajectory(RELU, x1, x2, hyper))

@@ -154,9 +154,9 @@ def _norm_fixed_point(act: Activation, u0: float, sigma_w2: float,
                       sigma_b2: float) -> float:
     """Fixed point of the squared-norm map g1 near u0.
 
-    The iterated value cannot be trusted directly: for GELU/ELU at
-    their norm-preserving variance the fixed point is repelling
-    (lambda_1 > 1), so long iterations drift off it. Refine by root
+    The iterated value cannot be trusted directly: for GELU at its
+    norm-preserving variance the fixed point is repelling (lambda_1 > 1;
+    for ELU it attracts), so long iterations drift off it. Refine by root
     finding; absolutely homogeneous activations make g1(u) - u vanish
     identically at the preserving variance, in which case u0 is
     returned as-is. For ELU/SELU the search stays within s <= ELU_S_MAX.
@@ -218,7 +218,7 @@ def find_fixed_point(act: Activation, sigma_w2: float, sigma_b2: float,
 
     # The verdict's lambda_3 grid is anchored at the norm fixed point on
     # the *starting* sphere: the iterated norm cannot be used directly
-    # because a repelling fixed point (lambda_1 > 1, as for GELU/ELU at
+    # because a repelling fixed point (lambda_1 > 1, as for GELU at
     # sigma*) lets rounding noise drift it to another attractor.
     thetas = np.pi * (np.arange(theta_grid) + 1.0) / (theta_grid + 1.0)
     s_fp = float(np.sqrt(_norm_fixed_point(act, start.s1_sq, sigma_w2, sigma_b2)))

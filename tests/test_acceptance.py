@@ -23,9 +23,8 @@ import numpy as np
 from nnkernels import activations as am
 from nnkernels.activations import ELU, GELU, RELU, lrelu
 from nnkernels.data import disc_grid, disc_task, load_csv, standardize
-from nnkernels.deep import (NetworkHyper, deep_normalized_kernel,
-                            kernel_grad_relu_from_inputs,
-                            kernel_matrices_by_depth)
+from nnkernels.deep import (NetworkHyper, deep_normalized_kernel, kernel_grad,
+                            kernel_matrices_by_depth, state_trajectory)
 from nnkernels.finite_width import empirical_trajectory
 from nnkernels.fixed_point import (eigenvalues, lambda3_elu,
                                    lambda3_gelu_lower, lambda3_lrelu,
@@ -319,7 +318,7 @@ def test_criterion_8_relu_hyperparameter_gradients():
     x1, x2 = [1.0, 0.2], [0.3, -0.5]
     for depth in (1, 2, 3):
         hyper = NetworkHyper.shared(depth, 2.0, 0.1)
-        grad = kernel_grad_relu_from_inputs(x1, x2, hyper)
+        grad = kernel_grad(RELU, hyper, state_trajectory(RELU, x1, x2, hyper))
         fd = kernel_grad_fd(RELU, hyper, x1, x2)
         rel = float((np.abs(grad - fd) / np.maximum(1e-8, np.abs(fd))).max())
         clauses.append((f"depth {depth}: chain rule vs central FD",

@@ -12,9 +12,12 @@ import numpy as np
 import pytest
 
 from nnkernels import activations as am
-from nnkernels.activations import ELU, GELU
+from nnkernels import deep
+from nnkernels.activations import ELU, GELU, from_name
 from nnkernels.cli import main
+from nnkernels.deep import NetworkHyper, deep_normalized_kernel, input_state, iterate_state
 from nnkernels.fixed_point import lambda3, sigma_star
+from nnkernels.kernels import kernel_dot_values
 from nnkernels.quadrature import mean_1d
 
 REPO = Path(__file__).resolve().parent.parent
@@ -41,6 +44,20 @@ def dataset_csv(tmp_path):
         for row, target in zip(X, y):
             fh.write(",".join(f"{v:.8f}" for v in row) + f",{target:.8f}\n")
     return p
+
+
+# the six activations by CLI name; ERF has no norm-preserving variance at norm 1
+SIX_CLI_ACTS = [("gelu", None), ("erf", 1.5), ("elu", None), ("selu", None),
+                ("relu", None), ("lrelu", None)]
+
+
+def cli_act_and_sw2(name, sw2):
+    """The activation, its weight variance as the CLI resolves it, and the flags."""
+    act = from_name(name)
+    if sw2 is not None:
+        return act, sw2, ["--sigma-w2", repr(sw2)]
+    sigma = sigma_star(act, 1.0)
+    return act, sigma * sigma, []
 
 
 class TestKernelEval:
@@ -72,6 +89,27 @@ class TestKernelEval:
         run_cli(args + ["--out", str(b)], capsys)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("name, sw2", SIX_CLI_ACTS, ids=[a for a, _ in SIX_CLI_ACTS])
+    def test_rows_match_per_angle_float_calls(self, name, sw2, tmp_path, capsys):
+        # reference: one angle at a time, through the float calls
+        act, sw2, flags = cli_act_and_sw2(name, sw2)
+        out = tmp_path / "ke.csv"
+        code, _, _ = run_cli(["kernel-eval", "--activation", name, *flags, "--depth", "5",
+                              "--theta-points", "32", "--sigma-b2", "0.1",
+                              "--out", str(out)], capsys)
+        assert code == 0
+        expected = []
+        for theta0 in np.linspace(0.0, np.pi, 32):
+            state = input_state(float(theta0), 1.0, sw2, 0.1)
+            for layer in range(1, 6):
+                kdot = kernel_dot_values(act, np.sqrt(state.s1_sq), np.sqrt(state.s2_sq),
+                                         state.rho, sw2)
+                state = iterate_state(act, state, sw2, 0.1)
+                k = state.rho * np.sqrt(state.s1_sq * state.s2_sq)
+                expected.append([theta0, layer, state.s1_sq, state.s2_sq, state.rho, k, kdot])
+        got = np.array([[float(v) for v in r] for r in read_csv(out)[1:]])
+        np.testing.assert_array_equal(got, np.array(expected, dtype=float))
+
 
 class TestMcVerify:
     def test_dot_cloud_schema(self, tmp_path, capsys):
@@ -97,6 +135,38 @@ class TestMcVerify:
         assert run_cli(args + ["--out", str(b)], capsys)[0] == 0
         assert len(read_csv(a)) == 1 + 4 * 2 * 3
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("name, sw2", SIX_CLI_ACTS, ids=[a for a, _ in SIX_CLI_ACTS])
+    def test_analytic_column_matches_per_angle_calls(self, name, sw2, tmp_path, capsys):
+        act, sw2, flags = cli_act_and_sw2(name, sw2)
+        out = tmp_path / "mc.csv"
+        code, _, _ = run_cli(["mc-verify", "--activation", name, *flags, "--width", "40",
+                              "--depth", "3", "--theta-points", "8", "--repeats", "2",
+                              "--out", str(out)], capsys)
+        assert code == 0
+        hyper = NetworkHyper.shared(3, sw2, 0.0)
+        rows = read_csv(out)[1:]
+        assert len(rows) == 8 * 2 * 3
+        for theta0, layer, _, analytic, _ in rows:
+            curve = deep_normalized_kernel(act, float(theta0), 1.0, hyper)
+            assert float(analytic) == curve[int(layer) - 1]
+
+
+@pytest.mark.parametrize("command", [["kernel-eval"], ["mc-verify", "--width", "30"]],
+                         ids=["kernel-eval", "mc-verify"])
+def test_one_layer_step_per_layer_for_all_angles(command, monkeypatch, tmp_path, capsys):
+    calls = []
+    step = deep._layer_step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(deep, "_layer_step", counted)
+    code, _, _ = run_cli([*command, "--activation", "elu", "--depth", "5",
+                          "--theta-points", "16", "--out", str(tmp_path / "o.csv")], capsys)
+    assert code == 0
+    assert len(calls) == 5
 
 
 class TestFixedpoint:

@@ -3,11 +3,9 @@ import pytest
 
 from nnkernels.activations import ELU, ERF, GELU, RELU, from_name, lrelu, selu
 from nnkernels.deep import (LayerState, NetworkHyper, NtkState, _layer_jacobian,
-                            _pair_step, deep_kernel_matrix,
+                            _layer_step, deep_kernel_matrix,
                             deep_normalized_kernel, input_state, iterate_state,
-                            kernel_grad, kernel_grad_relu,
-                            kernel_grad_relu_from_inputs,
-                            kernel_matrices_by_depth, ntk_iterate,
+                            kernel_grad, kernel_matrices_by_depth, ntk_iterate,
                             scaled_ntk_iterate, state_trajectory)
 from nnkernels.fixed_point import sigma_star
 
@@ -126,6 +124,92 @@ class TestScaledNtk:
             scaled_ntk_iterate(RELU, NtkState(1, 1, 0.5, 0.5, tau=0.9), 2.0, 0.0)
         with pytest.raises(ValueError):
             scaled_ntk_iterate(RELU, NtkState(1, 1, 0.5, 0.5), 2.0, 0.0)
+
+
+class TestArraysOfPairs:
+    """The one-pair calls on arrays of pairs equal their per-pair float
+    calls bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        rng = np.random.default_rng(21)
+        n = 400
+        s1_sq, s2_sq = rng.uniform(0.2, 4.0, (2, n))
+        rho = rng.uniform(-1.0, 1.0, n)
+        rho[:4] = (1.0, -1.0, 1.0, -1.0)
+        s2_sq[:4] = s1_sq[:4]  # so that k / sqrt(s1_sq s2_sq) is exactly +-1
+        T = rng.uniform(0.0, 2.0, n)
+        tau = rng.uniform(0.05, 0.5, n)
+        return s1_sq, s2_sq, rho, T, tau
+
+    @staticmethod
+    def per_pair(fn, *columns):
+        return np.array([fn(*(float(c[i]) for c in columns))
+                         for i in range(len(columns[0]))]).T
+
+    @pytest.mark.parametrize("act", SIX_ACTS, ids=lambda a: a.kind)
+    def test_iterate_state(self, act, pairs):
+        s1_sq, s2_sq, rho, _, _ = pairs
+        batch = iterate_state(act, LayerState(s1_sq, s2_sq, rho), 1.3, 0.1)
+
+        def one(a, b, r):
+            st = iterate_state(act, LayerState(a, b, r), 1.3, 0.1)
+            return st.s1_sq, st.s2_sq, st.rho
+
+        np.testing.assert_array_equal(np.array([batch.s1_sq, batch.s2_sq, batch.rho]),
+                                      self.per_pair(one, s1_sq, s2_sq, rho))
+
+    @pytest.mark.parametrize("act", SIX_ACTS, ids=lambda a: a.kind)
+    @pytest.mark.parametrize("step", [ntk_iterate, scaled_ntk_iterate],
+                             ids=["ntk", "scaled"])
+    def test_ntk_steps(self, act, step, pairs):
+        s1_sq, s2_sq, rho, T, tau = pairs
+        k = rho * np.sqrt(s1_sq * s2_sq)
+        batch = step(act, NtkState(s1_sq, s2_sq, k, T, tau), 1.3, 0.1)
+
+        def one(*fields):
+            st = step(act, NtkState(*fields), 1.3, 0.1)
+            return st.s1_sq, st.s2_sq, st.k, st.T, st.tau
+
+        np.testing.assert_array_equal(
+            np.array([batch.s1_sq, batch.s2_sq, batch.k, batch.T, batch.tau]),
+            self.per_pair(one, s1_sq, s2_sq, k, T, tau))
+
+    @pytest.mark.parametrize("act", SIX_ACTS, ids=lambda a: a.kind)
+    def test_deep_normalized_kernel(self, act):
+        hyper = NetworkHyper(3, (1.2, 1.5, 1.1, 1.4), (0.0, 0.1, 0.05, 0.2))
+        thetas = np.linspace(0.0, np.pi, 400)  # rho = +-1 at the ends
+        batch = deep_normalized_kernel(act, thetas, 0.8, hyper)
+        assert batch.shape == (400, 3)
+        np.testing.assert_array_equal(
+            batch, [deep_normalized_kernel(act, float(t), 0.8, hyper) for t in thetas])
+
+    @pytest.mark.parametrize("field, bad", [("rho", np.nan), ("rho", 1.5), ("rho", -1.0 - 1e-9),
+                                            ("s1_sq", -1.0), ("s2_sq", -0.5)])
+    def test_bad_entry_rejected_by_state(self, field, bad):
+        columns = {"s1_sq": np.ones(6), "s2_sq": np.ones(6), "rho": np.full(6, 0.3)}
+        columns[field][4] = bad
+        with pytest.raises(ValueError):
+            LayerState(**columns)
+
+    @pytest.mark.parametrize("field", ["s1_sq", "s2_sq"])
+    def test_zero_norm_rejected_by_steps(self, field):
+        columns = {"s1_sq": np.ones(6), "s2_sq": np.ones(6)}
+        columns[field][2] = 0.0
+        zeros = np.zeros(6)
+        with pytest.raises(ValueError):
+            iterate_state(GELU, LayerState(**columns, rho=zeros), 1.0, 0.0)
+        with pytest.raises(ValueError):
+            ntk_iterate(GELU, NtkState(**columns, k=zeros, T=zeros), 1.0, 0.0)
+        with pytest.raises(ValueError):
+            scaled_ntk_iterate(GELU, NtkState(**columns, k=zeros, T=zeros, tau=0.5), 1.0, 0.0)
+
+    def test_input_state_shapes(self):
+        st = input_state(np.array([0.0, 1.0, np.pi]), 1.0, 2.0, 0.1)
+        assert np.shape(st.s1_sq) == np.shape(st.s2_sq) == np.shape(st.rho) == (3,)
+        np.testing.assert_array_equal(st.s1_sq, 2.1)
+        assert st.rho[0] == 1.0
+        assert st.rho[2] == pytest.approx(-1.9 / 2.1, rel=1e-15)
 
 
 class TestKernelMatrix:
@@ -252,7 +336,8 @@ class TestLayerJacobian:
 
         def step(x):
             rho = x[2] / np.sqrt(x[0] * x[1])
-            return np.array(_pair_step(act, x[0], x[1], rho, sw2, sb2)[:3])
+            s_sq, k, _, _ = _layer_step(act, x[:2], (0, 1), rho, sw2, sb2)
+            return np.array([*s_sq, k])
 
         worst = 0.0
         for s1_sq in (0.3, 1.0, 4.0, 25.0):
@@ -303,34 +388,34 @@ class TestGradients:
     def test_relu_chain_rule_matches_fd(self, depth):
         hyper = NetworkHyper.shared(depth, 2.0, 0.1)
         x1, x2 = [1.0, 0.2], [0.3, -0.5]
-        grad = kernel_grad_relu_from_inputs(x1, x2, hyper)
+        grad = kernel_grad(RELU, hyper, state_trajectory(RELU, x1, x2, hyper))
         fd = kernel_grad_fd(RELU, hyper, x1, x2)
         rel = np.abs(grad - fd) / np.maximum(1e-8, np.abs(fd))
         assert rel.max() <= 1e-5
 
     def test_top_level_bias_gradient_is_one(self):
         hyper = NetworkHyper.shared(3, 2.0, 0.1)
-        grad = kernel_grad_relu_from_inputs([1.0, 0.2], [0.3, -0.5], hyper)
+        grad = kernel_grad(RELU, hyper, state_trajectory(RELU, [1.0, 0.2], [0.3, -0.5], hyper))
         assert grad[-1, 1] == pytest.approx(1.0, abs=1e-14)
 
     def test_depth_one_weight_gradient(self):
         # at depth 1 the top-level sigma_w^2 gradient is the pair expectation
         hyper = NetworkHyper.shared(1, 2.0, 0.0)
         x1, x2 = [0.8, 0.1], [0.2, -0.4]
-        grad = kernel_grad_relu_from_inputs(x1, x2, hyper)
         traj = state_trajectory(RELU, x1, x2, hyper)
+        grad = kernel_grad(RELU, hyper, traj)
         assert grad[1, 0] == pytest.approx(traj[1][2] / 2.0, rel=1e-10)
 
     def test_per_layer_hyperparameters(self):
         hyper = NetworkHyper(2, (1.5, 2.0, 0.8), (0.05, 0.1, 0.2))
-        grad = kernel_grad_relu_from_inputs([1.0, 0.2], [0.3, -0.5], hyper)
+        grad = kernel_grad(RELU, hyper, state_trajectory(RELU, [1.0, 0.2], [0.3, -0.5], hyper))
         fd = kernel_grad_fd(RELU, hyper, [1.0, 0.2], [0.3, -0.5])
         assert np.abs(grad - fd).max() <= 1e-6
 
     def test_unsupported_activation_raises(self):
         hyper = NetworkHyper.shared(2, 1.0, 0.0)
         traj = state_trajectory(GELU, [1.0, 0.0], [0.0, 1.0], hyper)
-        grad = kernel_grad_relu(hyper, traj)
+        grad = kernel_grad(RELU, hyper, traj)
         fd = kernel_grad_fd(GELU, hyper, [1.0, 0.0], [0.0, 1.0])
         # the closed chain rule is ReLU-only: applied to a GELU trajectory
         # it must NOT match the GELU finite differences
@@ -347,7 +432,7 @@ class TestGradients:
 
     def test_fd_agrees_with_relu_closed_form_loosely(self):
         hyper = NetworkHyper.shared(2, 2.0, 0.3)
-        grad = kernel_grad_relu_from_inputs([1.0, 0.2], [0.3, -0.5], hyper)
+        grad = kernel_grad(RELU, hyper, state_trajectory(RELU, [1.0, 0.2], [0.3, -0.5], hyper))
         fd = kernel_grad_fd(RELU, hyper, [1.0, 0.2], [0.3, -0.5])
         assert np.abs(grad - fd).max() / np.abs(fd).max() <= 1e-4
 

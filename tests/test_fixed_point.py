@@ -5,8 +5,8 @@ import pytest
 
 from nnkernels import activations as am
 from nnkernels.activations import ELU, ERF, GELU, RELU, lrelu, selu
-from nnkernels.deep import (LayerState, NetworkHyper, input_state, kernel_grad,
-                            state_trajectory)
+from nnkernels.deep import (LayerState, NetworkHyper, _layer_jacobian,
+                            input_state, kernel_grad, state_trajectory)
 from nnkernels.fixed_point import (eigenvalues, find_fixed_point, lambda3,
                                    lambda3_elu, lambda3_gelu_lower,
                                    lambda3_lrelu, lambda3_quad_grid,
@@ -312,6 +312,18 @@ class TestFindFixedPoint:
         assert report.stopped == "diverged"
         assert not report.converged
         assert np.isfinite(report.final_state.s1_sq) and report.final_state.s1_sq > 1e70
+
+
+@pytest.mark.parametrize("norm", [0.5, 1.0, 5.0])
+@pytest.mark.parametrize("act, repels", [(GELU, True), (ELU, False)],
+                         ids=["gelu", "elu"])
+def test_norm_fixed_point_stability_at_sigma_star(act, repels, norm):
+    # lambda_1 at the norm fixed point: GELU 1.173, 1.084, 1.0015 (repels),
+    # ELU 0.894, 0.898, 0.985 (attracts) at norms 0.5, 1, 5
+    sw2 = sigma_star(act, norm) ** 2
+    u = _norm_fixed_point(act, sw2 * norm * norm, sw2, 0.0)
+    lam1 = _layer_jacobian(act, u, u, u, sw2)[0, 0]
+    assert (lam1 > 1.0) == repels, f"lambda_1 = {lam1:.4f}"
 
 
 def test_sweep_rows_schema():
