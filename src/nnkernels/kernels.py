@@ -32,7 +32,8 @@ delta to psi''): by Price's theorem, 2 dE[psi psi]/ds1^2, the entry the
 layer Jacobian in ``deep`` is built from. ``pair_moments`` gives
 E[psi psi] and E[psi' psi'] together, for the tangent-kernel step. For
 ELU/SELU all three come from one evaluator, ``_elu_moments``: five bvn
-terms per entry, none at rho = +-1. ``diag_mean`` is ``pair_mean`` at rho = 1.
+terms per entry, none at rho = +-1, in one bvn call per chunk of
+entries. ``diag_mean`` is ``pair_mean`` at rho = 1.
 """
 
 from __future__ import annotations
@@ -52,6 +53,12 @@ from .special import (SQRT_2PI, TWO_PI, _check_correlation, bvn_cdf_exp,
 ELU_S_MAX = 25.0
 
 _RHO_EPS = 1e-12  # |rho| >= 1 - _RHO_EPS is routed to endpoint limits
+
+# Interior ELU/SELU entries per bvn_cdf_exp call: 5,120 bvn rows, so each
+# of the ~14 batch-sized arrays of its front end is ~40 KB and the peak
+# memory stays bounded whatever the batch size. CHANGES.md records the
+# sweep behind it.
+_ELU_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -91,7 +98,9 @@ def _elu_moments(act, s1, s2, rho):
     rest take five bvn terms, evaluated on those entries only, so the
     limits cost no bvn work: B(s2), B(s1) with
     B(b) = E[e^(b Z2); Z1 > 0, Z2 < 0], and E(s1, s2), E(s1, 0), E(0, s2)
-    with E(a, b) = E[e^(a Z1 + b Z2); Z1 < 0, Z2 < 0].
+    with E(a, b) = E[e^(a Z1 + b Z2); Z1 < 0, Z2 < 0]. They run in chunks
+    of at most ``_ELU_CHUNK`` entries, each chunk one ``bvn_cdf_exp`` call
+    on the five terms stacked as a (5, m) batch.
     """
     s1, s2, rho = _broadcast(s1, s2, rho)
     if (s1 > ELU_S_MAX).any() or (s2 > ELU_S_MAX).any():
@@ -99,37 +108,46 @@ def _elu_moments(act, s1, s2, rho):
                             "factors overflow the double range beyond that")
     lam, alpha = _selu_params(act)
     l2, a2 = lam * lam, alpha * alpha
-    c1, c2, c12 = expscaled_cdf(s1), expscaled_cdf(s2), expscaled_cdf(s1 + s2)
+    c1, c2, c12 = expscaled_cdf(np.stack([s1, s2, s1 + s2]))
     hi = rho > 0.0
     outs = [np.where(hi, l2 * (s1 * s2 / 2.0 + a2 * (c12 - c1 - c2 + 0.5)),
                      -l2 * alpha * s1 * s2 * (c1 + c2)),
             np.where(hi, l2 * (0.5 + a2 * c12), l2 * (alpha * (c1 + c2))),
             np.where(hi, l2 * (a2 * (c12 - c1)), l2 * (alpha * s2 * (1.0 / SQRT_2PI - s1 * c1)))]
-    mid = ~(np.abs(rho) >= 1.0 - _RHO_EPS)  # NaN stays inside, to be refused there
-    if mid.any():
-        s1, s2, theta = s1[mid], s2[mid], _arccos_theta(rho[mid])
-        sn, cs = np.sin(theta), np.cos(theta)
-        b2 = bvn_cdf_exp(s2 * cs, -s2, -cs, s2 * s2 / 2.0)
-        b1 = bvn_cdf_exp(s1 * cs, -s1, -cs, s1 * s1 / 2.0)
-        e12 = bvn_cdf_exp(-(s1 + s2 * cs), -(s1 * cs + s2), cs,
-                          (s1 * s1 + 2.0 * s1 * s2 * cs + s2 * s2) / 2.0)
-        e10 = bvn_cdf_exp(-s1, -(s1 * cs), cs, s1 * s1 / 2.0)
-        e01 = bvn_cdf_exp(-(s2 * cs), -s2, cs, s2 * s2 / 2.0)
-        quadrant = (np.pi - theta) / TWO_PI  # P(Z1 < 0, Z2 < 0)
-        x1, x2 = expscaled_cdf(s1 * sn), expscaled_cdf(s2 * sn)
-        # E[Theta(Z1) Z1 Theta(-Z2)(e^{s2 Z2} - 1)] and its mirror, the linear
-        # side's scale factored out by homogeneity
-        cross = (s1 * ((x2 - 0.5) / SQRT_2PI + s2 * cs * b2)
-                 + s2 * ((x1 - 0.5) / SQRT_2PI + s1 * cs * b1))
-        mean = l2 * (s1 * s2 * (sn + (np.pi - theta) * cs) / TWO_PI + alpha * cross
-                     + a2 * (e12 - e10 - e01 + quadrant))
-        dot = l2 * (quadrant + alpha * (b2 + b1) + a2 * e12)
-        lin = s2 * ((x1 - cs / 2.0) / SQRT_2PI + s1 * cs * (expscaled_cdf(s1) - e10))
-        jump = (s2 * sn / SQRT_2PI + alpha * (x2 - 0.5)) / (SQRT_2PI * s1)
-        dd = l2 * (alpha * (lin + alpha * (e12 - e10)) + (1.0 - alpha) * jump)
-        for out, v in zip(outs, (mean, dot, dd)):
-            out[mid] = v
+    mid = np.flatnonzero(~(np.abs(rho) >= 1.0 - _RHO_EPS))  # NaN stays inside, to be refused there
+    for i in range(0, mid.size, _ELU_CHUNK):
+        # take and put index the C-order flattening whatever the layout
+        idx = mid[i:i + _ELU_CHUNK]
+        vals = _elu_interior(l2, alpha, *(np.take(a, idx) for a in (s1, s2, rho, c1)))
+        for out, v in zip(outs, vals):
+            np.put(out, idx, v)
     return [out if out.shape else float(out) for out in outs]
+
+
+def _elu_interior(l2, alpha, s1, s2, rho, c1):
+    """``_elu_moments`` at |rho| < 1 - _RHO_EPS, c1 = expscaled_cdf(s1)."""
+    a2 = alpha * alpha
+    theta = _arccos_theta(rho)
+    sn, cs = np.sin(theta), np.cos(theta)
+    q1, q2 = s1 * s1 / 2.0, s2 * s2 / 2.0
+    b2, b1, e12, e10, e01 = bvn_cdf_exp(
+        np.stack([s2 * cs, s1 * cs, -(s1 + s2 * cs), -s1, -(s2 * cs)]),
+        np.stack([-s2, -s1, -(s1 * cs + s2), -(s1 * cs), -s2]),
+        np.stack([-cs, -cs, cs, cs, cs]),
+        np.stack([q2, q1, (s1 * s1 + 2.0 * s1 * s2 * cs + s2 * s2) / 2.0, q1, q2]))
+    quadrant = (np.pi - theta) / TWO_PI  # P(Z1 < 0, Z2 < 0)
+    x1, x2 = expscaled_cdf(np.stack([s1 * sn, s2 * sn]))
+    # E[Theta(Z1) Z1 Theta(-Z2)(e^{s2 Z2} - 1)] and its mirror, the linear
+    # side's scale factored out by homogeneity
+    cross = (s1 * ((x2 - 0.5) / SQRT_2PI + s2 * cs * b2)
+             + s2 * ((x1 - 0.5) / SQRT_2PI + s1 * cs * b1))
+    mean = l2 * (s1 * s2 * (sn + (np.pi - theta) * cs) / TWO_PI + alpha * cross
+                 + a2 * (e12 - e10 - e01 + quadrant))
+    dot = l2 * (quadrant + alpha * (b2 + b1) + a2 * e12)
+    lin = s2 * ((x1 - cs / 2.0) / SQRT_2PI + s1 * cs * (c1 - e10))
+    jump = (s2 * sn / SQRT_2PI + alpha * (x2 - 0.5)) / (SQRT_2PI * s1)
+    dd = l2 * (alpha * (lin + alpha * (e12 - e10)) + (1.0 - alpha) * jump)
+    return mean, dot, dd
 
 
 def _broadcast(*arrays):

@@ -90,11 +90,14 @@ def pair_mean_quad(f1, f2, s1, s2, rho, nodes: int = 120):
         for j in range(0, z1.size, tile):
             zt = z1[j:j + tile]
             cut = np.clip(-r * zt / t, -ZMAX, ZMAX)
-            for lo, hi in ((-ZMAX, cut), (cut, ZMAX)):
+            for lo, hi in ((np.full_like(cut, -ZMAX), cut), (cut, np.full_like(cut, ZMAX))):
+                live = hi > lo  # a cut clipped to +-ZMAX leaves an empty panel
+                lo, hi, zl = lo[live], hi[live], zt[live]
                 half = 0.5 * (hi - lo)
                 z2 = half[:, None] * x + 0.5 * (lo + hi)[:, None]
                 wz = half[:, None] * w * std_normal_pdf(z2)
-                acc[j:j + tile] += (wz * f2(s2f[i] * (r * zt[:, None] + t * z2))).sum(axis=-1)
+                vals = wz * f2(s2f[i] * (r * zl[:, None] + t * z2))
+                acc[j:j + tile][live] += vals.sum(axis=-1)
         out[i] = (w1 * f1(s1f[i] * z1) * acc).sum()
     out = out.reshape(shape)
     return out if out.shape else float(out)

@@ -22,10 +22,15 @@ _Z_CLAMP = 8.5
 
 _GL_NODES, _GL_WEIGHTS = roots_legendre(24)
 
-# Rows per block of the batched bvn quadrature rules. At 256 rows each
-# (rows, 24) temporary of the Genz rule is 48 KB, so its ~8 live ones fit
-# the per-core L2; CHANGES.md records the sweep (128-2048 rows) behind it.
+# Rows per block of the Genz rule. At 256 rows each (rows, 24) temporary
+# is 48 KB, so its ~8 live ones fit the per-core L2; CHANGES.md records
+# the sweep (128-2048 rows) behind it.
 _BLOCK_ROWS = 256
+# Rows per block of the tail rule, whose (rows, 28, 24) temporaries are
+# 0.5 MB each at 96 rows. 256-row blocks raised the peak RSS of the
+# `fixed_point` benchmark by ~4 MB; of 64, 96 and 128 rows, 96 was the
+# fastest. CHANGES.md records the sweep.
+_TAIL_BLOCK_ROWS = 96
 
 
 def std_normal_pdf(z):
@@ -121,17 +126,17 @@ def _bvnu_genz(h, k, r, q):
     return integral / TWO_PI + np.exp(log_ndtr(-h) + log_ndtr(-k) + q)
 
 
-def _blocked(rule, h, k, r, q):
-    """``rule(h, k, r, q)`` over consecutive blocks of ``_BLOCK_ROWS`` rows.
+def _blocked(rule, rows, h, k, r, q):
+    """``rule(h, k, r, q)`` over consecutive blocks of ``rows`` rows.
 
     Both rules are row-independent, so the result equals one call on the
     whole batch bit for bit; the blocks keep their (rows, nodes)
     temporaries in the per-core cache.
     """
-    if h.shape[0] <= _BLOCK_ROWS:
+    if h.shape[0] <= rows:
         return rule(h, k, r, q)
-    return np.concatenate([rule(*(a[i:i + _BLOCK_ROWS] for a in (h, k, r, q)))
-                           for i in range(0, h.shape[0], _BLOCK_ROWS)])
+    return np.concatenate([rule(*(a[i:i + rows] for a in (h, k, r, q)))
+                           for i in range(0, h.shape[0], rows)])
 
 
 def _bvnu_exp(h, k, r, q):
@@ -145,8 +150,10 @@ def _bvnu_exp(h, k, r, q):
     is small next to that term: ``bvn_cdf(-2.5, -2.5, -0.9)`` is below 0,
     and the ELU/SELU kernels fail at s >~ 10 (ROADMAP item 2). Higher
     correlations go through the log-space conditional integral, and
-    |r| = 1 is exact. Both quadrature branches run over row blocks of
-    ``_BLOCK_ROWS``.
+    |r| = 1 is exact. The branch masks, gathers and scatters run once on
+    the whole call; each quadrature rule then runs over row blocks, of
+    ``_BLOCK_ROWS`` for the Genz rule and ``_TAIL_BLOCK_ROWS`` for the
+    tail rule.
     """
     out = np.zeros(h.shape, dtype=float)
     absr = np.abs(r)
@@ -158,10 +165,10 @@ def _bvnu_exp(h, k, r, q):
         neg = np.maximum(0.0, np.exp(qm + log_ndtr(-hm)) - np.exp(qm + log_ndtr(km)))
         out[m] = np.where(rm > 0, pos, neg)
 
-    for m, rule in ((absr < 0.925, _bvnu_genz),
-                    ((absr >= 0.925) & (absr < 1.0), _bvnu_tail_1d)):
+    for m, rule, rows in ((absr < 0.925, _bvnu_genz, _BLOCK_ROWS),
+                          ((absr >= 0.925) & (absr < 1.0), _bvnu_tail_1d, _TAIL_BLOCK_ROWS)):
         if m.any():
-            out[m] = _blocked(rule, h[m], k[m], r[m], q[m])
+            out[m] = _blocked(rule, rows, h[m], k[m], r[m], q[m])
 
     return out
 

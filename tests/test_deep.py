@@ -313,8 +313,9 @@ class TestKernelMatrix:
                 assert K[i, j] == pytest.approx(k_scalar, rel=1e-12)
 
     def test_elu_ntk_bvn_work(self, monkeypatch):
-        # five bvn terms per pair per layer (k and kdot share three), and
-        # none on the rho = 1 diagonal, whose limits are closed forms
+        # five bvn terms per pair per layer (k and kdot share three) in one
+        # call per layer, and none on the rho = 1 diagonal, whose limits are
+        # closed forms
         from nnkernels import special
         rs, bvnu_exp = [], special._bvnu_exp
         def counting(h, k, r, q):
@@ -324,7 +325,8 @@ class TestKernelMatrix:
         n, depth = 9, 3
         X = np.random.default_rng(3).standard_normal((n, 4))
         deep_kernel_matrix(ELU, X, NetworkHyper.shared(depth, 1.5), use_ntk=True)
-        r = np.concatenate(rs)
+        assert len(rs) == depth
+        r = np.concatenate([r.ravel() for r in rs])
         assert r.size == 5 * n * (n - 1) // 2 * depth
         assert np.abs(r).max() < 1.0 - 1e-12
 

@@ -6,7 +6,8 @@ import pytest
 from nnkernels import activations as am
 from nnkernels.activations import ELU, ERF, GELU, RELU, lrelu, selu
 from nnkernels.deep import (LayerState, NetworkHyper, _layer_jacobian,
-                            input_state, kernel_grad, state_trajectory)
+                            input_state, iterate_state, kernel_grad,
+                            state_trajectory)
 from nnkernels.fixed_point import (eigenvalues, find_fixed_point, lambda3,
                                    lambda3_elu, lambda3_gelu_lower,
                                    lambda3_lrelu, lambda3_quad_grid,
@@ -300,6 +301,18 @@ class TestFindFixedPoint:
         report = find_fixed_point(GELU, sigma ** 2, 0.0, input_state(2.0, 1.0, sigma ** 2, 0.0),
                                   max_iter=8)
         assert (report.stopped, report.iterations, report.converged) == ("max_iter", 8, False)
+
+    def test_elu_step_is_one_bvn_call(self, monkeypatch):
+        # the pair's five bvn terms go in one call; the rho = 1 norm
+        # updates take closed-form limits
+        from nnkernels import special
+        rs, bvnu_exp = [], special._bvnu_exp
+        def counting(h, k, r, q):
+            rs.append(r.copy())
+            return bvnu_exp(h, k, r, q)
+        monkeypatch.setattr(special, "_bvnu_exp", counting)
+        iterate_state(ELU, LayerState(1.3, 0.8, 0.4), 1.5, 0.1)
+        assert [r.size for r in rs] == [5]
 
     def test_overflowing_norm_stops_as_diverged(self):
         # at sigma*(0.5) the GELU norm fixed point repels, and from

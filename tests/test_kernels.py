@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nnkernels.activations import ELU, ERF, GELU, RELU, lrelu, selu
-from nnkernels.kernels import (ELU_S_MAX, KernelArgs, diag_mean, kernel,
-                               kernel_dot, kernel_dot_quadrature,
+from nnkernels.kernels import (_ELU_CHUNK, ELU_S_MAX, KernelArgs, _elu_moments,
+                               diag_mean, kernel, kernel_dot, kernel_dot_quadrature,
                                kernel_dot_values, kernel_from_inputs,
                                kernel_mc, kernel_quadrature, kernel_values,
                                pair_dd_mean, pair_dot_mean, pair_mean,
@@ -240,6 +240,24 @@ class TestInvariants:
             assert np.array_equal(mean, pair_mean(act, s1, s2, r))
             assert np.array_equal(dot_mean, pair_dot_mean(act, s1, s2, r))
             assert type(mean) is type(pair_mean(act, s1, s2, r))
+
+    @pytest.mark.parametrize("act", [ELU, selu(1.0507, 1.6733)], ids=lambda a: a.kind)
+    @pytest.mark.parametrize("n", [1, _ELU_CHUNK - 1, _ELU_CHUNK, _ELU_CHUNK + 1,
+                                   3 * _ELU_CHUNK + 7])
+    def test_elu_chunks_equal_one_by_one(self, act, n):
+        # n interior entries, so the bvn chunks split exactly at n; the
+        # rho = +-1 and +-(1 - 1e-13) limits sit among them and take no chunk slot
+        rng = np.random.default_rng(n)
+        rho = np.insert(rng.uniform(-0.999, 0.999, n), [0, n // 3, n // 2, n],
+                        [1.0, -1.0, 1.0 - 1e-13, -1.0 + 1e-13])
+        s1, s2 = rng.uniform(0.05, 12.0, (2, rho.size))
+        batch = _elu_moments(act, s1, s2, rho)
+        one_by_one = np.array([_elu_moments(act, *args) for args in zip(s1, s2, rho)]).T
+        assert np.array_equal(np.array(batch), one_by_one)
+        # (entries, 2) transposed inputs make Fortran-ordered outputs, whose
+        # interior entries must be written as those of C-ordered ones are
+        twin = _elu_moments(act, *(np.stack([a, a]).T for a in (s1, s2, rho)))
+        assert np.array_equal(np.array(twin), np.stack([one_by_one] * 2, axis=-1))
 
     def test_diag_mean_consistency(self):
         for act in CLOSED_FORM_ACTS:

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from nnkernels.special import (_BLOCK_ROWS, bvn_cdf, bvn_cdf_exp, expscaled_cdf,
-                               std_normal_cdf, std_normal_pdf)
+from nnkernels.special import (_BLOCK_ROWS, _TAIL_BLOCK_ROWS, bvn_cdf, bvn_cdf_exp,
+                               expscaled_cdf, std_normal_cdf, std_normal_pdf)
 
 
 def bvn_reference(h, k, rho):
@@ -128,10 +128,16 @@ class TestBvnCdf:
 
 
 class TestBlockedBatches:
-    """The quadrature branches run over row blocks of ``_BLOCK_ROWS``."""
+    """The quadrature branches run over row blocks: ``_BLOCK_ROWS`` for the
+    Genz rule, ``_TAIL_BLOCK_ROWS`` for the tail rule."""
 
+    # n = 3t - 1 entries hold t tail-rule rows, so the last four sizes put
+    # the tail rows one below, at, one above and well past its block edge
     @pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
-                                   3 * _BLOCK_ROWS + 7])
+                                   3 * _BLOCK_ROWS + 7]
+                             + [3 * t - 1 for t in (_TAIL_BLOCK_ROWS - 1, _TAIL_BLOCK_ROWS,
+                                                    _TAIL_BLOCK_ROWS + 1,
+                                                    3 * _TAIL_BLOCK_ROWS + 7)])
     def test_batch_equals_one_by_one(self, n):
         # entries cycle through the Genz (|r| < 0.925), tail-rule
         # (0.925 <= |r| < 1) and exact (|r| = 1) branches, so each branch's
