@@ -300,12 +300,11 @@ def kernel_from_inputs(act: Activation, x1, x2, sigma_w2, sigma_b2) -> float:
 def kernel_quadrature(act: Activation, args: KernelArgs, nodes: int = 80) -> float:
     """Numerical-integration oracle for the kernel.
 
-    Tensor-product Gaussian quadrature of
-    ``sigma_w^2 E[psi(s1 G1) psi(s2 (rho G1 + sqrt(1-rho^2) G2))] + sigma_b^2``
-    in the iid parameterization, with ``nodes`` points per dimension and
-    panels split at the activation kinks (plain Gauss-Hermite converges
-    only algebraically for the piecewise activations, stalling near
-    1e-4 relative error at 120 nodes).
+    ``sigma_w^2 E[psi(s1 Z1) psi(s2 Z2)] + sigma_b^2`` by the polar
+    Gauss-Legendre rule of ``pair_mean_quad``, whose angular panels split
+    at the rays where the activation kinks lie (plain Gauss-Hermite
+    converges only algebraically for the piecewise activations, stalling
+    near 1e-4 relative error at 120 nodes).
     """
     if nodes < 20:
         raise ValueError("nodes must be >= 20")
@@ -315,7 +314,8 @@ def kernel_quadrature(act: Activation, args: KernelArgs, nodes: int = 80) -> flo
 
 
 def kernel_dot_quadrature(act: Activation, args: KernelArgs, nodes: int = 80) -> float:
-    """Quadrature oracle for the derivative kernel (psi' products)."""
+    """Quadrature oracle for the derivative kernel
+    ``sigma_w^2 E[psi'(s1 Z1) psi'(s2 Z2)]``, by the same polar rule."""
     if nodes < 20:
         raise ValueError("nodes must be >= 20")
     f = lambda z: act_mod.deriv(act, z)

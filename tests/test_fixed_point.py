@@ -207,6 +207,21 @@ def test_paper_forms_are_lambda3_at_sigma_star(norm):
     assert lambda3_lrelu(a, thetas) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("norm", [0.5, 1.0, 5.0])
+def test_quadrature_rows_match_lambda3_to_the_end_angles(norm):
+    # the 512 angles of `nnk fixedpoint`, out to pi/513 from theta = 0 and
+    # pi; ELU and SELU only below norm 5, where their closed forms are
+    # themselves 2e-11..3e-11 off at mid angles (ROADMAP item 2)
+    thetas = np.pi * (np.arange(512) + 1.0) / 513.0
+    elus = [ELU, selu(1.0507, 1.6733)] if norm < 5.0 else []
+    for act in [RELU, lrelu(0.2), GELU] + elus:
+        sigma = sigma_star(act, norm)
+        s = sigma * norm
+        want = lambda3(act, s, s, np.cos(thetas), sigma ** 2, 0.0)
+        got = lambda3_quad_grid(act, s, thetas, sigma ** 2, 0.0)
+        assert np.abs(got - want).max() <= 1e-13, act.kind
+
+
 class TestSigmaStar:
     def test_relu_he(self):
         assert sigma_star(RELU, 1.0) == pytest.approx(np.sqrt(2.0), abs=1e-8)

@@ -1,20 +1,32 @@
-"""The 2-D quadrature oracle's tiles: batching is exact and memory stays small."""
+"""The 2-D quadrature oracle: batching is exact, memory stays small, and
+the polar rule meets exact references, the correlation endpoints included."""
 
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import roots_legendre
 
 from nnkernels import activations as am
-from nnkernels.activations import GELU, lrelu
+from nnkernels.activations import ELU, GELU, RELU, lrelu
 from nnkernels.fixed_point import lambda3_quad_grid, sigma_star
-from nnkernels.quadrature import ZMAX, normal_panel_nodes, pair_mean_quad
-from nnkernels.special import std_normal_pdf
+from nnkernels.kernels import pair_mean
+from nnkernels.quadrature import pair_mean_quad
 
 # a kinked integrand (the LReLU step derivative) and a smooth one
 INTEGRANDS = {"lrelu-deriv": lambda z: am.deriv(lrelu(0.2), z),
               "gelu": lambda z: am.eval(GELU, z)}
+
+
+def _lrelu_step_exact(s1, s2, rho, a=0.2):
+    # E[psi'(s1 Z1) psi'(s2 Z2)] for the LReLU step: 1 on the two quadrants
+    # of equal sign (mass (pi - theta) / 2pi each), a on the others
+    theta = np.arccos(rho)
+    return (1.0 - a) ** 2 * (np.pi - theta) / (2.0 * np.pi) + a
+
+
+EXACT = {"lrelu-deriv": _lrelu_step_exact,
+         "gelu": lambda s1, s2, rho: pair_mean(GELU, s1, s2, rho)}
 
 
 def _entries(n):
@@ -22,23 +34,6 @@ def _entries(n):
     s1, s2 = rng.uniform(0.3, 3.0, (2, n))
     rho = np.concatenate([[1.0, -(1.0 - 1e-13)], rng.uniform(-1.0, 1.0, n)])[:n]
     return s1, s2, rho
-
-
-def _whole_row_rule(f1, f2, s1, s2, rho, nodes):
-    """One entry of the tensor rule on its whole (2 * nodes, nodes) grid:
-    each half-panel summed over its inner nodes, then the outer sum."""
-    z1, w1 = normal_panel_nodes(nodes, (0.0,))
-    x, w = roots_legendre(nodes)
-    r = np.clip(np.float64(rho), -1.0 + 1e-15, 1.0 - 1e-15)
-    t = np.sqrt(1.0 - r * r)
-    cut = np.clip(-r * z1 / t, -ZMAX, ZMAX)
-    acc = np.zeros_like(cut)
-    for lo, hi in ((-ZMAX, cut), (cut, ZMAX)):
-        half = 0.5 * (hi - lo)
-        z2 = half[:, None] * x + 0.5 * (lo + hi)[:, None]
-        wz = half[:, None] * w * std_normal_pdf(z2)
-        acc += (wz * f2(s2 * (r * z1[:, None] + t * z2))).sum(axis=-1)
-    return (w1 * f1(s1 * z1) * acc).sum()
 
 
 @pytest.mark.parametrize("nodes", [120, 200])
@@ -52,15 +47,52 @@ def test_batch_equals_one_entry_calls_bit_for_bit(shape, name, nodes):
     single = np.array([pair_mean_quad(f, f, a, b, r, nodes=nodes)
                        for a, b, r in zip(s1.ravel(), s2.ravel(), rho.ravel())])
     assert np.array_equal(batch.ravel(), single)
-    # the tiles keep the summation order of the whole-row rule
-    whole = [_whole_row_rule(f, f, a, b, r, nodes)
-             for a, b, r in zip(s1.ravel(), s2.ravel(), rho.ravel())]
-    assert np.array_equal(single, whole)
+    # the same entries against closed forms, rho = 1 and -(1 - 1e-13) included
+    exact = EXACT[name](s1.ravel(), s2.ravel(), rho.ravel())
+    assert np.abs(single - exact).max() <= 1e-13
+
+
+@pytest.mark.parametrize("rho, exact", [(1.0, 0.5), (-1.0, 0.0)])
+def test_relu_at_the_correlation_endpoints(rho, exact):
+    # at rho = +-1 two angular panels are empty and the other two carry
+    # all the nodes: E[relu(s1 Z) relu(+-s2 Z)] = s1 s2 / 2 or 0
+    f = lambda z: am.eval(RELU, z)
+    for s1, s2 in ((1.0, 1.0), (0.3, 2.5), (4.0, 0.7)):
+        assert abs(pair_mean_quad(f, f, s1, s2, rho) - exact * s1 * s2) <= 1e-14
+
+
+def _elu_dot_mpmath(s, rho):
+    # E[psi'(s Z1) psi'(s Z2)] for the ELU: given Z1 = z, X = s Z2 is
+    # N(m, v^2) with m = s rho z, v = s tau, and
+    # E[psi'(X)] = Phi(m / v) + exp(m + v^2 / 2) Phi(-m / v - v)
+    s, rho = mp.mpf(s), mp.mpf(rho)
+    v = s * mp.sqrt(1 - rho * rho)
+
+    def inner(z):
+        m = s * rho * z
+        return mp.ncdf(m / v) + mp.exp(m + v * v / 2) * mp.ncdf(-m / v - v)
+
+    def outer(z):
+        d1 = 1 if z > 0 else mp.exp(s * z)
+        return d1 * inner(z) * mp.npdf(z)
+
+    return mp.quad(outer, [-mp.inf, 0, mp.inf])
+
+
+def test_elu_dot_oracle_against_mpmath_at_s7():
+    # sigma*(ELU) x 5 on the `nnk fixedpoint` grid, where the closed form
+    # is 1.6e-11 off (ROADMAP item 2); the oracle must hold to 1e-13
+    s, rho = 7.011889768764377, -0.47325223402736816
+    with mp.workdps(30):
+        ref = _elu_dot_mpmath(s, rho)
+        assert abs(ref - mp.mpf("0.2340692418881439809")) < 1e-18
+    f = lambda z: am.deriv(ELU, z)
+    assert abs(pair_mean_quad(f, f, s, s, rho) - float(ref)) <= 1e-13
 
 
 def test_lambda3_grid_peak_memory_is_tile_sized():
-    # the 512-angle sweep of `nnk fixedpoint`: its peak is ~0.7 MB in tiles,
-    # and 192 MB when 145 entries share one (145, 240, 120) block
+    # the 512-angle sweep of `nnk fixedpoint`: each entry's (90, 240) grid
+    # is ~170 KB, where one (512, 90, 240) block would be 88 MB
     s = sigma_star(GELU, 1.0)
     thetas = np.pi * (np.arange(512) + 1.0) / 513.0
     tracemalloc.start()
