@@ -87,7 +87,9 @@ def lambda3_quad_grid(act: Activation, s: float, thetas, sigma_w2: float,
                       sigma_b2: float, nodes: int = 120) -> np.ndarray:
     """Quadrature oracle for ``lambda3`` along a theta grid at s1 = s2 = s:
     ``E[psi' psi']`` by the polar rule of ``pair_mean_quad``, whose panels
-    follow the kinks to theta = 0 and pi, over the closed-form g."""
+    follow the kinks to theta = 0 and pi, over the closed-form g. Both
+    factors are the one psi' at one scale, so each entry evaluates psi'
+    once, on one (3 * (nodes // 4), 2 * nodes) grid."""
     thetas = np.asarray(thetas, dtype=float)
     g = kernel_values(act, s, s, 1.0, sigma_w2, sigma_b2)
     f = lambda z: act_mod.deriv(act, z)

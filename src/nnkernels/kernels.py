@@ -306,8 +306,6 @@ def kernel_quadrature(act: Activation, args: KernelArgs, nodes: int = 80) -> flo
     converges only algebraically for the piecewise activations, stalling
     near 1e-4 relative error at 120 nodes).
     """
-    if nodes < 20:
-        raise ValueError("nodes must be >= 20")
     f = lambda z: act_mod.eval(act, z)
     e = pair_mean_quad(f, f, args.s1, args.s2, args.rho, nodes=nodes)
     return float(args.sigma_w2 * e + args.sigma_b2)
@@ -316,8 +314,6 @@ def kernel_quadrature(act: Activation, args: KernelArgs, nodes: int = 80) -> flo
 def kernel_dot_quadrature(act: Activation, args: KernelArgs, nodes: int = 80) -> float:
     """Quadrature oracle for the derivative kernel
     ``sigma_w^2 E[psi'(s1 Z1) psi'(s2 Z2)]``, by the same polar rule."""
-    if nodes < 20:
-        raise ValueError("nodes must be >= 20")
     f = lambda z: act_mod.deriv(act, z)
     e = pair_mean_quad(f, f, args.s1, args.s2, args.rho, nodes=nodes)
     return float(args.sigma_w2 * e)

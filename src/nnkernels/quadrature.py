@@ -8,7 +8,10 @@ hundreds of nodes. The rules here therefore use Gauss-Legendre panels
 split at the kinks, so each panel sees a smooth integrand: in 1-D over
 [-ZMAX, ZMAX] with the normal density in the weights, and in 2-D in
 polar coordinates, where the kinks of f1(s1 Z1) and f2(s2 Z2) lie on
-four rays through the origin whatever the correlation. Truncation at
+four rays through the origin whatever the correlation; the four panels
+between them form two antipodal pairs whose nodes both coordinates share,
+so each factor is evaluated once per entry, and an equal second factor
+reuses the first one's values. Truncation at
 ZMAX = 9.5 (in z, and in the polar radius) contributes < 1e-17 for
 polynomially bounded integrands.
 """
@@ -20,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_legendre
 
-from .special import std_normal_pdf
+from .special import _check_correlation, std_normal_pdf
 
 ZMAX = 9.5
 
@@ -58,37 +61,68 @@ def mean_1d(f, nodes: int = 120, cuts=(0.0,)):
     return float(w @ f(z))
 
 
+@lru_cache(maxsize=8)
+def _angular_rule(m: int, keep: tuple):
+    """Gauss-Legendre nodes u and weights on [0, 1], m of them, and the
+    pairing of the columns of [G, -G]: f1 at column k meets f2 at column
+    ``pairs[k]``, node j of the same block at node m - 1 - j, on -G for
+    the theta-wide block and on G for the (pi - theta)-wide one. ``keep``
+    flags which of those two blocks the grid holds."""
+    u, w = _gauss_panels(np.array([0.0, 1.0]), m)
+    cross = np.array([1, 0])[list(keep)]
+    sign, block, j = np.unravel_index(np.arange(2 * cross.size * m), (2, cross.size, m))
+    pairs = np.ravel_multi_index((sign ^ cross[block], block, m - 1 - j), (2, cross.size, m))
+    return u, w, pairs
+
+
 def pair_mean_quad(f1, f2, s1, s2, rho, nodes: int = 120):
     """``E[f1(s1 Z1) f2(s2 Z2)]`` with corr(Z1, Z2) = rho, batched.
 
     Polar form (Z1, Z2) = R (cos phi, cos(phi - theta)), theta = arccos rho,
     so the kinks of f1 and f2 at 0 lie on the rays phi = +-pi/2 and
-    theta +- pi/2. The angle carries ``nodes // 2`` Gauss-Legendre nodes on
-    each of the four panels between those rays (``nodes`` on each of the
-    two left at rho = +-1); the radius carries ``nodes // 4`` on each of
-    [0, 1], [1, 3], [3, ZMAX], with the Rayleigh density R exp(-R^2/2) / 2pi
-    in its weights. s1, s2, rho may be arrays of a common shape; returns
-    that shape. Entries run one at a time, each on its own
-    (3 * (nodes // 4), 2 * nodes) grid, so a batch equals its one-entry
-    calls bit for bit.
+    theta +- pi/2. The four angular panels between them form two antipodal
+    pairs: with u in [0, 1], the panel of width theta is
+    R (sin theta u, -sin theta (1 - u)), the panel of width pi - theta is
+    R (sin (pi - theta)(1 - u), sin (pi - theta) u), and the other two are
+    their negatives. With ``nodes // 2`` symmetric Gauss-Legendre nodes u
+    per panel (``nodes`` on each of the two left at rho = +-1), both
+    coordinates run over one set G = R x [sin theta u, sin (pi - theta) u];
+    the radius carries ``nodes // 4`` nodes on each of [0, 1], [1, 3],
+    [3, ZMAX], with the Rayleigh density R exp(-R^2/2) / 2pi in its
+    weights. So f1 is evaluated once on s1 [G, -G], a
+    (3 * (nodes // 4), 2 * nodes) grid, and f2 once on s2 [G, -G], or not
+    at all when ``f2 is f1`` and s2 == s1; each panel pairs their columns,
+    one of them in reverse node order. s1, s2, rho may be arrays of a
+    common shape; returns that shape. Entries run one at a time, so a
+    batch equals its one-entry calls bit for bit.
     """
+    if nodes < 20:
+        raise ValueError("nodes must be >= 20")
     s1, s2, rho = np.broadcast_arrays(
         *[np.asarray(v, dtype=float) for v in (s1, s2, rho)]
     )
     shape = s1.shape
     s1f, s2f = s1.ravel(), s2.ravel()
-    theta = np.arccos(rho.ravel())
+    theta = np.arccos(_check_correlation(rho).ravel())
 
     r, wr = _gauss_panels(np.array([0.0, 1.0, 3.0, ZMAX]), nodes // 4)
     wr *= r * np.exp(-0.5 * r * r) / (2.0 * np.pi)
 
     out = np.empty(s1f.shape)
     for i in range(s1f.size):
-        t = theta[i] / np.pi
-        edges = np.unique(np.array([-0.5, t - 0.5, 0.5, t + 0.5, 1.5]) * np.pi)
-        phi, wphi = _gauss_panels(edges, 2 * nodes // (edges.size - 1))
-        vals = f1(np.outer(s1f[i] * r, np.cos(phi)))
-        vals *= f2(np.outer(s2f[i] * r, np.cos(phi - theta[i])))
+        # at rho = +-1 one of the two panel widths is 0
+        widths = np.array([theta[i], np.pi - theta[i]])
+        keep = widths > 0.0
+        widths = widths[keep]
+        u, w, pairs = _angular_rule(nodes // widths.size, tuple(keep))
+        sines = np.sin(np.outer(widths, u)).ravel()
+        sines = np.concatenate([sines, -sines])
+        wphi = np.tile(np.outer(widths, w).ravel(), 2)
+        vals = f1(np.outer(s1f[i] * r, sines))
+        if f2 is f1 and s2f[i] == s1f[i]:
+            vals *= vals[:, pairs]
+        else:
+            vals *= f2(np.outer(s2f[i] * r, sines[pairs]))
         out[i] = wr @ vals @ wphi
     out = out.reshape(shape)
     return out if out.shape else float(out)

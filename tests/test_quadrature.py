@@ -61,6 +61,65 @@ def test_relu_at_the_correlation_endpoints(rho, exact):
         assert abs(pair_mean_quad(f, f, s1, s2, rho) - exact * s1 * s2) <= 1e-14
 
 
+ENDPOINT_RHOS = (1.0, -1.0, 1.0 - 1e-13, -(1.0 - 1e-13))
+
+
+@pytest.mark.parametrize("rho", ENDPOINT_RHOS + (-0.6, 0.0, 0.37, 0.99))
+def test_general_path_at_the_correlation_endpoints(rho):
+    # two different integrands: E[relu(s1 Z1) 1{Z2 >= 0}] = s1 (1 + rho) / (2 sqrt(2 pi))
+    relu = lambda z: am.eval(RELU, z)
+    step = lambda z: (z >= 0.0).astype(float)
+    for s1, s2 in ((1.0, 1.0), (0.3, 2.5), (4.0, 0.7)):
+        exact = s1 * (1.0 + rho) / (2.0 * np.sqrt(2.0 * np.pi))
+        assert abs(pair_mean_quad(relu, step, s1, s2, rho) - exact) <= 1e-13 * max(1.0, s1)
+
+
+def _counting(f):
+    sizes = []
+
+    def counted(z):
+        sizes.append(z.size)
+        return f(z)
+
+    return counted, sizes
+
+
+@pytest.mark.parametrize("rho", ENDPOINT_RHOS + (0.3,))
+def test_equal_factors_share_one_grid(rho):
+    # f1 is f2 at one scale: f is evaluated once, on s [G, -G] (90 x 240
+    # points at 120 nodes), and the second factor reuses those values
+    s = 1.7
+    f, f_sizes = _counting(INTEGRANDS["gelu"])
+    shared = pair_mean_quad(f, f, s, s, rho)
+    assert f_sizes == [90 * 240]
+    # a distinct function object with the same body takes the general
+    # path, one evaluation per factor on the same points, bit for bit
+    f, f_sizes = _counting(INTEGRANDS["gelu"])
+    g, g_sizes = _counting(INTEGRANDS["gelu"])
+    assert pair_mean_quad(f, g, s, s, rho) == shared
+    assert f_sizes == g_sizes == [90 * 240]
+    # unequal scales evaluate the one function twice
+    f, f_sizes = _counting(INTEGRANDS["gelu"])
+    pair_mean_quad(f, f, s, 0.9, rho)
+    assert f_sizes == [90 * 240] * 2
+
+
+@pytest.mark.parametrize("rho", [np.nan, 1.5, -1.0000001])
+def test_rejects_correlations_outside_the_closed_interval(rho):
+    f = INTEGRANDS["gelu"]
+    with pytest.raises(ValueError, match="correlation"):
+        pair_mean_quad(f, f, 1.0, 1.0, rho)
+    with pytest.raises(ValueError, match="correlation"):
+        pair_mean_quad(f, f, [1.0, 1.0], 1.0, [0.5, rho])
+
+
+@pytest.mark.parametrize("nodes", [2, 3, 4, 10, 19])
+def test_rejects_too_few_nodes(nodes):
+    f = INTEGRANDS["gelu"]
+    with pytest.raises(ValueError, match="nodes"):
+        pair_mean_quad(f, f, 1.0, 1.0, 0.5, nodes=nodes)
+
+
 def _elu_dot_mpmath(s, rho):
     # E[psi'(s Z1) psi'(s Z2)] for the ELU: given Z1 = z, X = s Z2 is
     # N(m, v^2) with m = s rho z, v = s tau, and
@@ -91,8 +150,9 @@ def test_elu_dot_oracle_against_mpmath_at_s7():
 
 
 def test_lambda3_grid_peak_memory_is_tile_sized():
-    # the 512-angle sweep of `nnk fixedpoint`: each entry's (90, 240) grid
-    # is ~170 KB, where one (512, 90, 240) block would be 88 MB
+    # the 512-angle sweep of `nnk fixedpoint`: each entry evaluates psi'
+    # once on one (90, 240) grid, ~170 KB (the product and its paired copy
+    # add two more), where one (512, 90, 240) block would be 88 MB
     s = sigma_star(GELU, 1.0)
     thetas = np.pi * (np.arange(512) + 1.0) / 513.0
     tracemalloc.start()
