@@ -29,6 +29,10 @@ def _fmt(v):
     return repr(float(v)) if isinstance(v, (float, np.floating)) else v
 
 
+def _to_stdout(out):
+    return out is None or out == "-"
+
+
 def _write_rows(out, fmt, columns, rows):
     if fmt == "csv":
         def dump(fh):
@@ -41,7 +45,7 @@ def _write_rows(out, fmt, columns, rows):
             json.dump({"columns": list(columns), "rows": [list(r) for r in rows]},
                       fh, default=float)
             fh.write("\n")
-    if out is None or out == "-":
+    if _to_stdout(out):
         dump(sys.stdout)
     else:
         with open(out, "w", newline="") as fh:
@@ -49,7 +53,7 @@ def _write_rows(out, fmt, columns, rows):
 
 
 def _self_check(out, fmt, columns, n_rows):
-    if out is None or out == "-":
+    if _to_stdout(out):
         raise ValueError("--self-check requires --out")
     if fmt == "csv":
         with open(out, newline="") as fh:
@@ -94,10 +98,7 @@ def cmd_kernel_eval(args):
     rows = [(float(theta0), layer, *(float(col[i]) for col in cols))
             for i, theta0 in enumerate(thetas)
             for layer, cols in enumerate(layers, start=1)]
-    _write_rows(args.out, args.format, columns, rows)
-    if args.self_check:
-        _self_check(args.out, args.format, columns, len(rows))
-    return 0
+    return columns, rows, None
 
 
 def cmd_mc_verify(args):
@@ -116,10 +117,7 @@ def cmd_mc_verify(args):
             for layer in range(1, args.depth + 1):
                 rows.append((float(theta0), layer, float(emp[layer - 1]),
                              float(analytic[i, layer - 1]), seed))
-    _write_rows(args.out, args.format, columns, rows)
-    if args.self_check:
-        _self_check(args.out, args.format, columns, len(rows))
-    return 0
+    return columns, rows, None
 
 
 def cmd_fixedpoint(args):
@@ -128,20 +126,16 @@ def cmd_fixedpoint(args):
     thetas = np.pi * (np.arange(args.theta_points) + 1.0) / (args.theta_points + 1.0)
     rows = fp.lambda3_sweep_rows(act, args.norm, sigma, thetas, args.sigma_b2)
     columns = ("theta", "lambda3", "activation", "norm", "sigma", "method")
-    _write_rows(args.out, args.format, columns, rows)
     s_sq = sw2 * args.norm ** 2 + args.sigma_b2
     report = fp.find_fixed_point(act, sw2, args.sigma_b2,
                                  input_state(2.0, args.norm, sw2, args.sigma_b2),
                                  max_iter=512)
-    print(json.dumps({
+    return columns, rows, {
         "activation": act.kind, "norm": args.norm, "sigma_star": sigma,
         "verdict": report.verdict, "sup_lambda3": report.sup_lambda3,
         "converged": report.converged, "iterations": report.iterations,
         "final_rho": report.final_state.rho, "input_s_sq": s_sq,
-    }))
-    if args.self_check:
-        _self_check(args.out, args.format, columns, len(rows))
-    return 0
+    }
 
 
 def cmd_norm_preserve(args):
@@ -149,10 +143,7 @@ def cmd_norm_preserve(args):
     norms = np.geomspace(args.norm_min, args.norm_max, args.norm_points)
     columns = ("norm", "sigma_star", "activation")
     rows = [(float(n), fp.sigma_star(act, float(n)), act.kind) for n in norms]
-    _write_rows(args.out, args.format, columns, rows)
-    if args.self_check:
-        _self_check(args.out, args.format, columns, len(rows))
-    return 0
+    return columns, rows, None
 
 
 def _load_standardized(args):
@@ -187,17 +178,15 @@ def cmd_gp_fit(args):
         "test_rmse": gp_mod.rmse(mean_te, test.y),
         "nll": gp_mod.nll(gp, train.y),
     }
-    print(json.dumps(metrics, sort_keys=True))
-    if args.out and args.out != "-":
-        columns = ("index", "split", "y", "mean", "var")
-        rows = ([(int(i), "train", float(y), float(m), float(v))
-                 for i, y, m, v in zip(train.indices, train.y, mean_tr, var_tr)]
-                + [(int(i), "test", float(y), float(m), float(v))
-                   for i, y, m, v in zip(test.indices, test.y, mean_te, var_te)])
-        _write_rows(args.out, args.format, columns, rows)
-        if args.self_check:
-            _self_check(args.out, args.format, columns, len(rows))
-    return 0
+    columns = ("index", "split", "y", "mean", "var")
+    rows = ([(int(i), "train", float(y), float(m), float(v))
+             for i, y, m, v in zip(train.indices, train.y, mean_tr, var_tr)]
+            + [(int(i), "test", float(y), float(m), float(v))
+               for i, y, m, v in zip(test.indices, test.y, mean_te, var_te)])
+    # predictions go to a file only: on stdout the metrics line stands alone
+    if _to_stdout(args.out):
+        rows = None
+    return columns, rows, dict(sorted(metrics.items()))
 
 
 def cmd_benchmark(args):
@@ -212,11 +201,7 @@ def cmd_benchmark(args):
     columns = gp_mod.GRID_CSV_COLUMNS
     out_rows = [(r.activation, r.depth, r.sigma_w2, r.sigma_b2, r.noise_var,
                  r.split_id, r.train_rmse, r.test_rmse, r.nll) for r in rows]
-    _write_rows(args.out, args.format, columns, out_rows)
-    print(json.dumps({"best": ranked[:5]}, default=float))
-    if args.self_check:
-        _self_check(args.out, args.format, columns, len(out_rows))
-    return 0
+    return columns, out_rows, {"best": ranked[:5]}
 
 
 def cmd_simplicity(args):
@@ -241,13 +226,11 @@ def cmd_simplicity(args):
                 rows.append((name, args.f, depth, rep,
                              float(np.mean((mean_tr - ds.y) ** 2)),
                              float(np.mean((mean_te - grid.y) ** 2))))
-    _write_rows(args.out, args.format, columns, rows)
-    if args.self_check:
-        _self_check(args.out, args.format, columns, len(rows))
-    return 0
+    return columns, rows, None
 
 
 def build_parser():
+    """The ``nnk`` parser and its subcommand parsers by name."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None,
                         help="JSON file of flag defaults (precedence: "
@@ -322,45 +305,40 @@ def build_parser():
     sp.add_argument("--depth-max", type=int, default=100)
     sp.add_argument("--repeats", type=int, default=10)
     sp.set_defaults(func=cmd_simplicity)
-    return p
+    return p, sub.choices
 
 
-def _given(argv):
-    """Names of the options argv sets, as argparse itself resolves them
-    (an abbreviation such as ``--dep`` counts as ``--depth``)."""
-    parser = build_parser()
-    parsers = [parser]
-    for p in parsers:
-        for action in p._actions:
-            action.default = argparse.SUPPRESS
-            if isinstance(action, argparse._SubParsersAction):
-                parsers.extend(action.choices.values())
-    return set(vars(parser.parse_args(argv)))
-
-
-def _apply_config(args, argv):
-    """Overlay config-file values onto unset flags (flags win)."""
+def _apply_config(parser, command, args, argv):
+    """Re-parse argv with the config file's values as the subcommand's
+    defaults, so that argparse lets every given flag win, abbreviated or
+    not. An ill-typed value raises ``ArgumentError`` instead of exiting."""
     with open(args.config) as fh:
         cfg = json.load(fh)
-    known = set(vars(args)) - {"func", "command", "config"}
-    unknown = set(cfg) - known
+    unknown = set(cfg) - (set(vars(args)) - {"func", "command", "config"})
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    given = _given(argv)
-    for key, value in cfg.items():
-        if key not in given:
-            setattr(args, key, value)
-    return args
+    command.set_defaults(**cfg)
+    parser.exit_on_error = command.exit_on_error = False
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: its table goes to ``--out`` (or stdout), then its
+    summary as one JSON line, then the ``--self-check`` line."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            args = _apply_config(args, argv)
-        return args.func(args)
+        if args.config:
+            args = _apply_config(parser, commands[args.command], args, argv)
+        columns, rows, summary = args.func(args)
+        if rows is not None:
+            _write_rows(args.out, args.format, columns, rows)
+        if summary is not None:
+            print(json.dumps(summary, default=float))
+        if args.self_check and rows is not None:
+            _self_check(args.out, args.format, columns, len(rows))
+        return 0
     except BrokenPipeError:
         return 1
     except Exception as exc:  # noqa: BLE001 - contract: JSON error on stderr

@@ -43,8 +43,7 @@ class Dataset:
         return self.X.shape[1]
 
 
-def load_csv(path, target_column, has_header: bool | None = None,
-             name: str | None = None) -> Dataset:
+def load_csv(path, target_column, has_header: bool | None = None) -> Dataset:
     """Load a numeric CSV; ``target_column`` is a name (requires a
     header) or a 0-based index (negative counts from the end)."""
     with open(path, newline="") as fh:
@@ -92,7 +91,7 @@ def load_csv(path, target_column, has_header: bool | None = None,
     target_idx = target_idx % ncol
     y = data[:, target_idx]
     X = np.delete(data, target_idx, axis=1)
-    return Dataset(X, y, name=name or str(path))
+    return Dataset(X, y, name=str(path))
 
 
 def standardize(ds: Dataset):

@@ -84,17 +84,17 @@ def eigenvalues(act: Activation, s1_sq: float, s2_sq: float, rho: float,
 
 
 def lambda3_quad_grid(act: Activation, s: float, thetas, sigma_w2: float,
-                      sigma_b2: float, nodes: int = 120) -> np.ndarray:
+                      sigma_b2: float) -> np.ndarray:
     """Quadrature oracle for ``lambda3`` along a theta grid at s1 = s2 = s:
-    ``E[psi' psi']`` by the polar rule of ``pair_mean_quad``, whose panels
-    follow the kinks to theta = 0 and pi, over the closed-form g. Both
-    factors are the one psi' at one scale, so each entry evaluates psi'
-    once, on one (3 * (nodes // 4), 2 * nodes) grid."""
+    ``E[psi' psi']`` by the 120-node polar rule of ``pair_mean_quad``,
+    whose panels follow the kinks to theta = 0 and pi, over the
+    closed-form g. Both factors are the one psi' at one scale, so each
+    entry evaluates psi' once, on one 90 x 240 grid."""
     thetas = np.asarray(thetas, dtype=float)
     g = kernel_values(act, s, s, 1.0, sigma_w2, sigma_b2)
     f = lambda z: act_mod.deriv(act, z)
     e = pair_mean_quad(f, f, np.full_like(thetas, s), np.full_like(thetas, s),
-                       np.cos(thetas), nodes=nodes)
+                       np.cos(thetas))
     return sigma_w2 * s * s * np.asarray(e) / g
 
 
@@ -120,11 +120,11 @@ _ANALYTIC_SIGMA_STAR = {"relu": lambda a: np.sqrt(2.0),
                         "lrelu": lambda a: np.sqrt(2.0 / (1.0 + a * a))}
 
 
-def sigma_star(act: Activation, norm: float, tol: float = 1e-8) -> float:
+def sigma_star(act: Activation, norm: float) -> float:
     """Weight std that preserves the expected squared signal norm.
 
     Solves E[psi^2(sigma * norm * Z)] = norm^2. Analytic for
-    ReLU/LReLU; otherwise a bisection root on sigma in [0.5, 3]
+    ReLU/LReLU; otherwise a bisection root (to 1e-8) on sigma in [0.5, 3]
     (bracket expanded outward when the root falls outside). The upper
     end never exceeds ELU_S_MAX / norm for ELU/SELU. ERF has no root at
     norm >= 1, since E[erf^2] < 1.
@@ -146,7 +146,7 @@ def sigma_star(act: Activation, norm: float, tol: float = 1e-8) -> float:
     lo, hi = 0.5, min(3.0, cap)
     for _ in range(8):
         if f(lo) * f(hi) < 0.0:
-            return float(bisect(f, lo, hi, xtol=tol))
+            return float(bisect(f, lo, hi, xtol=1e-8))
         lo, hi = lo / 2.0, min(hi * 2.0, cap)
     raise ValueError(
         f"no sign change for sigma in [{lo:.3g}, {hi:.3g}]: norm preservation "
@@ -183,16 +183,20 @@ def _norm_fixed_point(act: Activation, u0: float, sigma_w2: float,
 
 def find_fixed_point(act: Activation, sigma_w2: float, sigma_b2: float,
                      start: LayerState, tol: float = 1e-10,
-                     max_iter: int = 10_000, theta_grid: int = 512) -> FixedPointReport:
+                     max_iter: int = 10_000) -> FixedPointReport:
     """Iterate the layer map and classify the fixed point.
 
     Non-convergence is reported, not raised: ``stopped`` says whether
     the iteration converged, ran out of ``max_iter`` steps or diverged
     (a step that overflows, fails or moves by a non-finite distance ends
-    the loop at the last finite state). The verdict derives from
-    the sup of |lambda_3| on a theta grid over (0, pi) at the final
-    norm state: below 1 is "unique-contraction", above 1
-    "not-contraction", else "inconclusive".
+    the loop at the last finite state). The verdict derives from the sup
+    of |lambda_3| over the 512 angles theta = k pi / 513 at the norm
+    fixed point: below 1 is "unique-contraction", above 1
+    "not-contraction", else "inconclusive". At equal scales Mehler's
+    expansion gives E[psi'(s Z1) psi'(s Z2)] = sum_n b_n(s)^2 rho^n, so
+    |lambda_3(rho)| <= lambda_3(|rho|), which grows with |rho|: the sup
+    sits at an end angle, and only pi / 513 and pi - pi / 513 are
+    evaluated (an even psi', as ERF's, ties the two).
     """
     state = start
     distances = []
@@ -220,11 +224,11 @@ def find_fixed_point(act: Activation, sigma_w2: float, sigma_b2: float,
     converged = stopped == "converged"
     ratios = tuple(d1 / d0 for d0, d1 in zip(distances[:-1], distances[1:]) if d0 > 0.0)
 
-    # The verdict's lambda_3 grid is anchored at the norm fixed point on
-    # the *starting* sphere: the iterated norm cannot be used directly
+    # The verdict's lambda_3 is taken at the norm fixed point on the
+    # *starting* sphere: the iterated norm cannot be used directly
     # because a repelling fixed point (lambda_1 > 1, as for GELU at
     # sigma*) lets rounding noise drift it to another attractor.
-    thetas = np.pi * (np.arange(theta_grid) + 1.0) / (theta_grid + 1.0)
+    thetas = np.pi * np.array([1.0, 512.0]) / 513.0
     s_fp = float(np.sqrt(_norm_fixed_point(act, start.s1_sq, sigma_w2, sigma_b2)))
     lam3 = lambda3(act, s_fp, s_fp, np.cos(thetas), sigma_w2, sigma_b2)
     sup = float(np.max(np.abs(lam3)))

@@ -24,9 +24,7 @@ class GpFit:
 
     chol_lower: np.ndarray
     alpha: np.ndarray
-    noise_var: float
     log_det: float
-    y: np.ndarray
     n_var_clamped: int = 0
     jitter: float = 0.0
 
@@ -55,7 +53,7 @@ def fit(K, y, noise_var: float) -> GpFit:
             raise ArithmeticError("factorization failed after one jitter retry") from exc
     alpha = cho_solve((L, True), y)
     log_det = 2.0 * float(np.log(np.diag(L)).sum())
-    return GpFit(L, alpha, float(noise_var), log_det, y.copy(), jitter=float(jitter))
+    return GpFit(L, alpha, log_det, jitter=float(jitter))
 
 
 def predict(gp: GpFit, K_star, K_star_star_diag):

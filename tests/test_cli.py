@@ -81,6 +81,15 @@ class TestKernelEval:
         first_angle = [r for r in rows[1:] if float(r[0]) == 0.0]
         assert all(float(r[4]) == pytest.approx(1.0, abs=1e-12) for r in first_angle)
 
+    def test_json_table_on_stdout_is_one_line(self, capsys):
+        code, stdout, _ = run_cli(["kernel-eval", "--format", "json", "--depth", "2",
+                                   "--theta-points", "3"], capsys)
+        assert code == 0
+        [line] = stdout.splitlines()
+        obj = json.loads(line)
+        assert obj["columns"] == ["theta0", "layer", "s1_sq", "s2_sq", "rho", "k", "kdot"]
+        assert len(obj["rows"]) == 3 * 2
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["kernel-eval", "--activation", "elu", "--depth", "2",
@@ -183,6 +192,16 @@ class TestFixedpoint:
         verdict = json.loads(stdout.strip().splitlines()[-1])
         assert verdict["verdict"] == "unique-contraction"
 
+    def test_stdout_table_then_verdict_line(self, capsys):
+        code, stdout, _ = run_cli(["fixedpoint", "--activation", "relu",
+                                   "--theta-points", "4"], capsys)
+        assert code == 0
+        lines = stdout.splitlines()
+        rows = list(csv.reader(lines[:-1]))
+        assert rows[0] == ["theta", "lambda3", "activation", "norm", "sigma", "method"]
+        assert len(rows) == 1 + 2 * 4  # closed-form and quadrature rows
+        assert json.loads(lines[-1])["verdict"] == "unique-contraction"
+
     def test_gelu_not_contraction(self, tmp_path, capsys):
         out = tmp_path / "fp.csv"
         _, stdout, _ = run_cli(["fixedpoint", "--activation", "gelu",
@@ -261,6 +280,14 @@ class TestGpCommands:
         assert rows[0] == ["index", "split", "y", "mean", "var"]
         assert len(rows) == 41
 
+    def test_gp_fit_keeps_predictions_off_stdout(self, dataset_csv, capsys):
+        # without a file --out there is no table, so nothing to self-check
+        code, stdout, err = run_cli(["gp-fit", "--dataset", str(dataset_csv),
+                                     "--depth", "1", "--self-check"], capsys)
+        assert code == 0, err
+        [line] = stdout.splitlines()
+        assert json.loads(line)["n_train"] == 32
+
     def test_gp_fit_default_sigma_w2_is_norm_preserving(self, dataset_csv, capsys):
         code, stdout, _ = run_cli([
             "gp-fit", "--dataset", str(dataset_csv), "--activation", "gelu",
@@ -283,6 +310,17 @@ class TestGpCommands:
         assert len(rows) == 1 + 2 * 2 * 2  # depths x sigmas x splits
         best = json.loads(stdout.strip().splitlines()[0])["best"]
         assert len(best) <= 5
+
+    def test_benchmark_stdout_table_then_best_line(self, dataset_csv, capsys):
+        code, stdout, err = run_cli([
+            "benchmark", "--dataset", str(dataset_csv), "--activation", "relu",
+            "--depth-max", "1", "--sw2-min", "1.0", "--sw2-max", "1.0",
+            "--splits", "2"], capsys)
+        assert code == 0, err
+        lines = stdout.splitlines()
+        rows = list(csv.reader(lines[:-1]))
+        assert rows[0][:2] == ["activation", "depth"] and len(rows) == 1 + 2
+        assert len(json.loads(lines[-1])["best"]) == 1
 
     def test_benchmark_elu_past_the_guard(self, tmp_path, dataset_csv, capsys):
         # at sigma_w^2 = 5 the signal passes s = 25 within six layers on
@@ -401,6 +439,22 @@ class TestConfigFile:
                                 "--config", str(cfg), "--out", str(out)], capsys)
         assert code == 0, err
         assert [r[1] for r in read_csv(out)[1:]] == ["1", "2"]
+
+    def test_config_string_takes_the_flag_type(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"depth": "2"}))
+        out = tmp_path / "ke.csv"
+        code, _, err = run_cli(["kernel-eval", "--theta-points", "1",
+                                "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 0, err
+        assert [r[1] for r in read_csv(out)[1:]] == ["1", "2"]
+
+    def test_ill_typed_config_value_is_a_json_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"depth": "abc"}))
+        code, stdout, err = run_cli(["kernel-eval", "--config", str(cfg)], capsys)
+        assert code == 1 and stdout == ""
+        assert set(json.loads(err.strip())) == {"error", "message"}
 
     def test_unknown_config_keys_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -354,6 +354,24 @@ def test_norm_fixed_point_stability_at_sigma_star(act, repels, norm):
     assert (lam1 > 1.0) == repels, f"lambda_1 = {lam1:.4f}"
 
 
+@pytest.mark.parametrize("sw2_sb2", [None, (2.0, 0.1)], ids=["sigma-star", "sw2-2-sb2-0.1"])
+@pytest.mark.parametrize("norm", [0.5, 1.0, 5.0])
+@pytest.mark.parametrize("act", [GELU, ELU, selu(1.0507, 1.6733), RELU, lrelu(0.2), ERF],
+                         ids=lambda a: a.kind)
+def test_verdict_sup_is_the_max_over_all_512_angles(act, norm, sw2_sb2):
+    # the verdict evaluates lambda_3 at the two end angles of the grid only
+    if sw2_sb2 is None:
+        sigma = 1.2 if act is ERF and norm >= 1.0 else sigma_star(act, norm)
+        sw2_sb2 = (sigma * sigma, 0.0)
+    sw2, sb2 = sw2_sb2
+    start = input_state(2.0, norm, sw2, sb2)
+    # the sup depends on the start alone, not on how far the iteration ran
+    report = find_fixed_point(act, sw2, sb2, start, max_iter=1)
+    s = np.sqrt(_norm_fixed_point(act, start.s1_sq, sw2, sb2))
+    thetas = np.pi * (np.arange(512) + 1.0) / 513.0
+    assert report.sup_lambda3 == np.abs(lambda3(act, s, s, np.cos(thetas), sw2, sb2)).max()
+
+
 def test_sweep_rows_schema():
     thetas = np.linspace(0.3, 2.8, 5)
     rows = lambda3_sweep_rows(GELU, 1.0, 1.47, thetas)
