@@ -15,7 +15,9 @@ wall time and pass count (run once per checkout, unless ``--no-tier1``);
 the ``src/`` line count; and the git SHA, with ``dirty`` set when
 ``src/`` differs from it. With two or more checkouts, each file after
 the first also counts, per workload and metric, the pairs of runs it won
-against the first checkout (ties count for neither).
+against the first checkout (ties count for neither), and gives the
+median and quartiles over seeds of the log ratio of its run to the
+first checkout's run of the same seed.
 
 The default checkout is this repository, labelled by its short SHA.
 """
@@ -97,6 +99,25 @@ def pairs_won(runs, base_runs, metrics):
     return won
 
 
+def paired_log_ratios(runs, base_runs, metrics):
+    """Median and quartiles over seeds of log(run / base run) per metric.
+
+    Each seed runs both checkouts back to back, so the ratio cancels the
+    machine's speed drift from seed to seed, which widens each side's
+    own quartiles. None where a value is not positive.
+    """
+    out = {}
+    for m in metrics:
+        name = m["name"]
+        pairs = [(r["metrics"][name], b["metrics"][name]) for r, b in zip(runs, base_runs)]
+        if not all(a > 0 and b > 0 for a, b in pairs):
+            out[name] = None
+            continue
+        q1, med, q3 = np.percentile([np.log(a / b) for a, b in pairs], [25, 50, 75])
+        out[name] = {"median": med, "q1": q1, "q3": q3}
+    return out
+
+
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -151,8 +172,11 @@ def main(argv=None):
         for w in workloads:
             entry = summarize(runs[label][w], spec["end_to_end"])
             if label != labels[0]:
+                base = runs[labels[0]][w]
                 entry["pairs_won_vs_" + labels[0]] = pairs_won(
-                    runs[label][w], runs[labels[0]][w], spec["end_to_end"])
+                    runs[label][w], base, spec["end_to_end"])
+                entry["log_ratio_vs_" + labels[0]] = paired_log_ratios(
+                    runs[label][w], base, spec["end_to_end"])
             entry["runs"] = runs[label][w]
             record["workloads"][w] = entry
         args.out_dir.mkdir(parents=True, exist_ok=True)

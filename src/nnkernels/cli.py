@@ -53,8 +53,6 @@ def _write_rows(out, fmt, columns, rows):
 
 
 def _self_check(out, fmt, columns, n_rows):
-    if _to_stdout(out):
-        raise ValueError("--self-check requires --out")
     if fmt == "csv":
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -311,12 +309,19 @@ def build_parser():
 def _apply_config(parser, command, args, argv):
     """Re-parse argv with the config file's values as the subcommand's
     defaults, so that argparse lets every given flag win, abbreviated or
-    not. An ill-typed value raises ``ArgumentError`` instead of exiting."""
+    not. An ill-typed value raises ``ArgumentError`` instead of exiting;
+    argparse checks ``choices`` on the command line only, so config
+    values are checked against them here."""
     with open(args.config) as fh:
         cfg = json.load(fh)
     unknown = set(cfg) - (set(vars(args)) - {"func", "command", "config"})
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for action in command._actions:
+        if action.dest in cfg and action.choices is not None \
+                and cfg[action.dest] not in action.choices:
+            raise ValueError(f"config value {cfg[action.dest]!r} for {action.dest!r} "
+                             f"is not one of {list(action.choices)}")
     command.set_defaults(**cfg)
     parser.exit_on_error = command.exit_on_error = False
     return parser.parse_args(argv)
@@ -331,6 +336,9 @@ def main(argv=None) -> int:
     try:
         if args.config:
             args = _apply_config(parser, commands[args.command], args, argv)
+        # gp-fit writes no table to stdout, so there is nothing to check
+        if args.self_check and _to_stdout(args.out) and args.command != "gp-fit":
+            raise ValueError("--self-check requires --out")
         columns, rows, summary = args.func(args)
         if rows is not None:
             _write_rows(args.out, args.format, columns, rows)

@@ -202,7 +202,10 @@ def kernel_matrices_by_depth(act: Activation, X, sigma_w2, sigma_b2,
 
     ``sigma_w2`` and ``sigma_b2`` are one value for every level or, as in
     ``NetworkHyper``, one per level 0..max(depths). Vectorized over
-    all index pairs; ``depths`` must be increasing.
+    all index pairs; ``depths`` must be increasing. Each K is a fresh,
+    exactly symmetric array, written whole by two scatters of the pair
+    values through C-order flat indices fixed once, and one diagonal
+    stride.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -213,6 +216,7 @@ def kernel_matrices_by_depth(act: Activation, X, sigma_w2, sigma_b2,
         raise ValueError("depths must be increasing and >= 1")
     sw, sb = (np.broadcast_to(v, depths[-1] + 1) for v in (sigma_w2, sigma_b2))
     iu, ju = np.triu_indices(n, k=1)
+    upper, lower = iu * n + ju, ju * n + iu
     s_sq = sw[0] * np.einsum("ij,ij->i", X, X) + sb[0]
     k = sw[0] * np.einsum("ij,ij->i", X[iu], X[ju]) + sb[0]
     t_rows, t_pairs = (np.zeros(n), np.zeros(iu.size)) if use_ntk else (None, None)
@@ -223,11 +227,11 @@ def kernel_matrices_by_depth(act: Activation, X, sigma_w2, sigma_b2,
                                                sb[depth], t_rows, t_pairs)
         if depth in want:
             diag, off = (t_rows, t_pairs) if use_ntk else (s_sq, k)
-            K = np.zeros((n, n))
-            K[iu, ju] = off
-            K[ju, iu] = off
-            np.fill_diagonal(K, diag)
-            yield depth, K
+            K = np.empty(n * n)
+            K[upper] = off
+            K[lower] = off
+            K[::n + 1] = diag
+            yield depth, K.reshape(n, n)
 
 
 def deep_kernel_matrix(act: Activation, X, hyper: NetworkHyper,

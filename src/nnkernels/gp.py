@@ -1,11 +1,21 @@
-"""Exact Gaussian-process regression on precomputed kernel matrices."""
+"""Exact Gaussian-process regression on precomputed kernel matrices.
+
+``fit``, ``predict`` and ``nll`` are Rasmussen & Williams (2006),
+Alg. 2.1: one LAPACK ``potrf`` (Cholesky), ``potrs`` (weights) and
+``trtrs`` (variances), called directly. These are the routines
+``scipy.linalg.cholesky``, ``cho_solve`` and ``solve_triangular`` call,
+with the same arguments, so the results are theirs bit for bit; the
+inputs are validated once here (shape, finiteness, symmetry, noise)
+instead of again in each of scipy's wrappers, whose fixed cost dominated
+a fit at N = 30.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .activations import Activation
 from .data import Dataset, split
@@ -29,29 +39,43 @@ class GpFit:
     jitter: float = 0.0
 
 
+def _finite(a, what):
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} contains non-finite entries")
+    return a
+
+
+def _potrs(L, b):
+    """(L L^T)^-1 b for the lower Cholesky factor L."""
+    x, info = dpotrs(L, _finite(b, "right-hand side"), lower=1)
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
+    return x
+
+
 def fit(K, y, noise_var: float) -> GpFit:
     """Factorize K + noise_var * I and solve for the weights."""
     K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] != y.shape[0]:
         raise ValueError("K must be square and match y")
-    if not np.isfinite(K).all():
-        raise ValueError("K contains non-finite entries")
-    if not np.allclose(K, K.T, rtol=0.0, atol=1e-10 * max(1.0, np.abs(K).max())):
+    _finite(K, "K")
+    # the allclose(K, K.T, rtol=0, atol) predicate, K being finite
+    if np.abs(K - K.T).max() > 1e-10 * max(1.0, np.abs(K).max()):
         raise ValueError("K must be symmetric")
-    if noise_var <= 0.0:
-        raise ValueError("noise variance must be strictly positive")
-    A = K + noise_var * np.eye(K.shape[0])
+    if not 0.0 < noise_var < np.inf:
+        raise ValueError("noise variance must be strictly positive and finite")
+    n = K.shape[0]
+    A = K + noise_var * np.eye(n)
     jitter = 0.0
-    try:
-        L = cholesky(A, lower=True)
-    except np.linalg.LinAlgError:
-        jitter = 1e-8 * np.trace(K) / K.shape[0]
-        try:
-            L = cholesky(A + jitter * np.eye(K.shape[0]), lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise ArithmeticError("factorization failed after one jitter retry") from exc
-    alpha = cho_solve((L, True), y)
+    L, info = dpotrf(A, lower=1, clean=1)
+    if info:
+        jitter = 1e-8 * np.trace(K) / n
+        L, info = dpotrf(A + jitter * np.eye(n), lower=1, clean=1)
+        if info:
+            raise ArithmeticError("factorization failed after one jitter retry "
+                                  f"(leading minor {info} not positive definite)")
+    alpha = _potrs(L, y)
     log_det = 2.0 * float(np.log(np.diag(L)).sum())
     return GpFit(L, alpha, log_det, jitter=float(jitter))
 
@@ -67,8 +91,11 @@ def predict(gp: GpFit, K_star, K_star_star_diag):
     k_diag = np.asarray(K_star_star_diag, dtype=float)
     if K_star.shape[1] != gp.alpha.shape[0] or K_star.shape[0] != k_diag.shape[0]:
         raise ValueError("shape mismatch between K_star and the fit")
+    _finite(K_star, "K_star")
     mean = K_star @ gp.alpha
-    v = solve_triangular(gp.chol_lower, K_star.T, lower=True)
+    v, info = dtrtrs(gp.chol_lower, K_star.T, lower=1)
+    if info:
+        raise np.linalg.LinAlgError(f"triangular solve failed: trtrs info {info}")
     var = k_diag - np.einsum("ij,ij->j", v, v)
     if (var < _VAR_CLAMP).any():
         raise ArithmeticError(f"predictive variance below {_VAR_CLAMP}")
@@ -82,7 +109,7 @@ def predict(gp: GpFit, K_star, K_star_star_diag):
 def nll(gp: GpFit, y) -> float:
     """Negative log marginal likelihood of targets under the fit."""
     y = np.asarray(y, dtype=float)
-    alpha = cho_solve((gp.chol_lower, True), y)
+    alpha = _potrs(gp.chol_lower, y)
     n = y.shape[0]
     return float(0.5 * y @ alpha + 0.5 * gp.log_det + 0.5 * n * np.log(2.0 * np.pi))
 

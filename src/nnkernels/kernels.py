@@ -170,13 +170,41 @@ def pair_mean(act: Activation, s1, s2, rho):
                     / np.sqrt((1.0 + 2.0 * s1 * s1) * (1.0 + 2.0 * s2 * s2)), -1.0, 1.0)
         )
     elif kind == "gelu":
+        # s1 s2 r, r r, q = s1s s2s (1 - r r) and sqrt(d) are computed once
+        # and combined in the order of the formula written out, so the bits
+        # are unchanged; r s1 s2 inside arctan stays apart from s1 s2 r,
+        # which differs in floats. The updates are in place: holding the
+        # shared terms as extra arrays made the heap grow and shrink on each
+        # call of the depth_sweep benchmark, ~46 page faults per call.
         r = np.clip(rho, -1.0, 1.0)
+        c = s1 * s2
+        c *= r
+        out = c / 4.0
         s1s, s2s = s1 * s1, s2 * s2
-        d = 1.0 + s1s + s2s + s1s * s2s * (1.0 - r * r)
-        num = 1.0 + r * r + s1s + s2s + s1s * s2s * (1.0 - r * r)
-        out = (s1 * s2 * r / 4.0
-               + (s1s * s2s / TWO_PI) * num / ((1.0 + s1s) * (1.0 + s2s) * np.sqrt(d))
-               + (s1 * s2 * r / TWO_PI) * np.arctan(r * s1 * s2 / np.sqrt(d)))
+        p = s1s * s2s
+        num = r * r
+        q = 1.0 - num
+        q *= p
+        num += 1.0
+        num += s1s
+        num += s2s
+        num += q
+        sd = 1.0 + s1s
+        den = sd * (1.0 + s2s)
+        sd += s2s
+        sd += q
+        sd = np.sqrt(sd)
+        den *= sd
+        t = r * s1
+        t *= s2
+        t /= sd
+        p /= TWO_PI
+        p *= num
+        p /= den
+        out += p
+        c /= TWO_PI
+        c *= np.arctan(t)
+        out += c
     else:  # elu / selu
         return _elu_moments(act, s1, s2, rho)[0]
     return out if out.shape else float(out)

@@ -20,6 +20,8 @@ TWO_PI = 2.0 * np.pi
 # arguments to the bivariate cdf are clamped there.
 _Z_CLAMP = 8.5
 
+_EXPSCALED_T_MIN = -np.sqrt(1400.0)
+
 _GL_NODES, _GL_WEIGHTS = roots_legendre(24)
 
 # Rows per block of the Genz rule. At 256 rows each (rows, 24) temporary
@@ -49,12 +51,20 @@ def std_normal_cdf(z):
 def expscaled_cdf(t):
     """``exp(t^2/2) * Phi(-t)`` without overflow for large positive t.
 
-    For t >= 0 this is ``erfcx(t/sqrt(2)) / 2``; the direct product is
-    fine for t < 0 as long as t^2/2 stays in double range.
+    For t >= 0 this is ``erfcx(t/sqrt(2)) / 2``; for t < 0 the direct
+    product, evaluated on those entries only. The value passes 1e304 as
+    t falls below ``_EXPSCALED_T_MIN`` = -sqrt(1400) (t^2/2 = 700) and
+    overflows soon after, so such t raise ``OverflowError``.
     """
     t = np.asarray(t, dtype=float)
-    direct = np.exp(np.minimum(t * t / 2.0, 700.0)) * ndtr(-t)
-    out = np.where(t >= 0.0, 0.5 * erfcx(t / np.sqrt(2.0)), direct)
+    if (t < _EXPSCALED_T_MIN).any():
+        raise OverflowError("exp(t^2/2) Phi(-t) refused for t < -sqrt(1400); "
+                            f"got t = {float(np.nanmin(t))}")
+    out = np.asarray(0.5 * erfcx(t / np.sqrt(2.0)))
+    neg = t < 0.0
+    if neg.any():
+        tn = t[neg]
+        out[neg] = np.exp(tn * tn / 2.0) * ndtr(-tn)
     return out if out.shape else float(out)
 
 

@@ -73,6 +73,16 @@ class TestKernelEval:
         assert len(rows) == 1 + 5 * 3
         assert json.loads(stdout.strip().splitlines()[-1]) == {"self_check": "ok", "rows": 15}
 
+    @pytest.mark.parametrize("out", [[], ["--out", "-"]])
+    def test_self_check_without_file_refused_before_work(self, out, monkeypatch, capsys):
+        def never(args):
+            raise AssertionError("dispatched")
+        monkeypatch.setattr("nnkernels.cli.cmd_kernel_eval", never)
+        code, stdout, err = run_cli(["kernel-eval", "--theta-points", "2", *out,
+                                     "--self-check"], capsys)
+        assert code == 1 and stdout == ""
+        assert json.loads(err.strip())["message"] == "--self-check requires --out"
+
     def test_zero_angle_trajectory_is_ones(self, tmp_path, capsys):
         out = tmp_path / "ke.csv"
         run_cli(["kernel-eval", "--activation", "gelu", "--depth", "4",
@@ -455,6 +465,21 @@ class TestConfigFile:
         code, stdout, err = run_cli(["kernel-eval", "--config", str(cfg)], capsys)
         assert code == 1 and stdout == ""
         assert set(json.loads(err.strip())) == {"error", "message"}
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("norm-preserve", "format", "xml"),
+        ("benchmark", "metric", "mse"),
+        ("simplicity", "f", "cos"),
+    ])
+    def test_config_value_outside_choices_rejected(self, command, key, value,
+                                                   tmp_path, capsys):
+        # argparse checks choices on the command line only
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, stdout, err = run_cli([command, "--config", str(cfg)], capsys)
+        assert code == 1 and stdout == ""
+        message = json.loads(err.strip())["message"]
+        assert repr(value) in message and repr(key) in message
 
     def test_unknown_config_keys_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -3,7 +3,7 @@ import pytest
 
 from nnkernels.activations import ELU, ERF, GELU, RELU, from_name, lrelu, selu
 from nnkernels.deep import (LayerState, NetworkHyper, NtkState, _layer_jacobian,
-                            _layer_step, deep_kernel_matrix,
+                            _layer_step, _normalized, deep_kernel_matrix,
                             deep_normalized_kernel, input_state, iterate_state,
                             kernel_grad, kernel_matrices_by_depth, ntk_iterate,
                             scaled_ntk_iterate, state_trajectory)
@@ -297,6 +297,34 @@ class TestKernelMatrix:
             assert np.array_equal(K, deep_kernel_matrix(GELU, X, hyper))
         with pytest.raises(ValueError):
             next(kernel_matrices_by_depth(GELU, X, sw, sb, [1, 2]))
+
+    @pytest.mark.parametrize("use_ntk", [False, True], ids=["nngp", "ntk"])
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_each_depth_fresh_symmetric_and_as_dense_assembly(self, n, use_ntk):
+        # reference: the same layer loop, each K assembled by zeros, two
+        # 2-D fancy scatters and fill_diagonal
+        X = np.random.Generator(np.random.Philox(key=16)).standard_normal((n, 3))
+        sw, sb, depths = 1.4, 0.1, [1, 3, 4]
+        iu, ju = np.triu_indices(n, k=1)
+        s_sq = sw * np.einsum("ij,ij->i", X, X) + sb
+        k = sw * np.einsum("ij,ij->i", X[iu], X[ju]) + sb
+        t_rows, t_pairs = (np.zeros(n), np.zeros(iu.size)) if use_ntk else (None, None)
+        ref = {}
+        for depth in range(1, depths[-1] + 1):
+            rho = _normalized(k, s_sq[iu], s_sq[ju])
+            s_sq, k, t_rows, t_pairs = _layer_step(GELU, s_sq, (iu, ju), rho, sw, sb,
+                                                   t_rows, t_pairs)
+            diag, off = (t_rows, t_pairs) if use_ntk else (s_sq, k)
+            ref[depth] = np.zeros((n, n))
+            ref[depth][iu, ju] = off
+            ref[depth][ju, iu] = off
+            np.fill_diagonal(ref[depth], diag)
+        got = list(kernel_matrices_by_depth(GELU, X, sw, sb, depths, use_ntk=use_ntk))
+        assert [d for d, _ in got] == depths
+        for i, (depth, K) in enumerate(got):
+            assert K.shape == (n, n) and K.tobytes() == ref[depth].tobytes()
+            assert np.array_equal(K, K.T)
+            assert not any(np.shares_memory(K, other) for _, other in got[:i])
 
     def test_depth_generator_increasing_requirement(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from nnkernels.activations import RELU
 from nnkernels.data import Dataset, disc_grid, disc_task
@@ -54,6 +55,29 @@ class TestFit:
             fit(np.array([[1.0, 0.5], [0.2, 1.0]]), np.zeros(2), 0.1)  # asymmetric
         with pytest.raises(ValueError):
             fit(np.full((2, 2), np.nan), np.zeros(2), 0.1)
+        for noise in (np.inf, np.nan):
+            with pytest.raises(ValueError):
+                fit(np.eye(2), np.zeros(2), noise)
+        with pytest.raises(ValueError):
+            fit(np.eye(2), np.array([np.inf, 0.0]), 0.1)
+        gp = fit(np.eye(2), np.zeros(2), 0.1)
+        with pytest.raises(ValueError):
+            predict(gp, np.array([[np.nan, 0.0]]), np.ones(1))
+        with pytest.raises(ValueError):
+            nll(gp, np.zeros(3))
+        with pytest.raises(ValueError):
+            nll(gp, np.array([np.nan, 0.0]))
+
+    @pytest.mark.parametrize("scale", [0.9, 1.1])
+    def test_symmetry_tolerance(self, scale):
+        K = 3.0 * random_spd(4, 13)
+        tol = 1e-10 * max(1.0, np.abs(K).max())
+        K[0, 1] += scale * tol
+        if scale < 1.0:
+            fit(K, np.zeros(4), 0.1)
+        else:
+            with pytest.raises(ValueError, match="symmetric"):
+                fit(K, np.zeros(4), 0.1)
 
     def test_jitter_retry_is_recorded(self):
         # K + noise I is singular; K + noise I + 1e-8 (trace K / N) I is not
@@ -64,6 +88,9 @@ class TestFit:
         assert gp.jitter == 1e-8 * (1.0 - noise) / 2
         np.testing.assert_allclose(gp.chol_lower @ gp.chol_lower.T,
                                    K + (noise + gp.jitter) * np.eye(2), rtol=0, atol=1e-15)
+        # K + noise I indefinite beyond the jitter: one retry, then a refusal
+        with pytest.raises(ArithmeticError, match="jitter retry"):
+            fit(np.diag([1.0, -1.0]), np.zeros(2), noise)
 
     def test_factorization_residual(self):
         K = random_spd(30, 3)
@@ -71,6 +98,51 @@ class TestFit:
         A = gp.chol_lower @ gp.chol_lower.T
         target = K + 0.1 * np.eye(30)
         assert np.abs(A - target).max() <= 1e-8 * np.abs(K).max()
+
+
+def assert_matches_scipy_wrappers(K, y, K_star, k_diag, noise=0.1):
+    """``fit``, ``predict`` and ``nll`` equal, bit for bit, Rasmussen &
+    Williams Alg. 2.1 through scipy's validating wrappers."""
+    A = K + noise * np.eye(K.shape[0])
+    jitter = 0.0
+    try:
+        L = cholesky(A, lower=True)
+    except np.linalg.LinAlgError:
+        jitter = 1e-8 * np.trace(K) / K.shape[0]
+        L = cholesky(A + jitter * np.eye(K.shape[0]), lower=True)
+    alpha = cho_solve((L, True), y)
+    log_det = 2.0 * float(np.log(np.diag(L)).sum())
+    v = solve_triangular(L, K_star.T, lower=True)
+    var = k_diag - np.einsum("ij,ij->j", v, v)
+    ref_nll = float(0.5 * y @ cho_solve((L, True), y) + 0.5 * log_det
+                    + 0.5 * y.shape[0] * np.log(2.0 * np.pi))
+    ref = (L, alpha, log_det, jitter, K_star @ alpha, np.where(var < 0.0, 0.0, var), ref_nll)
+    gp = fit(K, y, noise)
+    got = (gp.chol_lower, gp.alpha, gp.log_det, gp.jitter,
+           *predict(gp, K_star, k_diag), nll(gp, y))
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
+    return gp
+
+
+class TestLapackIdentity:
+    @pytest.mark.parametrize("n", [1, 30, 80])
+    def test_random_kernels(self, n):
+        K_full = random_spd(n + 20, 40 + n)
+        y = np.random.Generator(np.random.Philox(key=n)).standard_normal(n)
+        assert_matches_scipy_wrappers(K_full[:n, :n], y, K_full[n:, :n], np.diag(K_full)[n:])
+
+    def test_deep_kernel_sweep(self):
+        train, grid = disc_task("sin", 30, 0.1, seed=3), disc_grid("sin", 100)
+        X = np.vstack([train.X, grid.X])
+        n = train.n
+        for _, K in kernel_matrices_by_depth(RELU, X, 2.0, 0.0, [1, 10, 100]):
+            assert_matches_scipy_wrappers(K[:n, :n], train.y, K[n:, :n], np.diag(K)[n:])
+
+    def test_jitter_retry(self):
+        K = np.diag([1.0, -0.1])
+        gp = assert_matches_scipy_wrappers(K, np.array([1.0, 0.0]), K[:1], np.ones(1))
+        assert gp.jitter > 0.0
 
 
 class TestPredict:

@@ -74,6 +74,24 @@ class TestExamples:
             0.5800014946401989, rel=1e-12)
 
 
+def test_gelu_pair_mean_is_the_formula_written_out():
+    # pair_mean shares r*r, the d term, sqrt(d) and s1*s2*r; the bits must
+    # stay those of each expression evaluated in full
+    rng = np.random.default_rng(17)
+    s1, s2 = rng.uniform(0.0, 8.0, (2, 20000))
+    rho = rng.uniform(-1.0, 1.0, 20000)
+    rho[:50], rho[50:100] = 1.0, -1.0
+    r = np.clip(rho, -1.0, 1.0)
+    s1s, s2s = s1 * s1, s2 * s2
+    d = 1.0 + s1s + s2s + s1s * s2s * (1.0 - r * r)
+    num = 1.0 + r * r + s1s + s2s + s1s * s2s * (1.0 - r * r)
+    ref = (s1 * s2 * r / 4.0
+           + (s1s * s2s / (2 * np.pi)) * num / ((1.0 + s1s) * (1.0 + s2s) * np.sqrt(d))
+           + (s1 * s2 * r / (2 * np.pi)) * np.arctan(r * s1 * s2 / np.sqrt(d)))
+    assert pair_mean(GELU, s1, s2, rho).tobytes() == ref.tobytes()
+    assert [pair_mean(GELU, *v) for v in zip(s1[:200], s2[:200], rho[:200])] == list(ref[:200])
+
+
 class TestOracles:
     def test_quadrature_matches_relu_closed_form(self):
         args = KernelArgs(1, 1, 0.3, 1.0, 0.0)

@@ -59,6 +59,20 @@ class TestUnivariate:
         assert np.isfinite(expscaled_cdf(50.0))
         assert expscaled_cdf(50.0) == pytest.approx(1 / (50 * np.sqrt(2 * np.pi)), rel=1e-3)
 
+    def test_expscaled_cdf_negative_tail_or_refusal(self):
+        # t = -37 (1.9e297) is in range; t = -38 (3.6e313) is past the
+        # double range, so it is refused rather than clamped
+        with mpmath.workdps(40):
+            t = mpmath.mpf(-37)
+            ref = float(mpmath.exp(t * t / 2) * mpmath.ncdf(-t))
+        assert expscaled_cdf(-37.0) == pytest.approx(ref, rel=1e-13)
+        out = expscaled_cdf(np.array([-37.0, 0.0, 40.0]))
+        assert out[0] == expscaled_cdf(-37.0) and np.isfinite(out).all()
+        with pytest.raises(OverflowError, match="sqrt\\(1400\\)"):
+            expscaled_cdf(-38.0)
+        with pytest.raises(OverflowError):
+            expscaled_cdf(np.array([1.0, -38.0]))
+
 
 class TestBvnCdf:
     def test_independent_quadrant(self):
