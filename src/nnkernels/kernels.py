@@ -32,8 +32,9 @@ delta to psi''): by Price's theorem, 2 dE[psi psi]/ds1^2, the entry the
 layer Jacobian in ``deep`` is built from. ``pair_moments`` gives
 E[psi psi] and E[psi' psi'] together, for the tangent-kernel step. For
 ELU/SELU all three come from one evaluator, ``_elu_moments``: five bvn
-terms per entry, none at rho = +-1, in one bvn call per chunk of
-entries. ``diag_mean`` is ``pair_mean`` at rho = 1.
+terms per entry from three Genz integrals, none at rho = +-1, in one
+``bvn_halves_exp`` call per chunk of entries. ``diag_mean`` is
+``pair_mean`` at rho = 1.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 from . import activations as act_mod
 from .activations import Activation, _selu_params
 from .quadrature import pair_mean_quad
-from .special import (SQRT_2PI, TWO_PI, _check_correlation, bvn_cdf_exp,
+from .special import (SQRT_2PI, TWO_PI, _check_correlation, bvn_halves_exp,
                       expscaled_cdf)
 
 # e^(s^2)-type factors in the ELU/SELU closed forms leave double range
@@ -54,10 +55,10 @@ ELU_S_MAX = 25.0
 
 _RHO_EPS = 1e-12  # |rho| >= 1 - _RHO_EPS is routed to endpoint limits
 
-# Interior ELU/SELU entries per bvn_cdf_exp call: 5,120 bvn rows, so each
-# of the ~14 batch-sized arrays of its front end is ~40 KB and the peak
-# memory stays bounded whatever the batch size. CHANGES.md records the
-# sweep behind it.
+# Interior ELU/SELU entries per bvn_halves_exp call, of three bvn rows
+# each: each batch-sized array of its front end is at most 24 KB and the
+# peak memory stays bounded whatever the batch size. CHANGES.md records
+# the sweep behind it.
 _ELU_CHUNK = 1024
 
 
@@ -96,11 +97,13 @@ def _elu_moments(act, s1, s2, rho):
 
     Entries with |rho| >= 1 - _RHO_EPS take their rho = +-1 limits. The
     rest take five bvn terms, evaluated on those entries only, so the
-    limits cost no bvn work: B(s2), B(s1) with
-    B(b) = E[e^(b Z2); Z1 > 0, Z2 < 0], and E(s1, s2), E(s1, 0), E(0, s2)
-    with E(a, b) = E[e^(a Z1 + b Z2); Z1 < 0, Z2 < 0]. They run in chunks
-    of at most ``_ELU_CHUNK`` entries, each chunk one ``bvn_cdf_exp`` call
-    on the five terms stacked as a (5, m) batch.
+    limits cost no bvn work: E(s1, s2), E(s1, 0), E(0, s2) with
+    E(a, b) = E[e^(a Z1 + b Z2); Z1 < 0, Z2 < 0], and B(s1), B(s2) with
+    B(b) = E[e^(b Z2); Z1 > 0, Z2 < 0]. Each B is the other half of the
+    E with the same exponent, so ``bvn_halves_exp`` gives all five from
+    the three E rows at correlation cos(theta): three Genz integrals per
+    entry, or five tail-rule rows in its band. They run in chunks of at
+    most ``_ELU_CHUNK`` entries, each chunk one call on a (3, m) batch.
     """
     s1, s2, rho = _broadcast(s1, s2, rho)
     if (s1 > ELU_S_MAX).any() or (s2 > ELU_S_MAX).any():
@@ -129,12 +132,14 @@ def _elu_interior(l2, alpha, s1, s2, rho, c1):
     a2 = alpha * alpha
     theta = _arccos_theta(rho)
     sn, cs = np.sin(theta), np.cos(theta)
-    q1, q2 = s1 * s1 / 2.0, s2 * s2 / 2.0
-    b2, b1, e12, e10, e01 = bvn_cdf_exp(
-        np.stack([s2 * cs, s1 * cs, -(s1 + s2 * cs), -s1, -(s2 * cs)]),
-        np.stack([-s2, -s1, -(s1 * cs + s2), -(s1 * cs), -s2]),
-        np.stack([-cs, -cs, cs, cs, cs]),
-        np.stack([q2, q1, (s1 * s1 + 2.0 * s1 * s2 * cs + s2 * s2) / 2.0, q1, q2]))
+    # E(s1, 0) enters with its arguments swapped, so that B(s1) is its
+    # upper half as B(s2) is that of E(0, s2)
+    (e12, e10, e01), (b1, b2) = bvn_halves_exp(
+        np.stack([-(s1 + s2 * cs), -(s1 * cs), -(s2 * cs)]),
+        np.stack([-(s1 * cs + s2), -s1, -s2]),
+        cs,
+        np.stack([(s1 * s1 + 2.0 * s1 * s2 * cs + s2 * s2) / 2.0, s1 * s1 / 2.0, s2 * s2 / 2.0]),
+        slice(1, None))
     quadrant = (np.pi - theta) / TWO_PI  # P(Z1 < 0, Z2 < 0)
     x1, x2 = expscaled_cdf(np.stack([s1 * sn, s2 * sn]))
     # E[Theta(Z1) Z1 Theta(-Z2)(e^{s2 Z2} - 1)] and its mirror, the linear
@@ -238,8 +243,8 @@ def pair_dot_mean(act: Activation, s1, s2, rho):
 
 def pair_moments(act: Activation, s1, s2, rho):
     """``(E[psi psi], E[psi' psi'])``: ``pair_mean`` and ``pair_dot_mean``
-    in one call; ELU/SELU take both from one ``_elu_moments`` call, five
-    bvn terms per pair."""
+    in one call; ELU/SELU take both from one ``_elu_moments`` call, three
+    bvn rows per pair."""
     if act.kind not in ("elu", "selu"):
         return pair_mean(act, s1, s2, rho), pair_dot_mean(act, s1, s2, rho)
     return tuple(_elu_moments(act, s1, s2, rho)[:2])

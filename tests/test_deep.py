@@ -340,23 +340,21 @@ class TestKernelMatrix:
                 k_scalar = state_trajectory(GELU, X[i], X[j], hyper)[-1][2]
                 assert K[i, j] == pytest.approx(k_scalar, rel=1e-12)
 
-    def test_elu_ntk_bvn_work(self, monkeypatch):
-        # five bvn terms per pair per layer (k and kdot share three) in one
-        # call per layer, and none on the rho = 1 diagonal, whose limits are
-        # closed forms
-        from nnkernels import special
-        rs, bvnu_exp = [], special._bvnu_exp
-        def counting(h, k, r, q):
-            rs.append(r.copy())
-            return bvnu_exp(h, k, r, q)
-        monkeypatch.setattr(special, "_bvnu_exp", counting)
+    def test_elu_ntk_bvn_work(self, bvn_work):
+        # one bvn call per layer on three rows per pair (k and kdot share
+        # them), none on the rho = 1 diagonal, whose limits are closed
+        # forms: three Genz integrals per Genz-band pair, five tail-rule
+        # rows (three lower halves, two upper) per tail-band pair
+        calls, work = bvn_work
         n, depth = 9, 3
+        pairs = n * (n - 1) // 2
         X = np.random.default_rng(3).standard_normal((n, 4))
         deep_kernel_matrix(ELU, X, NetworkHyper.shared(depth, 1.5), use_ntk=True)
-        assert len(rs) == depth
-        r = np.concatenate([r.ravel() for r in rs])
-        assert r.size == 5 * n * (n - 1) // 2 * depth
-        assert np.abs(r).max() < 1.0 - 1e-12
+        assert [shape for shape, _ in calls] == [(3, pairs)] * depth
+        r = np.abs(np.concatenate([r for _, r in calls]))
+        assert r.max() < 1.0 - 1e-12
+        assert work == {"genz": 3 * (r < 0.925).sum(), "tail": 5 * (r >= 0.925).sum()}
+        assert (r < 0.925).sum() > 0
 
 
 class TestLayerJacobian:

@@ -317,17 +317,17 @@ class TestFindFixedPoint:
                                   max_iter=8)
         assert (report.stopped, report.iterations, report.converged) == ("max_iter", 8, False)
 
-    def test_elu_step_is_one_bvn_call(self, monkeypatch):
-        # the pair's five bvn terms go in one call; the rho = 1 norm
-        # updates take closed-form limits
-        from nnkernels import special
-        rs, bvnu_exp = [], special._bvnu_exp
-        def counting(h, k, r, q):
-            rs.append(r.copy())
-            return bvnu_exp(h, k, r, q)
-        monkeypatch.setattr(special, "_bvnu_exp", counting)
-        iterate_state(ELU, LayerState(1.3, 0.8, 0.4), 1.5, 0.1)
-        assert [r.size for r in rs] == [5]
+    def test_elu_step_is_one_bvn_call(self, bvn_work):
+        # the pair's three bvn rows go in one call, as three Genz integrals
+        # in the Genz band and five tail-rule rows in the tail band; the
+        # rho = 1 norm updates take closed-form limits
+        calls, work = bvn_work
+        for rho, genz, tail in ((0.4, 3, 0), (0.97, 0, 5)):
+            calls.clear()
+            work.update(genz=0, tail=0)
+            iterate_state(ELU, LayerState(1.3, 0.8, rho), 1.5, 0.1)
+            assert [shape for shape, _ in calls] == [(3, 1)]
+            assert work == {"genz": genz, "tail": tail}
 
     def test_overflowing_norm_stops_as_diverged(self):
         # at sigma*(0.5) the GELU norm fixed point repels, and from

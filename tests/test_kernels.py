@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nnkernels import kernels as kernels_mod
 from nnkernels.activations import ELU, ERF, GELU, RELU, lrelu, selu
 from nnkernels.kernels import (_ELU_CHUNK, ELU_S_MAX, KernelArgs, _elu_moments,
                                diag_mean, kernel, kernel_dot, kernel_dot_quadrature,
@@ -23,6 +24,72 @@ GRID_SB2 = (0.0, 0.5)
 def standard_grid():
     s1, s2, th, sw2, sb2 = np.meshgrid(GRID_S, GRID_S, GRID_THETA, GRID_SW2, GRID_SB2)
     return (s1.ravel(), s2.ravel(), np.cos(th.ravel()), sw2.ravel(), sb2.ravel())
+
+
+def dd_oracle(act, s1, s2, rho):
+    """E[psi''(s1 Z1) psi(s2 Z2)]: the regular part of psi'' by 2-D
+    quadrature plus, for a kink of slope jump j at 0,
+    j E[psi(s2 tau Z)] / (sqrt(2 pi) s1); with ``regular`` for the
+    rho = +-1 limits."""
+    from nnkernels.quadrature import mean_1d, pair_mean_quad
+    from nnkernels import activations as am
+    lam, alpha = ((act.selu_lambda, act.selu_alpha) if act.kind == "selu"
+                  else (1.0, 1.0))
+    regular = {
+        "gelu": lambda z: np.exp(-0.5 * z * z) * (2.0 - z * z) / np.sqrt(2 * np.pi),
+        "erf": lambda z: -(4.0 / np.sqrt(np.pi)) * z * np.exp(-z * z),
+        "elu": lambda z: np.where(z < 0, np.exp(np.minimum(z, 0.0)), 0.0),
+        "selu": lambda z: np.where(z < 0, lam * alpha * np.exp(np.minimum(z, 0.0)), 0.0),
+    }.get(act.kind, lambda z: np.zeros_like(z))
+    jump = {"relu": 1.0, "lrelu": 1.0 - act.lrelu_slope,
+            "selu": lam * (1.0 - alpha)}.get(act.kind, 0.0)
+    f = lambda z: am.eval(act, z)
+    tau = np.sqrt(1.0 - rho * rho)
+    oracle = pair_mean_quad(regular, f, s1, s2, rho, nodes=200)
+    oracle += jump * np.array([mean_1d(lambda z: f(b * t * z), nodes=200)
+                               for b, t in zip(s2, tau)]) / (np.sqrt(2 * np.pi) * s1)
+    return oracle, regular
+
+
+def _elu_interior_five_calls(l2, alpha, s1, s2, rho, c1):
+    """``kernels._elu_interior`` with its five bvn terms as five rows of one
+    ``bvn_cdf_exp`` call, each at its own arguments: the reference it
+    matches bit for bit outside the tail band 0.925 <= |cos theta| < 1."""
+    from nnkernels.special import SQRT_2PI, TWO_PI, bvn_cdf_exp, expscaled_cdf
+    a2 = alpha * alpha
+    theta = np.arccos(np.clip(rho, -1.0, 1.0))
+    sn, cs = np.sin(theta), np.cos(theta)
+    q1, q2 = s1 * s1 / 2.0, s2 * s2 / 2.0
+    b2, b1, e12, e10, e01 = bvn_cdf_exp(
+        np.stack([s2 * cs, s1 * cs, -(s1 + s2 * cs), -s1, -(s2 * cs)]),
+        np.stack([-s2, -s1, -(s1 * cs + s2), -(s1 * cs), -s2]),
+        np.stack([-cs, -cs, cs, cs, cs]),
+        np.stack([q2, q1, (s1 * s1 + 2.0 * s1 * s2 * cs + s2 * s2) / 2.0, q1, q2]))
+    quadrant = (np.pi - theta) / TWO_PI
+    x1, x2 = expscaled_cdf(np.stack([s1 * sn, s2 * sn]))
+    cross = (s1 * ((x2 - 0.5) / SQRT_2PI + s2 * cs * b2)
+             + s2 * ((x1 - 0.5) / SQRT_2PI + s1 * cs * b1))
+    mean = l2 * (s1 * s2 * (sn + (np.pi - theta) * cs) / TWO_PI + alpha * cross
+                 + a2 * (e12 - e10 - e01 + quadrant))
+    dot = l2 * (quadrant + alpha * (b2 + b1) + a2 * e12)
+    lin = s2 * ((x1 - cs / 2.0) / SQRT_2PI + s1 * cs * (c1 - e10))
+    jump = (s2 * sn / SQRT_2PI + alpha * (x2 - 0.5)) / (SQRT_2PI * s1)
+    dd = l2 * (alpha * (lin + alpha * (e12 - e10)) + (1.0 - alpha) * jump)
+    return mean, dot, dd
+
+
+def _elu_moments_both(monkeypatch, act, s1, s2, rho):
+    """``_elu_moments`` as it is and on the five-call reference."""
+    new = np.array(_elu_moments(act, s1, s2, rho))
+    with monkeypatch.context() as m:
+        m.setattr(kernels_mod, "_elu_interior", _elu_interior_five_calls)
+        ref = np.array(_elu_moments(act, s1, s2, rho))
+    return new, ref
+
+
+def _tail_band(rho):
+    cs = np.abs(np.cos(np.arccos(np.clip(rho, -1.0, 1.0))))
+    return (cs >= 0.925) & (np.abs(rho) < 1.0 - 1e-12)
 
 
 class TestExamples:
@@ -169,28 +236,12 @@ class TestOracleEquivalence:
 
     @pytest.mark.parametrize("act", CLOSED_FORM_ACTS, ids=lambda a: a.kind)
     def test_pair_dd_mean_grid(self, act):
-        # E[psi''(s1 Z1) psi(s2 Z2)]: the regular part of psi'' by 2-D
-        # quadrature plus, for a kink of slope jump j at 0,
-        # j E[psi(s2 tau Z)] / (sqrt(2 pi) s1)
-        from nnkernels.quadrature import mean_1d, pair_mean_quad
+        from nnkernels.quadrature import mean_1d
         from nnkernels import activations as am
-        lam, alpha = ((act.selu_lambda, act.selu_alpha) if act.kind == "selu"
-                      else (1.0, 1.0))
-        regular = {
-            "gelu": lambda z: np.exp(-0.5 * z * z) * (2.0 - z * z) / np.sqrt(2 * np.pi),
-            "erf": lambda z: -(4.0 / np.sqrt(np.pi)) * z * np.exp(-z * z),
-            "elu": lambda z: np.where(z < 0, np.exp(np.minimum(z, 0.0)), 0.0),
-            "selu": lambda z: np.where(z < 0, lam * alpha * np.exp(np.minimum(z, 0.0)), 0.0),
-        }.get(act.kind, lambda z: np.zeros_like(z))
-        jump = {"relu": 1.0, "lrelu": 1.0 - act.lrelu_slope,
-                "selu": lam * (1.0 - alpha)}.get(act.kind, 0.0)
         f = lambda z: am.eval(act, z)
         s1, s2, rho = (v.ravel() for v in np.meshgrid(
             GRID_S, GRID_S, (-0.95, -0.5, 0.0, 0.3, 0.95)))
-        tau = np.sqrt(1.0 - rho * rho)
-        oracle = pair_mean_quad(regular, f, s1, s2, rho, nodes=200)
-        oracle += jump * np.array([mean_1d(lambda z: f(b * t * z), nodes=200)
-                                   for b, t in zip(s2, tau)]) / (np.sqrt(2 * np.pi) * s1)
+        oracle, regular = dd_oracle(act, s1, s2, rho)
         closed = pair_dd_mean(act, s1, s2, rho)
         err = np.abs(closed - oracle) / np.maximum(1.0, np.abs(oracle))
         assert err.max() <= 1e-12, f"worst err {err.max():.2e}"
@@ -199,6 +250,30 @@ class TestOracleEquivalence:
             for a, b in ((0.25, 1.0), (1.0, 1.0), (5.0, 2.0), (2.0, 5.0)):
                 end = mean_1d(lambda z: regular(a * z) * f(sign * b * z), nodes=200)
                 assert abs(pair_dd_mean(act, a, b, sign) - end) <= 1e-12 * max(1.0, abs(end))
+
+    @pytest.mark.parametrize("act", [ELU, selu(1.0507, 1.6733)], ids=lambda a: a.kind)
+    def test_elu_tail_band_no_worse_than_five_calls(self, monkeypatch, act):
+        # in the tail band E(s1, 0) enters the tail rule with its arguments
+        # swapped, which is not symmetric in floats; the worst error against
+        # the quadrature oracles stays that of the five-call terms, to
+        # within one machine epsilon of the error's scale (measured: equal
+        # for E[psi psi] and E[psi' psi']; for E[psi'' psi], 2.05e-15
+        # against 1.97e-15 for ELU)
+        from nnkernels.quadrature import pair_mean_quad
+        from nnkernels import activations as am
+        s1, s2, rho = (v.ravel() for v in np.meshgrid(
+            GRID_S, GRID_S, (-0.999, -0.99, -0.97, -0.93, 0.93, 0.97, 0.99, 0.999)))
+        assert _tail_band(rho).all()
+        f, d = (lambda z: am.eval(act, z)), (lambda z: am.deriv(act, z))
+        oracles = [pair_mean_quad(f, f, s1, s2, rho, nodes=200),
+                   pair_mean_quad(d, d, s1, s2, rho, nodes=200),
+                   dd_oracle(act, s1, s2, rho)[0]]
+        new, ref = _elu_moments_both(monkeypatch, act, s1, s2, rho)
+        assert not np.array_equal(new, ref)  # the swap moves some entries
+        for got, want, oracle in zip(new, ref, oracles):
+            scale = np.maximum(1.0, np.abs(oracle))
+            assert ((np.abs(got - oracle) / scale).max()
+                    <= (np.abs(want - oracle) / scale).max() + np.finfo(float).eps)
 
     @pytest.mark.parametrize("act", [ELU, selu(1.0507, 1.6733)], ids=lambda a: a.kind)
     def test_pair_dd_mean_endpoints_quiet_to_guard(self, act):
@@ -277,6 +352,23 @@ class TestInvariants:
         twin = _elu_moments(act, *(np.stack([a, a]).T for a in (s1, s2, rho)))
         assert np.array_equal(np.array(twin), np.stack([one_by_one] * 2, axis=-1))
 
+    @pytest.mark.parametrize("act", [ELU, selu(1.0507, 1.6733)], ids=lambda a: a.kind)
+    def test_elu_moments_equal_five_calls_outside_tail_band(self, monkeypatch, act):
+        # three Genz integrals give the five bvn terms bit for bit; in the
+        # tail band the swapped E(s1, 0) moves E[psi psi] and E[psi'' psi]
+        # by rounding only, and E[psi' psi'], which does not use it, stays
+        rng = np.random.default_rng(11)
+        n = 20_000
+        s1, s2 = rng.uniform(0.05, 12.0, (2, n))
+        rho = rng.uniform(-1.0, 1.0, n)
+        rho[:200] = rng.choice([-1.0, 1.0], 200) * (1.0 - 10.0 ** -rng.uniform(1, 13, 200))
+        new, ref = _elu_moments_both(monkeypatch, act, s1, s2, rho)
+        tail = _tail_band(rho)
+        assert 0 < tail.sum() < n
+        assert np.array_equal(new[:, ~tail], ref[:, ~tail])
+        assert np.array_equal(new[1], ref[1])
+        assert (np.abs(new[0] - ref[0]) <= 1e-13 * np.abs(ref[0])).all()
+
     def test_diag_mean_consistency(self):
         for act in CLOSED_FORM_ACTS:
             for s in GRID_S:
@@ -305,6 +397,13 @@ class TestGuards:
             kernel(ELU, KernelArgs(26.0, 1.0, 0.5))
         with pytest.raises(OverflowError):
             kernel_dot(ELU, KernelArgs(1.0, 30.0, 0.5))
+
+    def test_elu_genz_band_not_refused_to_guard(self):
+        # the Genz rule refuses exponents above 700; on the ELU rows the
+        # largest is 156 (E(s1, s2) at s1 = s2 = 25), so none is refused
+        s = np.linspace(0.05, ELU_S_MAX, 12)
+        s1, s2, rho = np.meshgrid(s, s, np.linspace(-0.92, 0.92, 9))
+        assert all(np.isfinite(v).all() for v in _elu_moments(ELU, s1, s2, rho))
 
     def test_elu_at_guard_boundary_is_finite(self):
         for rho in (-0.99999, -0.5, 0.0, 0.9, 0.99999, 1.0):

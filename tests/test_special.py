@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from nnkernels.special import (_BLOCK_ROWS, _TAIL_BLOCK_ROWS, bvn_cdf, bvn_cdf_exp,
-                               expscaled_cdf, std_normal_cdf, std_normal_pdf)
+from nnkernels.special import (_BLOCK_COLS, _TAIL_BLOCK_ROWS, bvn_cdf, bvn_cdf_exp,
+                               bvn_halves_exp, expscaled_cdf, std_normal_cdf,
+                               std_normal_pdf)
 
 
 def bvn_reference(h, k, rho):
@@ -140,31 +141,81 @@ class TestBvnCdf:
         v = bvn_cdf_exp(-40.0, -40.0, 0.5, 800.0)
         assert np.isfinite(v) and v >= 0.0
 
+    def test_overflowing_exponent_refused(self):
+        # the correlation integral's exponent reaches q = 800 at h = k = 0;
+        # it used to be clamped to 700 and the product term returned inf
+        with pytest.raises(OverflowError):
+            bvn_cdf_exp(0.0, 0.0, 0.3, 800.0)
+        with pytest.raises(OverflowError):
+            bvn_cdf_exp([-40.0, 0.0], [-40.0, 0.0], 0.3, [800.0, 800.0])
+
+
+def _branch_columns(rng, m):
+    """m correlations cycling through the Genz (|r| < 0.925), tail-rule
+    (0.925 <= |r| < 1) and exact (|r| = 1) branches, so each branch's mask
+    scatters across the block edges."""
+    return np.stack([rng.uniform(-0.92, 0.92, m),
+                     rng.choice([-1, 1], m) * rng.uniform(0.925, 0.9999, m),
+                     rng.choice([-1.0, 1.0], m)], axis=1).reshape(-1)[:m]
+
 
 class TestBlockedBatches:
-    """The quadrature branches run over row blocks: ``_BLOCK_ROWS`` for the
-    Genz rule, ``_TAIL_BLOCK_ROWS`` for the tail rule."""
+    """The quadrature branches run over blocks: ``_BLOCK_COLS`` columns for the
+    Genz rule, ``_TAIL_BLOCK_ROWS`` rows for the tail rule."""
 
     # n = 3t - 1 entries hold t tail-rule rows, so the last four sizes put
     # the tail rows one below, at, one above and well past its block edge
-    @pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
-                                   3 * _BLOCK_ROWS + 7]
+    @pytest.mark.parametrize("n", [1, _BLOCK_COLS - 1, _BLOCK_COLS, _BLOCK_COLS + 1,
+                                   3 * _BLOCK_COLS + 7]
                              + [3 * t - 1 for t in (_TAIL_BLOCK_ROWS - 1, _TAIL_BLOCK_ROWS,
                                                     _TAIL_BLOCK_ROWS + 1,
                                                     3 * _TAIL_BLOCK_ROWS + 7)])
     def test_batch_equals_one_by_one(self, n):
-        # entries cycle through the Genz (|r| < 0.925), tail-rule
-        # (0.925 <= |r| < 1) and exact (|r| = 1) branches, so each branch's
-        # mask scatters across the block edges
         rng = np.random.default_rng(n)
-        r = np.stack([rng.uniform(-0.92, 0.92, n),
-                      rng.choice([-1, 1], n) * rng.uniform(0.925, 0.9999, n),
-                      rng.choice([-1.0, 1.0], n)], axis=1).reshape(-1)[:n]
+        r = _branch_columns(rng, n)
         h, k = rng.uniform(-4, 4, (2, n))
         q = rng.uniform(0, 12, n)
         batch = bvn_cdf_exp(h, k, r, q)
         one_by_one = np.array([bvn_cdf_exp(*args) for args in zip(h, k, r, q)])
         assert np.array_equal(batch, one_by_one)
+
+
+class TestHalves:
+    """``bvn_halves_exp``: both halves of ``exp(q) P(Z2 <= k)``, split at
+    Z1 = h, from one Genz integral per row."""
+
+    @pytest.mark.parametrize("m", [1, _BLOCK_COLS - 1, _BLOCK_COLS, _BLOCK_COLS + 1,
+                                   3 * _BLOCK_COLS + 7])
+    def test_halves_are_two_cdf_calls(self, m):
+        rng = np.random.default_rng(m)
+        r = _branch_columns(rng, m)
+        h, k = rng.uniform(-4, 4, (2, 3, m))
+        q = rng.uniform(0, 12, (3, m))
+        lower, upper = bvn_halves_exp(h, k, r, q)
+        assert np.array_equal(lower, bvn_cdf_exp(h, k, r, q))
+        assert np.array_equal(upper, bvn_cdf_exp(-h, k, -r, q))
+        lower1, upper1 = bvn_halves_exp(h, k, r, q, slice(1, None))
+        assert np.array_equal(lower1, lower) and np.array_equal(upper1, upper[1:])
+        cols = [bvn_halves_exp(h[:, j:j + 1], k[:, j:j + 1], r[j:j + 1], q[:, j:j + 1])
+                for j in range(m)]
+        assert np.array_equal(np.hstack([c[0] for c in cols]), lower)
+        assert np.array_equal(np.hstack([c[1] for c in cols]), upper)
+
+    def test_halves_add_up(self):
+        # lower + upper = exp(q) Phi(k) on Genz and tail-rule rows
+        rng = np.random.default_rng(5)
+        r = _branch_columns(rng, 600)
+        h, k = rng.uniform(-4, 4, (2, 2, r.size))
+        q = rng.uniform(0, 12, (2, r.size))
+        lower, upper = bvn_halves_exp(h, k, r, q)
+        err = np.abs(lower + upper - np.exp(q) * std_normal_cdf(k)) / np.exp(q)
+        assert err.max() <= 1e-13
+
+    def test_halves_refuse_like_cdf(self):
+        with pytest.raises(ValueError):
+            bvn_halves_exp(np.zeros((2, 1)), np.full((2, 1), np.nan), [0.3], np.zeros((2, 1)))
+        with pytest.raises(ValueError):
+            bvn_halves_exp(np.zeros((2, 1)), np.zeros((2, 1)), [1.5], np.zeros((2, 1)))
 
 
 def _mp_bvn_exp(h, k, rho, q):
