@@ -56,9 +56,10 @@ def selu(scale: float, alpha: float) -> Activation:
     return Activation("selu", selu_lambda=scale, selu_alpha=alpha)
 
 
-def from_name(name: str, lrelu_slope: float = 0.2,
-              selu_lambda: float = 1.0, selu_alpha: float = 1.0) -> Activation:
-    """Build an Activation from its lowercase serialized name."""
+def from_name(name: str, lrelu_slope: float = 0.2, selu_lambda: float = 1.0507009873554805,
+              selu_alpha: float = 1.6732632423543772) -> Activation:
+    """Build an Activation from its lowercase serialized name; "selu" takes
+    the self-normalizing scales of Klambauer et al. (2017), sigma*(1) = 1."""
     name = name.lower()
     if name == "lrelu":
         return lrelu(lrelu_slope)

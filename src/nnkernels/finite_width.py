@@ -42,14 +42,6 @@ class SampledNet:
     sigma_b2: float
     seed: int
 
-    @property
-    def depth(self) -> int:
-        return len(self.weights)
-
-    @property
-    def width(self) -> int:
-        return self.weights[0].shape[0]
-
 
 def random_rotation(dim: int, seed: int) -> np.ndarray:
     """Orthogonal matrix from the QR decomposition of a U[0,1] matrix.

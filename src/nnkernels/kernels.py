@@ -32,9 +32,10 @@ delta to psi''): by Price's theorem, 2 dE[psi psi]/ds1^2, the entry the
 layer Jacobian in ``deep`` is built from. ``pair_moments`` gives
 E[psi psi] and E[psi' psi'] together, for the tangent-kernel step. For
 ELU/SELU all three come from one evaluator, ``_elu_moments``: five bvn
-terms per entry from three Genz integrals, none at rho = +-1, in one
-``bvn_halves_exp`` call per chunk of entries. ``diag_mean`` is
-``pair_mean`` at rho = 1.
+terms per entry from three Genz integrals, in one ``bvn_halves_exp`` call
+per chunk of entries; for 0.925 <= |rho| < 1 a 1-D Gauss-Legendre rule
+over Z1 of closed-form conditional moments; at rho = +-1 the limits.
+``diag_mean`` is ``pair_mean`` at rho = 1.
 """
 
 from __future__ import annotations
@@ -42,12 +43,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfcx, ndtr, roots_legendre
 
 from . import activations as act_mod
 from .activations import Activation, _selu_params
-from .quadrature import pair_mean_quad
-from .special import (SQRT_2PI, TWO_PI, _check_correlation, bvn_halves_exp,
-                      expscaled_cdf)
+from .quadrature import ZMAX, pair_mean_quad
+from .special import (GENZ_RHO_MAX, SQRT_2PI, TWO_PI, _check_correlation,
+                      bvn_halves_exp, expscaled_cdf)
 
 # e^(s^2)-type factors in the ELU/SELU closed forms leave double range
 # (even with exponent folding on the bvn side) beyond this.
@@ -60,6 +62,16 @@ _RHO_EPS = 1e-12  # |rho| >= 1 - _RHO_EPS is routed to endpoint limits
 # peak memory stays bounded whatever the batch size. CHANGES.md records
 # the sweep behind it.
 _ELU_CHUNK = 1024
+
+# The tail-band rule: 16-node Gauss-Legendre panels on each side of the
+# kink at 0, between 0, 1, 2, 4, ZMAX, c / max(s1, 1) and c min(1, tau/|rho|)
+# for c = 1/16 .. 8, 640 nodes per entry; 32 entries per call keep each
+# (entries, 640) temporary at 160 KB, where unchunked calls raised the
+# peak RSS of the `fixed_point` benchmark from 84.5 to 89.6 MB.
+_TAIL_NODES, _TAIL_WEIGHTS = roots_legendre(16)
+_TAIL_SCALES = 2.0 ** np.arange(-4, 4)
+_TAIL_EDGES = np.array([0.0, 1.0, 2.0, 4.0, ZMAX])
+_TAIL_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -102,8 +114,9 @@ def _elu_moments(act, s1, s2, rho):
     B(b) = E[e^(b Z2); Z1 > 0, Z2 < 0]. Each B is the other half of the
     E with the same exponent, so ``bvn_halves_exp`` gives all five from
     the three E rows at correlation cos(theta): three Genz integrals per
-    entry, or five tail-rule rows in its band. They run in chunks of at
-    most ``_ELU_CHUNK`` entries, each chunk one call on a (3, m) batch.
+    entry. Where |cos theta| >= ``GENZ_RHO_MAX``, the band ``bvn`` refuses,
+    ``_elu_tail`` integrates over Z1 instead. Each band runs in chunks,
+    of at most ``_ELU_CHUNK`` and ``_TAIL_CHUNK`` entries.
     """
     s1, s2, rho = _broadcast(s1, s2, rho)
     if (s1 > ELU_S_MAX).any() or (s2 > ELU_S_MAX).any():
@@ -117,18 +130,23 @@ def _elu_moments(act, s1, s2, rho):
                      -l2 * alpha * s1 * s2 * (c1 + c2)),
             np.where(hi, l2 * (0.5 + a2 * c12), l2 * (alpha * (c1 + c2))),
             np.where(hi, l2 * (a2 * (c12 - c1)), l2 * (alpha * s2 * (1.0 / SQRT_2PI - s1 * c1)))]
-    mid = np.flatnonzero(~(np.abs(rho) >= 1.0 - _RHO_EPS))  # NaN stays inside, to be refused there
-    for i in range(0, mid.size, _ELU_CHUNK):
-        # take and put index the C-order flattening whatever the layout
-        idx = mid[i:i + _ELU_CHUNK]
-        vals = _elu_interior(l2, alpha, *(np.take(a, idx) for a in (s1, s2, rho, c1)))
-        for out, v in zip(outs, vals):
-            np.put(out, idx, v)
+    mid = ~(np.abs(rho) >= 1.0 - _RHO_EPS)  # NaN stays inside, to be refused by bvn
+    # the band on the correlation that _elu_interior hands to bvn
+    tail = mid & (np.abs(np.cos(_arccos_theta(rho))) >= GENZ_RHO_MAX)
+    for band, rule, size, args in ((mid & ~tail, _elu_interior, _ELU_CHUNK, (s1, s2, rho, c1)),
+                                   (tail, _elu_tail, _TAIL_CHUNK, (s1, s2, rho))):
+        entries = np.flatnonzero(band)
+        for i in range(0, entries.size, size):
+            # take and put index the C-order flattening whatever the layout
+            idx = entries[i:i + size]
+            vals = rule(l2, alpha, *(np.take(a, idx) for a in args))
+            for out, v in zip(outs, vals):
+                np.put(out, idx, v)
     return [out if out.shape else float(out) for out in outs]
 
 
 def _elu_interior(l2, alpha, s1, s2, rho, c1):
-    """``_elu_moments`` at |rho| < 1 - _RHO_EPS, c1 = expscaled_cdf(s1)."""
+    """``_elu_moments`` at |cos theta| < ``GENZ_RHO_MAX``, c1 = expscaled_cdf(s1)."""
     a2 = alpha * alpha
     theta = _arccos_theta(rho)
     sn, cs = np.sin(theta), np.cos(theta)
@@ -153,6 +171,53 @@ def _elu_interior(l2, alpha, s1, s2, rho, c1):
     jump = (s2 * sn / SQRT_2PI + alpha * (x2 - 0.5)) / (SQRT_2PI * s1)
     dd = l2 * (alpha * (lin + alpha * (e12 - e10)) + (1.0 - alpha) * jump)
     return mean, dot, dd
+
+
+def _elu_tail(l2, alpha, s1, s2, rho):
+    """``_elu_moments`` where |cos theta| >= ``GENZ_RHO_MAX``, by one 1-D
+    rule over Z1 = z. Given z, Y = s2 Z2 is N(s2 rho z, v^2), v = s2 tau,
+    tau = sqrt(1 - rho^2), so E[psi(Y) | z] and E[psi'(Y) | z] are closed
+    forms (``_conditional``); the moments integrate them against
+    phi(z) psi(s1 z), phi(z) psi'(s1 z) and phi(z) psi''(s1 z), whose kink
+    at 0 adds (1 - alpha) phi(0) E[psi(Y) | 0] / s1.
+    """
+    tau = np.sqrt((1.0 - rho) * (1.0 + rho))
+    n = s1.size
+    edges = np.sort(np.hstack([np.broadcast_to(_TAIL_EDGES, (n, _TAIL_EDGES.size)),
+                               np.outer(1.0 / np.maximum(s1, 1.0), _TAIL_SCALES),
+                               np.outer(np.minimum(1.0, tau / np.abs(rho)), _TAIL_SCALES)]),
+                    axis=1)
+    half = np.diff(edges, axis=1)[..., None] / 2.0
+    z = (edges[:, :-1, None] + half * (_TAIL_NODES + 1.0)).reshape(n, -1)
+    w = (half * _TAIL_WEIGHTS).reshape(n, -1) * np.exp(-0.5 * z * z) / SQRT_2PI
+    v = s2 * tau
+    (g_pos, g_neg), (d_pos, d_neg) = (
+        np.hsplit(c, 2) for c in _conditional(alpha, (rho / tau)[:, None] * np.hstack([z, -z]),
+                                              v[:, None]))
+    sz = s1[:, None] * z
+    e = np.exp(-sz)  # psi'(-s1 z) / (lam alpha)
+    mean = (w * (sz * g_pos + alpha * np.expm1(-sz) * g_neg)).sum(axis=1)
+    dot = (w * (d_pos + alpha * e * d_neg)).sum(axis=1)
+    kink = _conditional(alpha, np.zeros(n), v)[0] / (SQRT_2PI * s1)
+    dd = alpha * (w * e * g_neg).sum(axis=1) + (1.0 - alpha) * kink
+    return l2 * mean, l2 * dot, l2 * dd
+
+
+def _conditional(alpha, t, v):
+    """``(E[psi(Y)], E[psi'(Y)])`` at lam = 1 for Y ~ N(t v, v^2), from
+    E[Y; Y > 0] = v (t Phi(t) + phi(t)) and E[e^Y; Y < 0] =
+    exp(t v + v^2/2) Phi(-t - v), the latter as
+    exp(-t^2/2) erfcx((t + v)/sqrt(2)) / 2 where t + v >= 0: each form on
+    its own entries, where it cannot overflow."""
+    u = t + v
+    pdf = np.exp(-0.5 * t * t)
+    ey = np.empty(u.shape)
+    up = u >= 0.0
+    ey[up] = pdf[up] * erfcx(u[up] / np.sqrt(2.0)) / 2.0
+    low = ~up
+    ey[low] = np.exp((v * (t + v / 2.0))[low]) * ndtr(-u[low])
+    cdf = ndtr(t)
+    return v * (t * cdf + pdf / SQRT_2PI) + alpha * (ey - ndtr(-t)), cdf + alpha * ey
 
 
 def _broadcast(*arrays):

@@ -3,7 +3,8 @@
 Univariate normal pdf/cdf, an overflow-safe ``exp(t^2/2) * Phi(-t)``,
 and the bivariate normal CDF (Genz's rewrite of the Drezner-Wesolowsky
 algorithm, with optional exponential prefactor folded into the
-quadrature so that products like ``exp(q) * Phi2`` stay finite).
+quadrature so that products like ``exp(q) * Phi2`` stay finite) for
+|rho| < 0.925 and |rho| = 1; the band between is refused.
 ``bvn_halves_exp`` gives both halves ``Z1 <= h`` and ``Z1 > h`` of
 ``exp(q) P(Z2 <= k)`` from one Genz integral per row, on rows that share
 their correlation by column; ``bvn_cdf_exp`` is its lower half on one row.
@@ -34,16 +35,11 @@ _GL_NODES, _GL_WEIGHTS = roots_legendre(24)
 # CHANGES.md records the sweeps (128-2048 rows, and 128-3,072 rows at
 # three rows per column) behind it.
 _BLOCK_COLS = 256
-# Rows per block of the tail rule, whose (rows, 28, 24) temporaries are
-# 0.5 MB each at 96 rows. 256-row blocks raised the peak RSS of the
-# `fixed_point` benchmark by ~4 MB; of 64, 96 and 128 rows, 96 was the
-# fastest. CHANGES.md records the sweep.
-_TAIL_BLOCK_ROWS = 96
-# Panel edges of the tail rule: fixed, from z = h by the integrand's decay
-# scale, and around the kink z = k / r by its width
-_TAIL_EDGES_FIXED = np.array([-40.0, -20.0, -10.0, -5.0, -2.0, 0.0, 2.0, 5.0, 10.0, 20.0, 40.0])
-_TAIL_EDGES_H = np.array([0.0, 0.05, 0.15, 0.4, 1.0, 2.5, 6.0, 15.0, 40.0, 80.0, 130.0])
-_TAIL_EDGES_KINK = np.array([-30.0, -5.0, -1.0, 0.0, 1.0, 5.0, 30.0])
+
+# Correlations 0.925 <= |rho| < 1 are refused: the Genz rule loses
+# accuracy there, and the ELU/SELU moments, its one caller in that band,
+# take a 1-D rule of their own (``kernels._elu_tail``).
+GENZ_RHO_MAX = 0.925
 
 
 def std_normal_pdf(z):
@@ -88,51 +84,8 @@ def _check_correlation(rho):
     return rho
 
 
-def _bvnu_tail_1d(h, k, r, q):
-    """``exp(q) * P(X > h, Y > k)`` by log-space 1-D panel quadrature.
-
-    Conditions on X: the target equals
-    ``e^q int_h^inf phi(z) Phi((r z - k)/tau) dz``. Contributions are
-    accumulated by log-sum-exp, so the method stays accurate for
-    arbitrarily extreme arguments and exponential prefactors (where the
-    series-accelerated branch of the Genz algorithm loses all digits to
-    cancellation). Used for |r| >= 0.925.
-    """
-    tau = np.sqrt(np.maximum((1.0 - r) * (1.0 + r), 1e-300))
-    # Log-slope of the integrand at z = h sets the decay scale of the
-    # near-boundary cluster (hazard term from the conditional cdf).
-    arg_h = (r * h - k) / tau
-    hazard = np.exp(-0.5 * arg_h * arg_h - np.log(SQRT_2PI) - log_ndtr(arg_h))
-    slope = -h + (r / tau) * hazard
-    scale = 1.0 / np.maximum(1.0, np.abs(slope))
-    upper = np.maximum(41.0, h + 130.0 * scale)
-    z_t = k / np.where(np.abs(r) < 1e-12, 1.0, r)
-    w_t = np.maximum(tau / np.abs(r), 1e-6)
-    n_pts = h.shape[0]
-    edges = np.concatenate([np.broadcast_to(_TAIL_EDGES_FIXED, (n_pts, _TAIL_EDGES_FIXED.size)),
-                            h[:, None] + _TAIL_EDGES_H * scale[:, None],
-                            z_t[:, None] + _TAIL_EDGES_KINK * w_t[:, None]], axis=1)
-    edges = np.clip(edges, h[:, None], upper[:, None])
-    edges = np.sort(edges, axis=1)
-
-    x, w = _GL_NODES, _GL_WEIGHTS
-    lo = edges[:, :-1]
-    width = edges[:, 1:] - lo
-    z = lo[:, :, None] + 0.5 * width[:, :, None] * (x[None, None, :] + 1.0)
-    with np.errstate(divide="ignore"):
-        log_w = np.where(width > 0, np.log(0.5 * np.maximum(width, 1e-300)), -np.inf)
-    log_c = (log_w[:, :, None] + np.log(w)[None, None, :]
-             - 0.5 * z * z - np.log(SQRT_2PI)
-             + log_ndtr((r[:, None, None] * z - k[:, None, None]) / tau[:, None, None]))
-    log_c = log_c.reshape(n_pts, -1)
-    peak = np.max(log_c, axis=1)
-    safe_peak = np.where(np.isfinite(peak), peak, 0.0)
-    total = np.exp(log_c - safe_peak[:, None]).sum(axis=1)
-    return np.where(np.isfinite(peak), np.exp(q + safe_peak + np.log(total)), 0.0)
-
-
 def _bvnu_genz(h, k, r, q, up):
-    """The |r| < 0.925 branch of ``_bvnu_exp``: Genz's correlation integral.
+    """The |r| < ``GENZ_RHO_MAX`` branch of ``_bvnu_exp``: Genz's correlation integral.
 
     One integral per row, with the arcsine and node sines once per column.
     At (-h, k, -r) hk and sin(theta) both change sign and the arcsine in
@@ -157,36 +110,22 @@ def _bvnu_genz(h, k, r, q, up):
                            np.exp(log_ndtr(h[up]) + lk[up] + q[up]) - g[up]])
 
 
-def _mirrored(h, k, r, q, up):
-    """Rows ``(h, k, r, q)`` followed by the ``up`` rows at ``(-h, k, -r, q)``,
-    as one (4, T + U, m) array, for the rules that take no shortcut from
-    the mirror."""
-    t = h.shape[0]
-    rows = np.empty((4, t + h[up].shape[0], h.shape[1]))
-    rows[0, :t], rows[1, :t], rows[2, :t], rows[3, :t] = h, k, r, q
-    rows[0, t:], rows[1, t:], rows[2, t:], rows[3, t:] = -h[up], k[up], -r, q[up]
-    return rows
-
-
-def _bvnu_tail(h, k, r, q, up):
-    """The 0.925 <= |r| < 1 branch of ``_bvnu_exp``: the tail rule per row."""
-    rows = _mirrored(h, k, r, q, up)
-    return _blocked(_bvnu_tail_1d, _TAIL_BLOCK_ROWS, *rows.reshape(4, -1)).reshape(rows.shape[1:])
-
-
 def _bvnu_edge(h, k, r, q, up):
-    """The |r| = 1 branch of ``_bvnu_exp``: the degenerate limits."""
-    h, k, r, q = _mirrored(h, k, r, q, up)
+    """The |r| = 1 branch of ``_bvnu_exp``: the degenerate limits, on the
+    rows and on the ``up`` rows at (-h, k, -r, q)."""
+    pos_r = np.concatenate([np.broadcast_to(r > 0, h.shape), np.broadcast_to(r < 0, h[up].shape)])
+    h = np.concatenate([h, -h[up]])
+    k, q = (np.concatenate([a, a[up]]) for a in (k, q))
     pos = np.exp(q + log_ndtr(-np.maximum(h, k)))
     neg = np.maximum(0.0, np.exp(q + log_ndtr(-h)) - np.exp(q + log_ndtr(k)))
-    return np.where(r > 0, pos, neg)
+    return np.where(pos_r, pos, neg)
 
 
 def _blocked(rule, size, *args, **kwargs):
     """``rule(*args, **kwargs)`` over consecutive blocks of ``size`` along
     the last axis of ``args``.
 
-    Both quadrature rules are independent along it, so the result equals
+    The Genz rule is independent along it, so the result equals
     one call on the whole batch bit for bit; the blocks keep their
     (block, nodes) temporaries in the per-core cache.
     """
@@ -203,25 +142,21 @@ def _bvnu_exp(h, k, r, q, up):
     normals: h, k, q are (T, m), r is (m,); returned as one (T + U, m)
     array, the U upper rows last.
 
-    |r| < 0.925 uses the correlation-integral form of the Genz (2004)
-    rewrite of the Drezner-Wesolowsky algorithm, vectorized, with the
-    ``exp(q)`` prefactor folded into every exponential; a row and its
+    |r| < ``GENZ_RHO_MAX`` uses the correlation-integral form of the Genz
+    (2004) rewrite of the Drezner-Wesolowsky algorithm, vectorized, with
+    the ``exp(q)`` prefactor folded into every exponential; a row and its
     mirror share one integral. For r < 0 the integral is negative and
     cancels against the product term, so the result loses relative
     accuracy, and can come out negative, where it is small next to that
     term: ``bvn_cdf(-2.5, -2.5, -0.9)`` is below 0, and the ELU/SELU
-    kernels fail at s >~ 10 (ROADMAP item 2). Higher correlations go
-    through the log-space conditional integral, one row per half, and
-    |r| = 1 is exact. The branch masks, gathers and scatters run once on
-    the whole call, by column; the Genz rule then runs over blocks of
-    ``_BLOCK_COLS`` columns and the tail rule over ``_TAIL_BLOCK_ROWS``
-    rows.
+    kernels fail at s >~ 10 (ROADMAP item 2). |r| = 1 is exact; the band
+    between is refused before this runs. The branch masks, gathers and
+    scatters run once on the whole call, by column; the Genz rule then
+    runs over blocks of ``_BLOCK_COLS`` columns.
     """
     out = np.empty((h.shape[0] + h[up].shape[0], h.shape[1]))
-    absr = np.abs(r)
-    for m, rule in ((absr < 0.925, partial(_blocked, _bvnu_genz, _BLOCK_COLS)),
-                    ((absr >= 0.925) & (absr < 1.0), _bvnu_tail),
-                    (absr >= 1.0, _bvnu_edge)):
+    genz = np.abs(r) < GENZ_RHO_MAX
+    for m, rule in ((genz, partial(_blocked, _bvnu_genz, _BLOCK_COLS)), (~genz, _bvnu_edge)):
         if m.any():
             out[:, m] = rule(h[:, m], k[:, m], r[m], q[:, m], up=up)
     return out
@@ -234,13 +169,17 @@ def bvn_halves_exp(h, k, rho, q, upper_rows=slice(None)):
     h, k and q are (T, m) and rho is (m,): the T rows of a column share
     its correlation. The upper half equals ``bvn_cdf_exp(-h, k, -rho, q)``
     bit for bit and is returned for the rows ``upper_rows`` only; in the Genz
-    band it costs no second integral, elsewhere it costs one row of its
-    own.
+    band it costs no second integral. Correlations with
+    ``GENZ_RHO_MAX`` <= |rho| < 1 raise ``ValueError``.
     """
     h, k, q = (np.asarray(v, dtype=float) for v in (h, k, q))
     if np.isnan(h).any() or np.isnan(k).any():
         raise ValueError("bvn_cdf: NaN argument")
     rho = _check_correlation(rho)
+    absr = np.abs(rho)
+    if ((absr >= GENZ_RHO_MAX) & (absr < 1.0)).any():
+        raise ValueError(f"bvn: correlations with {GENZ_RHO_MAX} <= |rho| < 1 are refused; "
+                         "the Genz rule is not accurate there")
     # infinite rectangle corners saturate at |z| = 8.5 (cdf within 1e-15)
     h = np.where(np.isinf(h), np.sign(h) * _Z_CLAMP, h)
     k = np.where(np.isinf(k), np.sign(k) * _Z_CLAMP, k)
@@ -255,7 +194,7 @@ def bvn_cdf_exp(h, k, rho, q=0.0):
     ``exp(q)`` overflows or ``Phi2`` underflows still give the correct
     finite product (needed by the exponential cross terms of the
     ELU/SELU closed forms at large signal norms). The lower half of
-    ``bvn_halves_exp`` with one row.
+    ``bvn_halves_exp`` with one row; refuses ``GENZ_RHO_MAX`` <= |rho| < 1.
     """
     h, k, rho, q = np.broadcast_arrays(
         *[np.asarray(v, dtype=float) for v in (h, k, rho, q)]

@@ -17,6 +17,13 @@ class TestDescriptor:
         for name in ACTIVATION_NAMES:
             assert from_name(name).kind == name
 
+    def test_selu_by_name_is_self_normalizing(self):
+        # the scales of Klambauer et al. (2017), whose fixed point is unit norm
+        act = from_name("selu")
+        assert (act.selu_lambda, act.selu_alpha) == (1.0507009873554805, 1.6732632423543772)
+        from nnkernels.fixed_point import sigma_star
+        assert sigma_star(act, 1.0) == pytest.approx(1.0, abs=1e-8)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             Activation("swish")

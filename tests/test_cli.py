@@ -108,6 +108,12 @@ class TestKernelEval:
         run_cli(args + ["--out", str(b)], capsys)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_selu_is_not_elu(self, capsys):
+        # --activation selu takes the self-normalizing scales, not lambda = alpha = 1
+        args = ["kernel-eval", "--depth", "2", "--theta-points", "4", "--activation"]
+        elu, selu = (run_cli(args + [name], capsys)[1] for name in ("elu", "selu"))
+        assert elu != selu
+
     @pytest.mark.parametrize("name, sw2", SIX_CLI_ACTS, ids=[a for a, _ in SIX_CLI_ACTS])
     def test_rows_match_per_angle_float_calls(self, name, sw2, tmp_path, capsys):
         # reference: one angle at a time, through the float calls

@@ -3,7 +3,7 @@ import pytest
 
 from nnkernels.activations import ELU, ERF, GELU, RELU, from_name, lrelu, selu
 from nnkernels.deep import (LayerState, NetworkHyper, NtkState, _layer_jacobian,
-                            _layer_step, _normalized, deep_kernel_matrix,
+                            _layer_step, _normalized, _validated, deep_kernel_matrix,
                             deep_normalized_kernel, input_state, iterate_state,
                             kernel_grad, kernel_matrices_by_depth, ntk_iterate,
                             scaled_ntk_iterate, state_trajectory)
@@ -341,20 +341,41 @@ class TestKernelMatrix:
                 assert K[i, j] == pytest.approx(k_scalar, rel=1e-12)
 
     def test_elu_ntk_bvn_work(self, bvn_work):
-        # one bvn call per layer on three rows per pair (k and kdot share
-        # them), none on the rho = 1 diagonal, whose limits are closed
-        # forms: three Genz integrals per Genz-band pair, five tail-rule
-        # rows (three lower halves, two upper) per tail-band pair
+        # k and kdot share each pair's work, and the rho = 1 diagonal, whose
+        # limits are closed forms, takes none: one bvn call per layer, of
+        # three Genz rows per Genz-band pair, and one tail-rule entry per
+        # tail-band pair
         calls, work = bvn_work
         n, depth = 9, 3
         pairs = n * (n - 1) // 2
         X = np.random.default_rng(3).standard_normal((n, 4))
+        X[1] = X[0] + 0.05 * X[1]  # a tail-band pair
         deep_kernel_matrix(ELU, X, NetworkHyper.shared(depth, 1.5), use_ntk=True)
-        assert [shape for shape, _ in calls] == [(3, pairs)] * depth
+        assert len(calls) == depth and all(shape[0] == 3 for shape, _ in calls)
         r = np.abs(np.concatenate([r for _, r in calls]))
-        assert r.max() < 1.0 - 1e-12
-        assert work == {"genz": 3 * (r < 0.925).sum(), "tail": 5 * (r >= 0.925).sum()}
-        assert (r < 0.925).sum() > 0
+        assert r.max() < 0.925
+        assert work == {"genz": 3 * r.size, "tail": depth * pairs - r.size}
+        assert r.size > 0 and work["tail"] > 0
+
+
+class TestRefusals:
+    def test_non_finite_kernel_refused(self):
+        K = np.eye(3)
+        K[1, 2] = K[2, 1] = np.nan
+        with pytest.raises(ArithmeticError, match=r"non-finite kernel entry at pair \(1, 2\)"):
+            _validated(K)
+
+    def test_not_psd_kernel_refused(self):
+        with pytest.raises(ArithmeticError, match="not PSD"):
+            _validated(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        # singular, but PSD within the jitter: returned as it is
+        K = np.ones((2, 2))
+        assert _validated(K) is K
+
+    def test_normalized_overshoot_refused(self):
+        with pytest.raises(ArithmeticError, match="overshoots"):
+            _normalized(np.array([0.5, 1.0 + 1e-9]), 1.0, 1.0)
+        assert _normalized(1.0 + 1e-13, 1.0, 1.0) == 1.0
 
 
 class TestLayerJacobian:

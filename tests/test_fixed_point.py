@@ -263,6 +263,12 @@ class TestSigmaStar:
         with pytest.raises(ValueError, match="no sign change|no root"):
             sigma_star(ERF, 2.0)
 
+    def test_root_past_the_elu_cap_refused(self):
+        # at norm 20 the ELU root (~1.4) lies past the cap 25 / 20, so no
+        # bracket changes sign
+        with pytest.raises(ValueError, match="no sign change"):
+            sigma_star(ELU, 20.0)
+
     def test_erf_root_beyond_elu_cap(self):
         # the root lies past 25 / norm, where only the ELU/SELU bracket is capped
         from scipy.special import erf
@@ -318,15 +324,16 @@ class TestFindFixedPoint:
         assert (report.stopped, report.iterations, report.converged) == ("max_iter", 8, False)
 
     def test_elu_step_is_one_bvn_call(self, bvn_work):
-        # the pair's three bvn rows go in one call, as three Genz integrals
-        # in the Genz band and five tail-rule rows in the tail band; the
-        # rho = 1 norm updates take closed-form limits
+        # the pair's three bvn rows go in one call, as three Genz integrals,
+        # in the Genz band; in the tail band the pair is one entry of the
+        # tail rule and makes no bvn call. The rho = 1 norm updates take
+        # closed-form limits
         calls, work = bvn_work
-        for rho, genz, tail in ((0.4, 3, 0), (0.97, 0, 5)):
+        for rho, shapes, genz, tail in ((0.4, [(3, 1)], 3, 0), (0.97, [], 0, 1)):
             calls.clear()
             work.update(genz=0, tail=0)
             iterate_state(ELU, LayerState(1.3, 0.8, rho), 1.5, 0.1)
-            assert [shape for shape, _ in calls] == [(3, 1)]
+            assert [shape for shape, _ in calls] == shapes
             assert work == {"genz": genz, "tail": tail}
 
     def test_overflowing_norm_stops_as_diverged(self):

@@ -175,6 +175,19 @@ class TestPredict:
         assert np.abs(mean - mean_d).max() <= 1e-9
         assert np.abs(var - var_d).max() <= 1e-9
 
+    def test_rounding_variance_clamped_and_counted(self):
+        # a K** diagonal 5e-11 below the quadratic form is within the
+        # rounding tolerance: its variance is clamped to 0 and counted;
+        # 1e-9 below raises
+        K = random_spd(6, 3)
+        gp = fit(K, np.ones(6), 0.1)
+        quad = np.diag(K[:2] @ np.linalg.solve(K + 0.1 * np.eye(6), K[:2].T))
+        _, var = predict(gp, K[:2], quad + np.array([-5e-11, 1.0]))
+        assert var[0] == 0.0 and var[1] == pytest.approx(1.0, abs=1e-12)
+        assert gp.n_var_clamped == 1
+        with pytest.raises(ArithmeticError, match="variance below"):
+            predict(gp, K[:2], quad - 1e-9)
+
     def test_shape_mismatch(self):
         gp = fit(np.eye(3), np.zeros(3), 0.1)
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from nnkernels import kernels as kernels_mod
 from nnkernels.activations import ELU, ERF, GELU, RELU, lrelu, selu
-from nnkernels.kernels import (_ELU_CHUNK, ELU_S_MAX, KernelArgs, _elu_moments,
+from nnkernels.kernels import (_ELU_CHUNK, _TAIL_CHUNK, ELU_S_MAX, KernelArgs, _elu_moments,
                                diag_mean, kernel, kernel_dot, kernel_dot_quadrature,
                                kernel_dot_values, kernel_from_inputs,
                                kernel_mc, kernel_quadrature, kernel_values,
@@ -26,7 +26,7 @@ def standard_grid():
     return (s1.ravel(), s2.ravel(), np.cos(th.ravel()), sw2.ravel(), sb2.ravel())
 
 
-def dd_oracle(act, s1, s2, rho):
+def dd_oracle(act, s1, s2, rho, nodes=200):
     """E[psi''(s1 Z1) psi(s2 Z2)]: the regular part of psi'' by 2-D
     quadrature plus, for a kink of slope jump j at 0,
     j E[psi(s2 tau Z)] / (sqrt(2 pi) s1); with ``regular`` for the
@@ -44,9 +44,9 @@ def dd_oracle(act, s1, s2, rho):
     jump = {"relu": 1.0, "lrelu": 1.0 - act.lrelu_slope,
             "selu": lam * (1.0 - alpha)}.get(act.kind, 0.0)
     f = lambda z: am.eval(act, z)
-    tau = np.sqrt(1.0 - rho * rho)
-    oracle = pair_mean_quad(regular, f, s1, s2, rho, nodes=200)
-    oracle += jump * np.array([mean_1d(lambda z: f(b * t * z), nodes=200)
+    tau = np.sqrt((1.0 - rho) * (1.0 + rho))  # 1 - rho * rho loses digits near |rho| = 1
+    oracle = pair_mean_quad(regular, f, s1, s2, rho, nodes=nodes)
+    oracle += jump * np.array([mean_1d(lambda z: f(b * t * z), nodes=nodes)
                                for b, t in zip(s2, tau)]) / (np.sqrt(2 * np.pi) * s1)
     return oracle, regular
 
@@ -54,7 +54,7 @@ def dd_oracle(act, s1, s2, rho):
 def _elu_interior_five_calls(l2, alpha, s1, s2, rho, c1):
     """``kernels._elu_interior`` with its five bvn terms as five rows of one
     ``bvn_cdf_exp`` call, each at its own arguments: the reference it
-    matches bit for bit outside the tail band 0.925 <= |cos theta| < 1."""
+    matches bit for bit in the Genz band |cos theta| < 0.925."""
     from nnkernels.special import SQRT_2PI, TWO_PI, bvn_cdf_exp, expscaled_cdf
     a2 = alpha * alpha
     theta = np.arccos(np.clip(rho, -1.0, 1.0))
@@ -90,6 +90,26 @@ def _elu_moments_both(monkeypatch, act, s1, s2, rho):
 def _tail_band(rho):
     cs = np.abs(np.cos(np.arccos(np.clip(rho, -1.0, 1.0))))
     return (cs >= 0.925) & (np.abs(rho) < 1.0 - 1e-12)
+
+
+def _elu_oracles(act, s1, s2, rho, nodes=400):
+    """E[psi psi], E[psi' psi'] and E[psi'' psi] by quadrature."""
+    from nnkernels.quadrature import pair_mean_quad
+    from nnkernels import activations as am
+    f, d = (lambda z: am.eval(act, z)), (lambda z: am.deriv(act, z))
+    return np.array([pair_mean_quad(f, f, s1, s2, rho, nodes=nodes),
+                     pair_mean_quad(d, d, s1, s2, rho, nodes=nodes),
+                     dd_oracle(act, s1, s2, rho, nodes=nodes)[0]])
+
+
+def _assert_batch_is_one_by_one(act, s1, s2, rho):
+    batch = _elu_moments(act, s1, s2, rho)
+    one_by_one = np.array([_elu_moments(act, *args) for args in zip(s1, s2, rho)]).T
+    assert np.array_equal(np.array(batch), one_by_one)
+    # (entries, 2) transposed inputs make Fortran-ordered outputs, whose
+    # interior entries must be written as those of C-ordered ones are
+    twin = _elu_moments(act, *(np.stack([a, a]).T for a in (s1, s2, rho)))
+    assert np.array_equal(np.array(twin), np.stack([one_by_one] * 2, axis=-1))
 
 
 class TestExamples:
@@ -251,29 +271,37 @@ class TestOracleEquivalence:
                 end = mean_1d(lambda z: regular(a * z) * f(sign * b * z), nodes=200)
                 assert abs(pair_dd_mean(act, a, b, sign) - end) <= 1e-12 * max(1.0, abs(end))
 
-    @pytest.mark.parametrize("act", [ELU, selu(1.0507, 1.6733)], ids=lambda a: a.kind)
-    def test_elu_tail_band_no_worse_than_five_calls(self, monkeypatch, act):
-        # in the tail band E(s1, 0) enters the tail rule with its arguments
-        # swapped, which is not symmetric in floats; the worst error against
-        # the quadrature oracles stays that of the five-call terms, to
-        # within one machine epsilon of the error's scale (measured: equal
-        # for E[psi psi] and E[psi' psi']; for E[psi'' psi], 2.05e-15
-        # against 1.97e-15 for ELU)
-        from nnkernels.quadrature import pair_mean_quad
-        from nnkernels import activations as am
+    @pytest.mark.parametrize("act", [ELU, selu(1.0507009873554805, 1.6732632423543772)],
+                             ids=lambda a: a.kind)
+    def test_elu_tail_band_against_quadrature(self, act):
+        # the 1-D rule of the tail band over the whole guarded range, down
+        # to 1 - |rho| = 1.3e-12 with both signs; the five bvn tail-rule rows
+        # it replaced were off by up to 0.24 here, and by 2% at the last
+        # entry. Measured: 4e-13 at most, at s1 = 0.05, where the oracle
+        # itself moves by 3e-13 between 200 and 800 nodes
         s1, s2, rho = (v.ravel() for v in np.meshgrid(
-            GRID_S, GRID_S, (-0.999, -0.99, -0.97, -0.93, 0.93, 0.97, 0.99, 0.999)))
+            (0.05, 1.0, 8.0, 25.0), (0.05, 1.0, 8.0, 25.0),
+            [sign * (1.0 - gap) for sign in (1.0, -1.0) for gap in (1.3e-12, 3e-8, 1e-4, 0.07)]))
+        s1, s2, rho = (np.append(a, b) for a, b in ((s1, 21.60), (s2, 21.09),
+                                                    (rho, -(1.0 - 2.9e-12))))
         assert _tail_band(rho).all()
-        f, d = (lambda z: am.eval(act, z)), (lambda z: am.deriv(act, z))
-        oracles = [pair_mean_quad(f, f, s1, s2, rho, nodes=200),
-                   pair_mean_quad(d, d, s1, s2, rho, nodes=200),
-                   dd_oracle(act, s1, s2, rho)[0]]
-        new, ref = _elu_moments_both(monkeypatch, act, s1, s2, rho)
-        assert not np.array_equal(new, ref)  # the swap moves some entries
-        for got, want, oracle in zip(new, ref, oracles):
-            scale = np.maximum(1.0, np.abs(oracle))
-            assert ((np.abs(got - oracle) / scale).max()
-                    <= (np.abs(want - oracle) / scale).max() + np.finfo(float).eps)
+        oracles = _elu_oracles(act, s1, s2, rho)
+        err = np.abs(np.array(_elu_moments(act, s1, s2, rho)) - oracles)
+        assert (err <= 1e-12 * np.maximum(1.0, np.abs(oracles))).all(), err.max(axis=1)
+
+    @pytest.mark.parametrize("act", [ELU, selu(1.0507, 1.6733)], ids=lambda a: a.kind)
+    def test_elu_band_edge(self, act):
+        # a few ulps on each side of |cos theta| = 0.925, the Genz and the
+        # tail rule agree with the oracle alike
+        edge = np.array([0.925, -0.925])
+        ulps = [edge]
+        for _ in range(3):
+            ulps = [np.nextafter(ulps[0], 0.0)] + ulps + [np.nextafter(ulps[-1], 2 * edge)]
+        s1, s2, rho = (v.ravel() for v in np.meshgrid((0.3, 2.0, 5.0), (0.7, 4.0), np.ravel(ulps)))
+        assert 0 < _tail_band(rho).sum() < rho.size
+        oracles = _elu_oracles(act, s1, s2, np.where(rho > 0, 0.925, -0.925))
+        err = np.abs(np.array(_elu_moments(act, s1, s2, rho)) - oracles)
+        assert (err <= 1e-12 * np.maximum(1.0, np.abs(oracles))).all(), err.max(axis=1)
 
     @pytest.mark.parametrize("act", [ELU, selu(1.0507, 1.6733)], ids=lambda a: a.kind)
     def test_pair_dd_mean_endpoints_quiet_to_guard(self, act):
@@ -338,25 +366,31 @@ class TestInvariants:
     @pytest.mark.parametrize("n", [1, _ELU_CHUNK - 1, _ELU_CHUNK, _ELU_CHUNK + 1,
                                    3 * _ELU_CHUNK + 7])
     def test_elu_chunks_equal_one_by_one(self, act, n):
-        # n interior entries, so the bvn chunks split exactly at n; the
+        # n Genz-band entries, so the bvn chunks split exactly at n; the
         # rho = +-1 and +-(1 - 1e-13) limits sit among them and take no chunk slot
         rng = np.random.default_rng(n)
-        rho = np.insert(rng.uniform(-0.999, 0.999, n), [0, n // 3, n // 2, n],
+        rho = np.insert(rng.uniform(-0.92, 0.92, n), [0, n // 3, n // 2, n],
                         [1.0, -1.0, 1.0 - 1e-13, -1.0 + 1e-13])
         s1, s2 = rng.uniform(0.05, 12.0, (2, rho.size))
-        batch = _elu_moments(act, s1, s2, rho)
-        one_by_one = np.array([_elu_moments(act, *args) for args in zip(s1, s2, rho)]).T
-        assert np.array_equal(np.array(batch), one_by_one)
-        # (entries, 2) transposed inputs make Fortran-ordered outputs, whose
-        # interior entries must be written as those of C-ordered ones are
-        twin = _elu_moments(act, *(np.stack([a, a]).T for a in (s1, s2, rho)))
-        assert np.array_equal(np.array(twin), np.stack([one_by_one] * 2, axis=-1))
+        _assert_batch_is_one_by_one(act, s1, s2, rho)
+
+    @pytest.mark.parametrize("act", [ELU, selu(1.0507, 1.6733)], ids=lambda a: a.kind)
+    @pytest.mark.parametrize("n", [_TAIL_CHUNK - 1, _TAIL_CHUNK, _TAIL_CHUNK + 1,
+                                   3 * _TAIL_CHUNK + 7])
+    def test_elu_tail_chunks_equal_one_by_one(self, act, n):
+        # n tail-band entries, so the tail-rule chunks split exactly at n;
+        # Genz-band entries and limits sit among them
+        rng = np.random.default_rng(n)
+        rho = rng.choice([-1.0, 1.0], n) * (1.0 - 10.0 ** -rng.uniform(1.15, 12.0, n))
+        rho = np.insert(rho, [0, n // 3, n // 2, n], [0.3, -1.0, -0.6, 1.0 - 1e-13])
+        assert _tail_band(rho).sum() == n
+        s1, s2 = rng.uniform(0.05, 25.0, (2, rho.size))
+        _assert_batch_is_one_by_one(act, s1, s2, rho)
 
     @pytest.mark.parametrize("act", [ELU, selu(1.0507, 1.6733)], ids=lambda a: a.kind)
     def test_elu_moments_equal_five_calls_outside_tail_band(self, monkeypatch, act):
-        # three Genz integrals give the five bvn terms bit for bit; in the
-        # tail band the swapped E(s1, 0) moves E[psi psi] and E[psi'' psi]
-        # by rounding only, and E[psi' psi'], which does not use it, stays
+        # three Genz integrals give the five bvn terms bit for bit; the tail
+        # band takes the 1-D rule in both
         rng = np.random.default_rng(11)
         n = 20_000
         s1, s2 = rng.uniform(0.05, 12.0, (2, n))
@@ -366,8 +400,6 @@ class TestInvariants:
         tail = _tail_band(rho)
         assert 0 < tail.sum() < n
         assert np.array_equal(new[:, ~tail], ref[:, ~tail])
-        assert np.array_equal(new[1], ref[1])
-        assert (np.abs(new[0] - ref[0]) <= 1e-13 * np.abs(ref[0])).all()
 
     def test_diag_mean_consistency(self):
         for act in CLOSED_FORM_ACTS:
