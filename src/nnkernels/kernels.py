@@ -16,7 +16,8 @@ Closed forms:
   GELU          rational/arctan expression in s1, s2, cos(theta);
   ELU / SELU    the arc-cosine term of the linear parts plus
                 exponential cross terms, each a bivariate normal CDF
-                kept finite via bvn_cdf_exp and expscaled_cdf.
+                kept finite by the exponent-folding Genz rule and
+                expscaled_cdf.
 
 The derivative kernel k-dot = sigma_w^2 E[psi'(s1 Z1) psi'(s2 Z2)] is
 closed-form for every activation as well:
@@ -25,14 +26,14 @@ closed-form for every activation as well:
   GELU          an arcsine quadrant term plus two algebraic terms, from
                 psi'(z) = Phi(z) + z phi(z);
   ELU / SELU    the quadrant term plus exponential cross terms, through
-                bvn_cdf_exp.
+                the Genz rule of ``special``.
 
 So is ``pair_dd_mean``, D = E[psi''(s1 Z1) psi(s2 Z2)] (a kink adds a
 delta to psi''): by Price's theorem, 2 dE[psi psi]/ds1^2, the entry the
 layer Jacobian in ``deep`` is built from. ``pair_moments`` gives
 E[psi psi] and E[psi' psi'] together, for the tangent-kernel step. For
 ELU/SELU all three come from one evaluator, ``_elu_moments``: five bvn
-terms per entry from three Genz integrals, in one ``bvn_halves_exp`` call
+terms per entry from three Genz integrals, in one call of the Genz rule
 per chunk of entries; for 0.925 <= |rho| < 1 a 1-D Gauss-Legendre rule
 over Z1 of closed-form conditional moments; at rho = +-1 the limits.
 ``diag_mean`` is ``pair_mean`` at rho = 1.
@@ -48,16 +49,14 @@ from scipy.special import erfcx, ndtr, roots_legendre
 from . import activations as act_mod
 from .activations import Activation, _selu_params
 from .quadrature import ZMAX, pair_mean_quad
-from .special import (GENZ_RHO_MAX, SQRT_2PI, TWO_PI, _check_correlation,
-                      bvn_halves_exp, expscaled_cdf)
+from . import special
+from .special import GENZ_RHO_MAX, SQRT_2PI, TWO_PI, _check_correlation, expscaled_cdf
 
 # e^(s^2)-type factors in the ELU/SELU closed forms leave double range
 # (even with exponent folding on the bvn side) beyond this.
 ELU_S_MAX = 25.0
 
-_RHO_EPS = 1e-12  # |rho| >= 1 - _RHO_EPS is routed to endpoint limits
-
-# Interior ELU/SELU entries per bvn_halves_exp call, of three bvn rows
+# Interior ELU/SELU entries per call of the Genz rule, of three rows
 # each: each batch-sized array of its front end is at most 24 KB and the
 # peak memory stays bounded whatever the batch size. CHANGES.md records
 # the sweep behind it.
@@ -107,59 +106,77 @@ def _lrelu_slope(act: Activation) -> float:
 def _elu_moments(act, s1, s2, rho):
     """``(E[psi psi], E[psi' psi'], E[psi'' psi])`` for ELU/SELU, vectorized.
 
-    Entries with |rho| >= 1 - _RHO_EPS take their rho = +-1 limits. The
-    rest take five bvn terms, evaluated on those entries only, so the
-    limits cost no bvn work: E(s1, s2), E(s1, 0), E(0, s2) with
-    E(a, b) = E[e^(a Z1 + b Z2); Z1 < 0, Z2 < 0], and B(s1), B(s2) with
-    B(b) = E[e^(b Z2); Z1 > 0, Z2 < 0]. Each B is the other half of the
-    E with the same exponent, so ``bvn_halves_exp`` gives all five from
-    the three E rows at correlation cos(theta): three Genz integrals per
-    entry. Where |cos theta| >= ``GENZ_RHO_MAX``, the band ``bvn`` refuses,
-    ``_elu_tail`` integrates over Z1 instead. Each band runs in chunks,
-    of at most ``_ELU_CHUNK`` and ``_TAIL_CHUNK`` entries.
+    Each entry takes one rule, by its band on theta = arccos(rho):
+    ``_elu_limits`` at |rho| = 1, ``_elu_interior`` where |cos theta| <
+    ``GENZ_RHO_MAX`` and ``_elu_tail`` between. A band that holds all
+    entries and fits one chunk runs on the arrays directly; otherwise each
+    band runs on its own entries, in chunks of ``_ELU_CHUNK`` and
+    ``_TAIL_CHUNK``.
     """
     s1, s2, rho = _broadcast(s1, s2, rho)
+    if np.isnan(s1).any() or np.isnan(s2).any() or np.isnan(rho).any():
+        raise ValueError("ELU/SELU moments: NaN argument")
     if (s1 > ELU_S_MAX).any() or (s2 > ELU_S_MAX).any():
         raise OverflowError(f"ELU/SELU closed form limited to s <= {ELU_S_MAX}; exponential "
                             "factors overflow the double range beyond that")
+    shape = rho.shape
+    s1, s2, rho = (a.reshape(-1) for a in (s1, s2, rho))
     lam, alpha = _selu_params(act)
-    l2, a2 = lam * lam, alpha * alpha
+    l2 = lam * lam
+    theta = _arccos_theta(rho)
+    limit = np.abs(rho) >= 1.0
+    tail = ~limit & (np.abs(np.cos(theta)) >= GENZ_RHO_MAX)
+    bands = ((limit, _elu_limits, rho.size, rho),
+             (~limit & ~tail, _elu_interior, _ELU_CHUNK, theta),
+             (tail, _elu_tail, _TAIL_CHUNK, rho))
+    for band, rule, size, arg in bands:
+        if band.all() and rho.size <= size:
+            outs = rule(l2, alpha, s1, s2, arg)
+            break
+    else:
+        outs = [np.empty(rho.size) for _ in range(3)]
+        for band, rule, size, arg in bands:
+            entries = np.flatnonzero(band)
+            for i in range(0, entries.size, size):
+                idx = entries[i:i + size]
+                for out, v in zip(outs, rule(l2, alpha, s1[idx], s2[idx], arg[idx])):
+                    out[idx] = v
+    return [out.reshape(shape) if shape else float(out[0]) for out in outs]
+
+
+def _elu_limits(l2, alpha, s1, s2, rho):
+    """``_elu_moments`` at rho = +-1, where Z2 = +-Z1: closed forms in
+    c = expscaled_cdf(s) of s1, s2 and s1 + s2."""
+    a2 = alpha * alpha
     c1, c2, c12 = expscaled_cdf(np.stack([s1, s2, s1 + s2]))
     hi = rho > 0.0
-    outs = [np.where(hi, l2 * (s1 * s2 / 2.0 + a2 * (c12 - c1 - c2 + 0.5)),
+    return [np.where(hi, l2 * (s1 * s2 / 2.0 + a2 * (c12 - c1 - c2 + 0.5)),
                      -l2 * alpha * s1 * s2 * (c1 + c2)),
             np.where(hi, l2 * (0.5 + a2 * c12), l2 * (alpha * (c1 + c2))),
             np.where(hi, l2 * (a2 * (c12 - c1)), l2 * (alpha * s2 * (1.0 / SQRT_2PI - s1 * c1)))]
-    mid = ~(np.abs(rho) >= 1.0 - _RHO_EPS)  # NaN stays inside, to be refused by bvn
-    # the band on the correlation that _elu_interior hands to bvn
-    tail = mid & (np.abs(np.cos(_arccos_theta(rho))) >= GENZ_RHO_MAX)
-    for band, rule, size, args in ((mid & ~tail, _elu_interior, _ELU_CHUNK, (s1, s2, rho, c1)),
-                                   (tail, _elu_tail, _TAIL_CHUNK, (s1, s2, rho))):
-        entries = np.flatnonzero(band)
-        for i in range(0, entries.size, size):
-            # take and put index the C-order flattening whatever the layout
-            idx = entries[i:i + size]
-            vals = rule(l2, alpha, *(np.take(a, idx) for a in args))
-            for out, v in zip(outs, vals):
-                np.put(out, idx, v)
-    return [out if out.shape else float(out) for out in outs]
 
 
-def _elu_interior(l2, alpha, s1, s2, rho, c1):
-    """``_elu_moments`` at |cos theta| < ``GENZ_RHO_MAX``, c1 = expscaled_cdf(s1)."""
+def _elu_interior(l2, alpha, s1, s2, theta):
+    """``_elu_moments`` at |cos theta| < ``GENZ_RHO_MAX``, on 1-D arrays:
+    E(s1, s2), E(s1, 0), E(0, s2) with E(a, b) = E[e^(a Z1 + b Z2); Z1 < 0,
+    Z2 < 0], and B(s1), B(s2) with B(b) = E[e^(b Z2); Z1 > 0, Z2 < 0]. Each
+    B is the other half of the E with the same exponent, so the Genz rule,
+    called on the three E rows (finite and in its band), gives all five.
+    """
     a2 = alpha * alpha
-    theta = _arccos_theta(rho)
     sn, cs = np.sin(theta), np.cos(theta)
-    # E(s1, 0) enters with its arguments swapped, so that B(s1) is its
-    # upper half as B(s2) is that of E(0, s2)
-    (e12, e10, e01), (b1, b2) = bvn_halves_exp(
-        np.stack([-(s1 + s2 * cs), -(s1 * cs), -(s2 * cs)]),
-        np.stack([-(s1 * cs + s2), -s1, -s2]),
+    c1, x1, x2 = expscaled_cdf(np.stack([s1, s1 * sn, s2 * sn]))
+    # the E rows as upper orthants at (-h, -k); E(s1, 0) enters with its
+    # arguments swapped, so that B(s1) is its upper half as B(s2) is that
+    # of E(0, s2)
+    e12, e10, e01, b1, b2 = special._blocked(
+        special._bvnu_genz, special._BLOCK_COLS,
+        np.stack([s1 + s2 * cs, s1 * cs, s2 * cs]),
+        np.stack([s1 * cs + s2, s1, s2]),
         cs,
         np.stack([(s1 * s1 + 2.0 * s1 * s2 * cs + s2 * s2) / 2.0, s1 * s1 / 2.0, s2 * s2 / 2.0]),
-        slice(1, None))
+        up=slice(1, None))
     quadrant = (np.pi - theta) / TWO_PI  # P(Z1 < 0, Z2 < 0)
-    x1, x2 = expscaled_cdf(np.stack([s1 * sn, s2 * sn]))
     # E[Theta(Z1) Z1 Theta(-Z2)(e^{s2 Z2} - 1)] and its mirror, the linear
     # side's scale factored out by homogeneity
     cross = (s1 * ((x2 - 0.5) / SQRT_2PI + s2 * cs * b2)

@@ -4,10 +4,9 @@ Univariate normal pdf/cdf, an overflow-safe ``exp(t^2/2) * Phi(-t)``,
 and the bivariate normal CDF (Genz's rewrite of the Drezner-Wesolowsky
 algorithm, with optional exponential prefactor folded into the
 quadrature so that products like ``exp(q) * Phi2`` stay finite) for
-|rho| < 0.925 and |rho| = 1; the band between is refused.
-``bvn_halves_exp`` gives both halves ``Z1 <= h`` and ``Z1 > h`` of
-``exp(q) P(Z2 <= k)`` from one Genz integral per row, on rows that share
-their correlation by column; ``bvn_cdf_exp`` is its lower half on one row.
+|rho| < 0.925 and |rho| = 1; the band between is refused. The Genz rule
+``_bvnu_genz`` also gives the other half ``Z1 > h`` of a row from the
+same integral; the ELU/SELU moments call it directly.
 
 Everything here is pure, reentrant and vectorized over ndarray inputs.
 """
@@ -21,10 +20,6 @@ from scipy.special import erfcx, log_ndtr, ndtr, roots_legendre
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 TWO_PI = 2.0 * np.pi
-
-# Beyond |z| = 8.5 the univariate cdf saturates below 1e-15, so infinite
-# arguments to the bivariate cdf are clamped there.
-_Z_CLAMP = 8.5
 
 _EXPSCALED_T_MIN = -np.sqrt(1400.0)
 
@@ -84,14 +79,22 @@ def _check_correlation(rho):
     return rho
 
 
-def _bvnu_genz(h, k, r, q, up):
-    """The |r| < ``GENZ_RHO_MAX`` branch of ``_bvnu_exp``: Genz's correlation integral.
+def _bvnu_genz(h, k, r, q, up=slice(0, 0)):
+    """``exp(q) P(X > h, Y > k)`` at |r| < ``GENZ_RHO_MAX`` and, for the
+    rows ``up``, ``exp(q) P(X > -h, Y > k)`` at correlation -r: h, k, q are
+    (T, m) or (m,), r is (m,); returned as one (T + U, m) array, the U upper
+    rows last. The arguments are not checked: callers pass finite rows.
 
-    One integral per row, with the arcsine and node sines once per column.
-    At (-h, k, -r) hk and sin(theta) both change sign and the arcsine in
-    front does, so the upper half is the integral negated plus its own
-    product term. The exponent never exceeds q (|sin theta| < 1), so only
-    where q > 700 can it pass 700 and be refused rather than overflow.
+    Genz's (2004) correlation integral, with the ``exp(q)`` prefactor folded
+    into every exponential, one integral per row. At (-h, k, -r) hk,
+    sin(theta) and the arcsine in front all change sign, so the upper half
+    is the integral negated plus its own product term, bit for bit the row
+    at (-h, k, -r). For r < 0 the integral cancels against the product
+    term, so the result loses relative accuracy where it is small next to
+    it, and can come out negative: ``bvn_cdf(-2.5, -2.5, -0.9)`` is below
+    0, and the ELU/SELU kernels fail at s >~ 10 (ROADMAP item 2). The
+    exponent never exceeds q, so only where q > 700 can it pass 700 and be
+    refused rather than overflow.
     """
     asr = np.arcsin(r)
     sn = np.sin(asr[:, None] * ((_GL_NODES + 1.0) / 2.0))
@@ -110,15 +113,11 @@ def _bvnu_genz(h, k, r, q, up):
                            np.exp(log_ndtr(h[up]) + lk[up] + q[up]) - g[up]])
 
 
-def _bvnu_edge(h, k, r, q, up):
-    """The |r| = 1 branch of ``_bvnu_exp``: the degenerate limits, on the
-    rows and on the ``up`` rows at (-h, k, -r, q)."""
-    pos_r = np.concatenate([np.broadcast_to(r > 0, h.shape), np.broadcast_to(r < 0, h[up].shape)])
-    h = np.concatenate([h, -h[up]])
-    k, q = (np.concatenate([a, a[up]]) for a in (k, q))
+def _bvnu_edge(h, k, r, q):
+    """The |r| = 1 branch of ``_bvnu_exp``: the degenerate limits."""
     pos = np.exp(q + log_ndtr(-np.maximum(h, k)))
     neg = np.maximum(0.0, np.exp(q + log_ndtr(-h)) - np.exp(q + log_ndtr(k)))
-    return np.where(pos_r, pos, neg)
+    return np.where(r > 0, pos, neg)
 
 
 def _blocked(rule, size, *args, **kwargs):
@@ -136,55 +135,19 @@ def _blocked(rule, size, *args, **kwargs):
                            for i in range(0, n, size)], axis=-1)
 
 
-def _bvnu_exp(h, k, r, q, up):
-    """``exp(q) P(X > h, Y > k)`` and, for the rows ``up``,
-    ``exp(q) P(X > -h, Y > k)`` at correlation -r, for standard bivariate
-    normals: h, k, q are (T, m), r is (m,); returned as one (T + U, m)
-    array, the U upper rows last.
-
-    |r| < ``GENZ_RHO_MAX`` uses the correlation-integral form of the Genz
-    (2004) rewrite of the Drezner-Wesolowsky algorithm, vectorized, with
-    the ``exp(q)`` prefactor folded into every exponential; a row and its
-    mirror share one integral. For r < 0 the integral is negative and
-    cancels against the product term, so the result loses relative
-    accuracy, and can come out negative, where it is small next to that
-    term: ``bvn_cdf(-2.5, -2.5, -0.9)`` is below 0, and the ELU/SELU
-    kernels fail at s >~ 10 (ROADMAP item 2). |r| = 1 is exact; the band
-    between is refused before this runs. The branch masks, gathers and
-    scatters run once on the whole call, by column; the Genz rule then
-    runs over blocks of ``_BLOCK_COLS`` columns.
+def _bvnu_exp(h, k, r, q):
+    """``exp(q) P(X > h, Y > k)`` for standard bivariate normals at
+    correlation r, on finite 1-D arrays: the Genz rule ``_bvnu_genz`` over
+    blocks of ``_BLOCK_COLS`` entries where |r| < ``GENZ_RHO_MAX``, the
+    exact limits where |r| = 1; the band between is refused before this
+    runs. The branch masks, gathers and scatters run once per call.
     """
-    out = np.empty((h.shape[0] + h[up].shape[0], h.shape[1]))
+    out = np.empty(h.shape)
     genz = np.abs(r) < GENZ_RHO_MAX
     for m, rule in ((genz, partial(_blocked, _bvnu_genz, _BLOCK_COLS)), (~genz, _bvnu_edge)):
         if m.any():
-            out[:, m] = rule(h[:, m], k[:, m], r[m], q[:, m], up=up)
+            out[m] = rule(h[m], k[m], r[m], q[m])
     return out
-
-
-def bvn_halves_exp(h, k, rho, q, upper_rows=slice(None)):
-    """``exp(q) P(Z1 <= h, Z2 <= k)`` and ``exp(q) P(Z1 > h, Z2 <= k)``
-    at correlation rho, overflow-safe, as (lower, upper).
-
-    h, k and q are (T, m) and rho is (m,): the T rows of a column share
-    its correlation. The upper half equals ``bvn_cdf_exp(-h, k, -rho, q)``
-    bit for bit and is returned for the rows ``upper_rows`` only; in the Genz
-    band it costs no second integral. Correlations with
-    ``GENZ_RHO_MAX`` <= |rho| < 1 raise ``ValueError``.
-    """
-    h, k, q = (np.asarray(v, dtype=float) for v in (h, k, q))
-    if np.isnan(h).any() or np.isnan(k).any():
-        raise ValueError("bvn_cdf: NaN argument")
-    rho = _check_correlation(rho)
-    absr = np.abs(rho)
-    if ((absr >= GENZ_RHO_MAX) & (absr < 1.0)).any():
-        raise ValueError(f"bvn: correlations with {GENZ_RHO_MAX} <= |rho| < 1 are refused; "
-                         "the Genz rule is not accurate there")
-    # infinite rectangle corners saturate at |z| = 8.5 (cdf within 1e-15)
-    h = np.where(np.isinf(h), np.sign(h) * _Z_CLAMP, h)
-    k = np.where(np.isinf(k), np.sign(k) * _Z_CLAMP, k)
-    out = _bvnu_exp(-h, -k, rho, q, upper_rows)
-    return out[:h.shape[0]], out[h.shape[0]:]
 
 
 def bvn_cdf_exp(h, k, rho, q=0.0):
@@ -192,23 +155,38 @@ def bvn_cdf_exp(h, k, rho, q=0.0):
 
     The prefactor is folded into the quadrature, so arguments where
     ``exp(q)`` overflows or ``Phi2`` underflows still give the correct
-    finite product (needed by the exponential cross terms of the
-    ELU/SELU closed forms at large signal norms). The lower half of
-    ``bvn_halves_exp`` with one row; refuses ``GENZ_RHO_MAX`` <= |rho| < 1.
+    finite product. Infinite arguments take their limits exactly: a -inf
+    argument gives 0, and a +inf one drops its variable, so h = +inf gives
+    ``exp(q) Phi(k)``. NaN arguments and correlations outside [-1, 1] or
+    with ``GENZ_RHO_MAX`` <= |rho| < 1 raise ``ValueError``.
     """
     h, k, rho, q = np.broadcast_arrays(
         *[np.asarray(v, dtype=float) for v in (h, k, rho, q)]
     )
-    res, _ = bvn_halves_exp(h.reshape(1, -1), k.reshape(1, -1), rho.reshape(-1),
-                            q.reshape(1, -1), slice(0, 0))
-    res = res.reshape(h.shape)
+    shape = h.shape
+    h, k, rho, q = (a.reshape(-1) for a in (h, k, rho, q))
+    if np.isnan(h).any() or np.isnan(k).any():
+        raise ValueError("bvn_cdf: NaN argument")
+    rho = _check_correlation(rho)
+    absr = np.abs(rho)
+    if ((absr >= GENZ_RHO_MAX) & (absr < 1.0)).any():
+        raise ValueError(f"bvn: correlations with {GENZ_RHO_MAX} <= |rho| < 1 are refused; "
+                         "the Genz rule is not accurate there")
+    res = np.zeros(h.shape)
+    fin = np.isfinite(h) & np.isfinite(k)
+    res[fin] = _bvnu_exp(-h[fin], -k[fin], rho[fin], q[fin])
+    top = ~fin & (h > -np.inf) & (k > -np.inf)  # a +inf argument and no -inf one
+    expo = q[top] + log_ndtr(np.minimum(h[top], k[top]))
+    if (expo > 700.0).any():
+        raise OverflowError(f"bvn: exponent {float(expo.max())} > 700 would overflow")
+    res[top] = np.exp(expo)
+    res = res.reshape(shape)
     return res if res.shape else float(res)
 
 
 def bvn_cdf(h, k, rho):
     """``P(Z1 <= h, Z2 <= k)`` for a standard bivariate normal, corr rho.
 
-    Absolute accuracy is ~1e-14; infinite arguments are clamped at
-    ``|z| = 8.5``.
+    Absolute accuracy is ~1e-14; infinite arguments take their limits.
     """
     return bvn_cdf_exp(h, k, rho, 0.0)

@@ -342,8 +342,8 @@ class TestKernelMatrix:
 
     def test_elu_ntk_bvn_work(self, bvn_work):
         # k and kdot share each pair's work, and the rho = 1 diagonal, whose
-        # limits are closed forms, takes none: one bvn call per layer, of
-        # three Genz rows per Genz-band pair, and one tail-rule entry per
+        # limits are closed forms, takes none: one Genz-rule call per layer,
+        # of three rows per Genz-band pair, and one tail-rule entry per
         # tail-band pair
         calls, work = bvn_work
         n, depth = 9, 3

@@ -324,10 +324,10 @@ class TestFindFixedPoint:
         assert (report.stopped, report.iterations, report.converged) == ("max_iter", 8, False)
 
     def test_elu_step_is_one_bvn_call(self, bvn_work):
-        # the pair's three bvn rows go in one call, as three Genz integrals,
-        # in the Genz band; in the tail band the pair is one entry of the
-        # tail rule and makes no bvn call. The rho = 1 norm updates take
-        # closed-form limits
+        # the pair's three rows go in one call of the Genz rule in the Genz
+        # band; in the tail band the pair is one entry of the tail rule and
+        # makes no Genz call. The rho = 1 norm updates take closed-form
+        # limits
         calls, work = bvn_work
         for rho, shapes, genz, tail in ((0.4, [(3, 1)], 3, 0), (0.97, [], 0, 1)):
             calls.clear()

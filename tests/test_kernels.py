@@ -51,15 +51,15 @@ def dd_oracle(act, s1, s2, rho, nodes=200):
     return oracle, regular
 
 
-def _elu_interior_five_calls(l2, alpha, s1, s2, rho, c1):
+def _elu_interior_five_calls(l2, alpha, s1, s2, theta):
     """``kernels._elu_interior`` with its five bvn terms as five rows of one
     ``bvn_cdf_exp`` call, each at its own arguments: the reference it
     matches bit for bit in the Genz band |cos theta| < 0.925."""
     from nnkernels.special import SQRT_2PI, TWO_PI, bvn_cdf_exp, expscaled_cdf
     a2 = alpha * alpha
-    theta = np.arccos(np.clip(rho, -1.0, 1.0))
     sn, cs = np.sin(theta), np.cos(theta)
     q1, q2 = s1 * s1 / 2.0, s2 * s2 / 2.0
+    c1 = expscaled_cdf(s1)
     b2, b1, e12, e10, e01 = bvn_cdf_exp(
         np.stack([s2 * cs, s1 * cs, -(s1 + s2 * cs), -s1, -(s2 * cs)]),
         np.stack([-s2, -s1, -(s1 * cs + s2), -(s1 * cs), -s2]),
@@ -89,7 +89,7 @@ def _elu_moments_both(monkeypatch, act, s1, s2, rho):
 
 def _tail_band(rho):
     cs = np.abs(np.cos(np.arccos(np.clip(rho, -1.0, 1.0))))
-    return (cs >= 0.925) & (np.abs(rho) < 1.0 - 1e-12)
+    return (cs >= 0.925) & (np.abs(rho) < 1.0)
 
 
 def _elu_oracles(act, s1, s2, rho, nodes=400):
@@ -275,13 +275,17 @@ class TestOracleEquivalence:
                              ids=lambda a: a.kind)
     def test_elu_tail_band_against_quadrature(self, act):
         # the 1-D rule of the tail band over the whole guarded range, down
-        # to 1 - |rho| = 1.3e-12 with both signs; the five bvn tail-rule rows
-        # it replaced were off by up to 0.24 here, and by 2% at the last
-        # entry. Measured: 4e-13 at most, at s1 = 0.05, where the oracle
-        # itself moves by 3e-13 between 200 and 800 nodes
+        # to the last double below |rho| = 1 with both signs; the five bvn
+        # tail-rule rows it replaced were off by up to 0.24 here, and by 2%
+        # at the s = 21.6 entry, and the rho = +-1 limits that served
+        # 1 - |rho| <= 1e-12 by up to 3.9e-5 (SELU E[psi'' psi]). Measured:
+        # 4e-13 at most, at s1 = 0.05, where the oracle itself moves by
+        # 3e-13 between 200 and 800 nodes
+        gaps = (0.07, 1e-4, 3e-8, 1.3e-12, 1e-14)
+        rhos = [sign * r for sign in (1.0, -1.0)
+                for r in [1.0 - g for g in gaps] + [np.nextafter(1.0, 0.0)]]
         s1, s2, rho = (v.ravel() for v in np.meshgrid(
-            (0.05, 1.0, 8.0, 25.0), (0.05, 1.0, 8.0, 25.0),
-            [sign * (1.0 - gap) for sign in (1.0, -1.0) for gap in (1.3e-12, 3e-8, 1e-4, 0.07)]))
+            (0.05, 1.0, 8.0, 25.0), (0.05, 1.0, 8.0, 25.0), rhos))
         s1, s2, rho = (np.append(a, b) for a, b in ((s1, 21.60), (s2, 21.09),
                                                     (rho, -(1.0 - 2.9e-12))))
         assert _tail_band(rho).all()
@@ -366,8 +370,9 @@ class TestInvariants:
     @pytest.mark.parametrize("n", [1, _ELU_CHUNK - 1, _ELU_CHUNK, _ELU_CHUNK + 1,
                                    3 * _ELU_CHUNK + 7])
     def test_elu_chunks_equal_one_by_one(self, act, n):
-        # n Genz-band entries, so the bvn chunks split exactly at n; the
-        # rho = +-1 and +-(1 - 1e-13) limits sit among them and take no chunk slot
+        # n Genz-band entries, so the Genz chunks split exactly at n; the
+        # rho = +-1 limits and +-(1 - 1e-13) tail entries sit among them and
+        # take no Genz chunk slot
         rng = np.random.default_rng(n)
         rho = np.insert(rng.uniform(-0.92, 0.92, n), [0, n // 3, n // 2, n],
                         [1.0, -1.0, 1.0 - 1e-13, -1.0 + 1e-13])
@@ -381,8 +386,8 @@ class TestInvariants:
         # n tail-band entries, so the tail-rule chunks split exactly at n;
         # Genz-band entries and limits sit among them
         rng = np.random.default_rng(n)
-        rho = rng.choice([-1.0, 1.0], n) * (1.0 - 10.0 ** -rng.uniform(1.15, 12.0, n))
-        rho = np.insert(rho, [0, n // 3, n // 2, n], [0.3, -1.0, -0.6, 1.0 - 1e-13])
+        rho = rng.choice([-1.0, 1.0], n) * (1.0 - 10.0 ** -rng.uniform(1.15, 15.5, n))
+        rho = np.insert(rho, [0, n // 3, n // 2, n], [0.3, -1.0, -0.6, 1.0])
         assert _tail_band(rho).sum() == n
         s1, s2 = rng.uniform(0.05, 25.0, (2, rho.size))
         _assert_batch_is_one_by_one(act, s1, s2, rho)
@@ -390,16 +395,53 @@ class TestInvariants:
     @pytest.mark.parametrize("act", [ELU, selu(1.0507, 1.6733)], ids=lambda a: a.kind)
     def test_elu_moments_equal_five_calls_outside_tail_band(self, monkeypatch, act):
         # three Genz integrals give the five bvn terms bit for bit; the tail
-        # band takes the 1-D rule in both
+        # band takes the 1-D rule and |rho| = 1 the limits in both. Batches
+        # around one chunk and 0-d inputs take the same dispatch
         rng = np.random.default_rng(11)
         n = 20_000
         s1, s2 = rng.uniform(0.05, 12.0, (2, n))
         rho = rng.uniform(-1.0, 1.0, n)
         rho[:200] = rng.choice([-1.0, 1.0], 200) * (1.0 - 10.0 ** -rng.uniform(1, 13, 200))
+        rho[200:220] = rng.choice([-1.0, 1.0], 20)
         new, ref = _elu_moments_both(monkeypatch, act, s1, s2, rho)
         tail = _tail_band(rho)
         assert 0 < tail.sum() < n
-        assert np.array_equal(new[:, ~tail], ref[:, ~tail])
+        assert np.array_equal(new, ref)
+        genz = ~tail & (np.abs(rho) < 1.0)
+        for m in (_ELU_CHUNK - 1, _ELU_CHUNK, _ELU_CHUNK + 1):
+            new, ref = _elu_moments_both(monkeypatch, act, *(a[genz][:m] for a in (s1, s2, rho)))
+            assert new.shape == (3, m) and np.array_equal(new, ref)
+        for i in (210, 300, 400):  # rho = +-1 and two Genz-band entries
+            new, ref = _elu_moments_both(monkeypatch, act, s1[i], s2[i], rho[i])
+            assert new.shape == (3,) and np.array_equal(new, ref)
+
+    def test_elu_dispatch_touches_only_its_bands(self, monkeypatch):
+        # a Genz-band batch evaluates no limit entry, a mixed one exactly its
+        # |rho| = 1 entries, and no ELU path calls the public bvn_cdf_exp
+        from nnkernels import special
+        seen, rule = [], kernels_mod._elu_limits
+
+        def limits(l2, alpha, s1, s2, rho):
+            seen.append(rho.copy())
+            return rule(l2, alpha, s1, s2, rho)
+
+        def refused(*args):
+            raise AssertionError("bvn_cdf_exp called")
+
+        monkeypatch.setattr(kernels_mod, "_elu_limits", limits)
+        monkeypatch.setattr(special, "bvn_cdf_exp", refused)
+        rng = np.random.default_rng(4)
+        s1, s2 = rng.uniform(0.05, 25.0, (2, 3 * _ELU_CHUNK))
+        rho = rng.uniform(-0.92, 0.92, s1.size)
+        for act in (ELU, selu(1.0507, 1.6733)):
+            _elu_moments(act, s1, s2, rho)
+            assert seen == []
+            rho[[5, 700, 2100]] = (1.0, -1.0, 0.97)
+            for fn in (pair_mean, pair_dot_mean, pair_dd_mean):
+                fn(act, s1, s2, rho)
+            assert all(np.array_equal(r, [1.0, -1.0]) for r in seen) and len(seen) == 3
+            seen.clear()
+            rho[[5, 700, 2100]] = 0.0
 
     def test_diag_mean_consistency(self):
         for act in CLOSED_FORM_ACTS:
@@ -419,10 +461,17 @@ class TestInvariants:
 
 
 class TestGuards:
-    @pytest.mark.parametrize("fn", [pair_mean, pair_dot_mean, pair_dd_mean])
-    def test_elu_nan_correlation_refused(self, fn):
-        with pytest.raises(ValueError):
-            fn(ELU, np.array([1.0, 1.0]), 1.0, np.array([1.0, np.nan]))
+    @pytest.mark.parametrize("fn,at", [
+        *(pytest.param(fn, 2, id=fn.__name__) for fn in (pair_mean, pair_dot_mean, pair_dd_mean)),
+        *(pytest.param(fn, i, id=f"{fn.__name__}-s{i + 1}")
+          for fn in (pair_mean, pair_dot_mean, pair_dd_mean) for i in (0, 1))])
+    def test_elu_nan_correlation_refused(self, fn, at):
+        # NaN in rho, s1 or s2, at a Genz-band entry beside a limit entry
+        # or, for s, at the limit entry, which makes no bvn call
+        args = [np.array([1.0, 1.0]), np.array([1.0, 1.0]), np.array([0.3, 1.0])]
+        args[at] = np.array([1.0, np.nan])
+        with pytest.raises(ValueError, match="NaN"):
+            fn(ELU, *args)
 
     def test_elu_overflow_guard(self):
         with pytest.raises(OverflowError):

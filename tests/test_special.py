@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from nnkernels.special import (_BLOCK_COLS, GENZ_RHO_MAX, bvn_cdf, bvn_cdf_exp,
-                               bvn_halves_exp, expscaled_cdf, std_normal_cdf,
-                               std_normal_pdf)
+from nnkernels.special import (_BLOCK_COLS, GENZ_RHO_MAX, _blocked, _bvnu_genz, bvn_cdf,
+                               bvn_cdf_exp, expscaled_cdf, std_normal_cdf, std_normal_pdf)
 
 
 def bvn_reference(h, k, rho):
@@ -102,12 +101,33 @@ class TestBvnCdf:
             assert bvn_cdf(h, k, rho) == pytest.approx(bvn_reference(h, k, rho), abs=1e-10)
 
     def test_infinite_arguments_clamped(self):
-        assert bvn_cdf(np.inf, 0.7, 0.2) == pytest.approx(std_normal_cdf(0.7), abs=1e-12)
-        assert bvn_cdf(-np.inf, 0.7, 0.2) <= 1e-15  # saturated tail
+        # exact limits: a -inf argument gives 0 (clamped at 8.5, the first
+        # two returned 3.6e243 and 6.3e106), a +inf one drops its variable
+        inf = np.inf
+        assert bvn_cdf_exp(-inf, 0.0, 0.3, 600.0) == 0.0
+        assert bvn_cdf_exp(0.0, -inf, -0.5, 300.0) == 0.0
+        assert bvn_cdf(-inf, 0.7, 0.2) == 0.0 and bvn_cdf_exp(-inf, inf, 1.0, 5.0) == 0.0
+        with mpmath.workdps(30):
+            for h, k, r, q in [(inf, 0.0, 0.3, 600.0), (inf, -30.0, 0.3, 600.0),
+                               (-1.3, inf, -0.5, 50.0), (inf, 0.7, 0.2, 0.0),
+                               (inf, inf, -1.0, 12.0)]:
+                want = float(mpmath.exp(q) * mpmath.ncdf(min(h, k)))
+                # exp(q + log Phi) rounds its exponent once, as the Genz
+                # rule's product term does: measured 7.0e-14 at q = 600
+                assert bvn_cdf_exp(h, k, r, q) == pytest.approx(want, rel=1e-13), (h, k, r, q)
+        # the limit is the value at a large finite argument, and a mixed
+        # call leaves its finite entries as they are alone
+        assert bvn_cdf_exp(inf, -30.0, 0.3, 600.0) == bvn_cdf_exp(40.0, -30.0, 0.3, 600.0)
+        h = np.array([0.4, inf, -inf, -1.0])
+        got = bvn_cdf_exp(h, -0.2, np.array([0.3, 0.3, 0.3, -1.0]), 2.0)
+        assert got[0] == bvn_cdf_exp(0.4, -0.2, 0.3, 2.0) and got[2] == 0.0
+        assert got[3] == bvn_cdf_exp(-1.0, -0.2, -1.0, 2.0)
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             bvn_cdf(np.nan, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            bvn_cdf(0.0, np.nan, 0.0)
         with pytest.raises(ValueError):
             bvn_cdf(0.0, 0.0, np.nan)
 
@@ -122,8 +142,6 @@ class TestBvnCdf:
                 bvn_cdf(0.0, 0.0, rho)
         with pytest.raises(ValueError, match="refused"):
             bvn_cdf_exp([0.0, 0.0], [0.0, 0.0], [0.3, 0.95], 1.0)
-        with pytest.raises(ValueError, match="refused"):
-            bvn_halves_exp(np.zeros((2, 2)), np.zeros((2, 2)), [0.3, -0.99], np.zeros((2, 2)))
         for rho in (np.nextafter(GENZ_RHO_MAX, 0.0), -np.nextafter(GENZ_RHO_MAX, 0.0), 1.0, -1.0):
             assert np.isfinite(bvn_cdf(0.0, 0.0, rho))
 
@@ -164,6 +182,8 @@ class TestBvnCdf:
             bvn_cdf_exp(0.0, 0.0, 0.3, 800.0)
         with pytest.raises(OverflowError):
             bvn_cdf_exp([-40.0, 0.0], [-40.0, 0.0], 0.3, [800.0, 800.0])
+        with pytest.raises(OverflowError):
+            bvn_cdf_exp(np.inf, 0.0, 0.3, 800.0)
 
 
 def _branch_columns(rng, m):
@@ -190,41 +210,38 @@ class TestBlockedBatches:
 
 
 class TestHalves:
-    """``bvn_halves_exp``: both halves of ``exp(q) P(Z2 <= k)``, split at
-    Z1 = h, from one Genz integral per row."""
+    """The Genz rule ``_bvnu_genz``: both halves X > h and X < h of
+    ``exp(q) P(Y > k)`` from one integral per row, over blocks of
+    ``_BLOCK_COLS`` columns."""
 
     @pytest.mark.parametrize("m", [1, _BLOCK_COLS - 1, _BLOCK_COLS, _BLOCK_COLS + 1,
                                    3 * _BLOCK_COLS + 7])
     def test_halves_are_two_cdf_calls(self, m):
         rng = np.random.default_rng(m)
-        r = _branch_columns(rng, m)
+        r = rng.uniform(-0.92, 0.92, m)
         h, k = rng.uniform(-4, 4, (2, 3, m))
         q = rng.uniform(0, 12, (3, m))
-        lower, upper = bvn_halves_exp(h, k, r, q)
-        assert np.array_equal(lower, bvn_cdf_exp(h, k, r, q))
-        assert np.array_equal(upper, bvn_cdf_exp(-h, k, -r, q))
-        lower1, upper1 = bvn_halves_exp(h, k, r, q, slice(1, None))
-        assert np.array_equal(lower1, lower) and np.array_equal(upper1, upper[1:])
-        cols = [bvn_halves_exp(h[:, j:j + 1], k[:, j:j + 1], r[j:j + 1], q[:, j:j + 1])
-                for j in range(m)]
-        assert np.array_equal(np.hstack([c[0] for c in cols]), lower)
-        assert np.array_equal(np.hstack([c[1] for c in cols]), upper)
+        out = _blocked(_bvnu_genz, _BLOCK_COLS, h, k, r, q, up=slice(None))
+        lower, upper = out[:3], out[3:]
+        # the upper half is the row at (-h, k, -r), and each half a cdf call
+        assert np.array_equal(upper, _blocked(_bvnu_genz, _BLOCK_COLS, -h, k, -r, q))
+        assert np.array_equal(lower, bvn_cdf_exp(-h, -k, r, q))
+        assert np.array_equal(upper, bvn_cdf_exp(h, -k, -r, q))
+        out1 = _blocked(_bvnu_genz, _BLOCK_COLS, h, k, r, q, up=slice(1, None))
+        assert np.array_equal(out1, np.vstack([lower, upper[1:]]))
+        cols = [_bvnu_genz(h[:, j:j + 1], k[:, j:j + 1], r[j:j + 1], q[:, j:j + 1],
+                           up=slice(None)) for j in range(m)]
+        assert np.array_equal(np.hstack(cols), out)
 
     def test_halves_add_up(self):
-        # lower + upper = exp(q) Phi(k) on Genz and exact rows
+        # upper + lower = exp(q) P(Y > k) = exp(q) Phi(-k)
         rng = np.random.default_rng(5)
-        r = _branch_columns(rng, 600)
+        r = rng.uniform(-0.92, 0.92, 600)
         h, k = rng.uniform(-4, 4, (2, 2, r.size))
         q = rng.uniform(0, 12, (2, r.size))
-        lower, upper = bvn_halves_exp(h, k, r, q)
-        err = np.abs(lower + upper - np.exp(q) * std_normal_cdf(k)) / np.exp(q)
+        out = _blocked(_bvnu_genz, _BLOCK_COLS, h, k, r, q, up=slice(None))
+        err = np.abs(out[:2] + out[2:] - np.exp(q) * std_normal_cdf(-k)) / np.exp(q)
         assert err.max() <= 1e-13
-
-    def test_halves_refuse_like_cdf(self):
-        with pytest.raises(ValueError):
-            bvn_halves_exp(np.zeros((2, 1)), np.full((2, 1), np.nan), [0.3], np.zeros((2, 1)))
-        with pytest.raises(ValueError):
-            bvn_halves_exp(np.zeros((2, 1)), np.zeros((2, 1)), [1.5], np.zeros((2, 1)))
 
 
 def _mp_bvn_exp(h, k, rho, q):
