@@ -17,7 +17,8 @@ ELU at their norm-preserving weight variance exceed 1 near theta = 0.
 
 ``lambda3`` is the one implementation of lambda_3, on the closed-form
 derivative kernel; ``lambda3_quad_grid`` is its quadrature oracle (the
-"quadrature" CSV rows). The paper's ``lambda3_lrelu``,
+"quadrature" CSV rows), on the sweep's grid pi (k + 1) / (n + 1) only,
+where one evaluation of psi' serves every angle. The paper's ``lambda3_lrelu``,
 ``lambda3_gelu_lower`` and ``lambda3_elu`` are the scale-free form
 sigma^2 E[psi' psi'], which equals lambda_3 at sigma*; the GELU "lower
 bound" is exact.
@@ -28,12 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .activations import ELU, GELU, Activation, lrelu
 from .deep import LayerState, _layer_jacobian, iterate_state
 from .kernels import ELU_S_MAX, diag_mean, kernel_dot_values, kernel_values
-from .quadrature import pair_mean_quad
+from .quadrature import autocorr_mean_quad
 from . import activations as act_mod
 
 
@@ -85,17 +85,21 @@ def eigenvalues(act: Activation, s1_sq: float, s2_sq: float, rho: float,
 
 def lambda3_quad_grid(act: Activation, s: float, thetas, sigma_w2: float,
                       sigma_b2: float) -> np.ndarray:
-    """Quadrature oracle for ``lambda3`` along a theta grid at s1 = s2 = s:
-    ``E[psi' psi']`` by the 120-node polar rule of ``pair_mean_quad``,
-    whose panels follow the kinks to theta = 0 and pi, over the
-    closed-form g. Both factors are the one psi' at one scale, so each
-    entry evaluates psi' once, on one 90 x 240 grid."""
+    """Quadrature oracle for ``lambda3`` on the theta grid
+    pi (k + 1) / (n + 1), k = 0..n-1, of ``nnk fixedpoint``, at
+    s1 = s2 = s: ``E[psi' psi']`` by ``autocorr_mean_quad``, which
+    evaluates psi' once for the whole grid, on cells whose edges hold
+    every kink, over the closed-form g. Angles off that grid (checked to
+    a few ulps) raise ``ValueError``."""
     thetas = np.asarray(thetas, dtype=float)
+    n = thetas.size
+    grid = np.pi * (np.arange(n) + 1.0) / (n + 1.0)
+    if np.any(np.abs(thetas.ravel() - grid) > 4.0 * np.spacing(np.pi)):
+        raise ValueError(f"lambda3_quad_grid takes the {n} angles pi (k + 1) / {n + 1}, "
+                         f"k = 0..{n - 1}, in that order")
     g = kernel_values(act, s, s, 1.0, sigma_w2, sigma_b2)
-    f = lambda z: act_mod.deriv(act, z)
-    e = pair_mean_quad(f, f, np.full_like(thetas, s), np.full_like(thetas, s),
-                       np.cos(thetas))
-    return sigma_w2 * s * s * np.asarray(e) / g
+    e = autocorr_mean_quad(lambda z: act_mod.deriv(act, z), s, n)
+    return (sigma_w2 * s * s * e / g).reshape(thetas.shape)
 
 
 def lambda3_lrelu(a: float, theta) -> float:
@@ -114,6 +118,41 @@ def lambda3_elu(norm: float, sigma: float, theta) -> float:
     """lambda_3 for the ELU at s1 = s2 = sigma * norm, exact at sigma*
     (s <= ELU_S_MAX)."""
     return kernel_dot_values(ELU, sigma * norm, sigma * norm, np.cos(theta), sigma * sigma)
+
+
+def _bisect(f, a: float, b: float, xtol: float) -> float:
+    """Root of f in [a, b] by the steps of ``scipy.optimize.bisect``
+    (scipy 1.17, rtol = 4 eps), bit for bit: halve the step from a, move
+    a to the midpoint when f there has the sign of f(a), and stop at the
+    first zero or when the step falls below xtol + rtol |x|. Signs are
+    compared, not products, which could underflow. A NaN from f raises
+    ``ValueError``, as scipy's does."""
+    rtol = 4.0 * np.finfo(float).eps
+
+    def value(x):
+        fx = float(f(x))
+        if np.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; bisection cannot continue")
+        return fx
+
+    a, b = float(a), float(b)
+    fa, fb = value(a), value(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa < 0.0) == (fb < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    dm = b - a
+    for _ in range(100):
+        dm *= 0.5
+        xm = a + dm
+        fm = value(xm)
+        if (fm < 0.0) == (fa < 0.0):
+            a = xm
+        if fm == 0.0 or abs(dm) < xtol + rtol * abs(xm):
+            return xm
+    raise RuntimeError(f"bisection did not converge in 100 steps, last x={a}")
 
 
 _ANALYTIC_SIGMA_STAR = {"relu": lambda a: np.sqrt(2.0),
@@ -146,7 +185,7 @@ def sigma_star(act: Activation, norm: float) -> float:
     lo, hi = 0.5, min(3.0, cap)
     for _ in range(8):
         if f(lo) * f(hi) < 0.0:
-            return float(bisect(f, lo, hi, xtol=1e-8))
+            return _bisect(f, lo, hi, 1e-8)
         lo, hi = lo / 2.0, min(hi * 2.0, cap)
     raise ValueError(
         f"no sign change for sigma in [{lo:.3g}, {hi:.3g}]: norm preservation "
@@ -178,7 +217,7 @@ def _norm_fixed_point(act: Activation, u0: float, sigma_w2: float,
     if sign_change.size == 0:
         return u0
     i = sign_change[np.argmin(np.abs(np.log(grid[sign_change] / u0)))]
-    return float(bisect(h, grid[i], grid[i + 1], xtol=1e-12))
+    return _bisect(h, grid[i], grid[i + 1], 1e-12)
 
 
 def find_fixed_point(act: Activation, sigma_w2: float, sigma_b2: float,

@@ -11,7 +11,10 @@ polar coordinates, where the kinks of f1(s1 Z1) and f2(s2 Z2) lie on
 four rays through the origin whatever the correlation; the four panels
 between them form two antipodal pairs whose nodes both coordinates share,
 so each factor is evaluated once per entry, and an equal second factor
-reuses the first one's values. Truncation at
+reuses the first one's values. On the angle grid theta_k = k pi / M
+every angle is a whole number of cells of one shared angular grid, so
+``autocorr_mean_quad`` takes E[f(s Z1) f(s Z2)] at all of them from one
+evaluation of f, as a circular autocorrelation. Truncation at
 ZMAX = 9.5 (in z, and in the polar radius) contributes < 1e-17 for
 polynomially bounded integrands.
 """
@@ -61,6 +64,13 @@ def mean_1d(f, nodes: int = 120, cuts=(0.0,)):
     return float(w @ f(z))
 
 
+def _radial_rule(n: int):
+    """n Gauss-Legendre nodes on each of [0, 1], [1, 3], [3, ZMAX], with the
+    Rayleigh density R exp(-R^2/2) / 2pi of the polar radius in the weights."""
+    r, w = _gauss_panels(np.array([0.0, 1.0, 3.0, ZMAX]), n)
+    return r, w * (r * np.exp(-0.5 * r * r) / (2.0 * np.pi))
+
+
 @lru_cache(maxsize=8)
 def _angular_rule(m: int, keep: tuple):
     """Gauss-Legendre nodes u and weights on [0, 1], m of them, and the
@@ -105,8 +115,7 @@ def pair_mean_quad(f1, f2, s1, s2, rho, nodes: int = 120):
     s1f, s2f = s1.ravel(), s2.ravel()
     theta = np.arccos(_check_correlation(rho).ravel())
 
-    r, wr = _gauss_panels(np.array([0.0, 1.0, 3.0, ZMAX]), nodes // 4)
-    wr *= r * np.exp(-0.5 * r * r) / (2.0 * np.pi)
+    r, wr = _radial_rule(nodes // 4)
 
     out = np.empty(s1f.shape)
     for i in range(s1f.size):
@@ -126,3 +135,40 @@ def pair_mean_quad(f1, f2, s1, s2, rho, nodes: int = 120):
         out[i] = wr @ vals @ wphi
     out = out.reshape(shape)
     return out if out.shape else float(out)
+
+
+def autocorr_mean_quad(f, s, n: int):
+    """``E[f(s Z1) f(s Z2)]`` at the n correlations rho_k = cos(k pi / M),
+    M = n + 1, k = 1..n, from one evaluation of f.
+
+    The polar form of ``pair_mean_quad``, (Z1, Z2) = R (cos phi,
+    cos(phi - theta_k)) with theta_k = k pi / M. The circle is cut into 2M
+    cells of width pi / M, with edges at multiples of pi / M, offset by
+    half a cell when M is odd: then the kinks of f at 0, on the rays
+    phi = +-pi/2 and theta_k +- pi/2, lie on cell edges for every k, and
+    the shift by theta_k maps cells onto cells. Each cell holds
+    p = ceil(512 / M) sub-cells of 4 Gauss-Legendre nodes, laid out alike
+    in every cell; the radius carries the 30 nodes on each of [0, 1],
+    [1, 3], [3, ZMAX] of ``pair_mean_quad`` at 120 nodes. With
+    F[r, c] = f(s R_r cos phi_c), c running over the cells at one node
+    position, the angular sum at theta_k is the circular autocorrelation
+    of F along the cells at lag k, taken as ``irfft(|rfft(F)|^2)`` after
+    the weighted sum over the radii and node positions. f is evaluated
+    one (radial panel, sub-cell node) slab at a time, ~250 KB each.
+    """
+    m = n + 1
+    p = -(-512 // m)
+    u, wu = _legendre(4)
+    h = np.pi / m
+    r, wr = _radial_rule(30)
+    # cell edges in units of pi / M: pi / 2 is one of them
+    cells = np.arange(2 * m) + 0.5 * (m % 2)
+    subcells = np.arange(p)
+    power = np.zeros(m + 1)
+    for ui, wi in zip(u, wu):
+        cosines = np.cos(h * (cells[:, None] + (subcells + 0.5 * (ui + 1.0)) / p))
+        for panel in range(3):
+            rows = slice(30 * panel, 30 * panel + 30)
+            spec = np.fft.rfft(f(s * r[rows, None, None] * cosines), axis=1)
+            power += (0.5 * wi * h / p) * (wr[rows] @ (spec.real ** 2 + spec.imag ** 2).sum(-1))
+    return np.fft.irfft(power, 2 * m)[1:m]

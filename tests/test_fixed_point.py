@@ -13,7 +13,8 @@ from nnkernels.fixed_point import (eigenvalues, find_fixed_point, lambda3,
                                    lambda3_lrelu, lambda3_quad_grid,
                                    lambda3_sweep_rows, sigma_star,
                                    _norm_fixed_point)
-from nnkernels.kernels import kernel_values
+from nnkernels import fixed_point
+from nnkernels.kernels import KernelArgs, kernel_dot_quadrature, kernel_values
 from nnkernels.quadrature import mean_1d
 
 
@@ -90,7 +91,7 @@ class TestEigenvalues:
             raise AssertionError("quadrature called")
 
         for mod in (quadrature, kernels, fixed_point):
-            for name in ("pair_mean_quad", "normal_panel_nodes"):
+            for name in ("pair_mean_quad", "autocorr_mean_quad", "normal_panel_nodes"):
                 monkeypatch.setattr(mod, name, boom, raising=False)
         hyper = NetworkHyper.shared(2, 1.5, 0.1)
         for act in (GELU, ERF, ELU, RELU):
@@ -153,10 +154,12 @@ class TestLambda3Gelu:
     def test_bound_below_quadrature_for_positive_cos(self):
         sigma = sigma_star(GELU, 1.0)
         s = sigma * 1.0
-        thetas = np.linspace(0.05, np.pi / 2, 12)
+        thetas = np.pi * (np.arange(23) + 1.0) / 24.0
         quad = lambda3_quad_grid(GELU, s, thetas, sigma ** 2, 0.0)
         bound = lambda3_gelu_lower(1.0, sigma, thetas)
-        assert (quad >= bound - 1e-9).all()
+        positive = thetas <= np.pi / 2
+        assert positive.sum() == 12
+        assert (quad[positive] >= bound[positive] - 1e-9).all()
 
 
 class TestLambda3Elu:
@@ -175,11 +178,12 @@ class TestLambda3Elu:
         # form sigma^2 E[psi' psi'] coincides with the Jacobian eigenvalue
         sigma = sigma_star(ELU, 1.0)
         got = lambda3_elu(1.0, sigma, np.pi - 1e-9)
-        quad = lambda3_quad_grid(ELU, sigma, np.array([np.pi - 1e-9]), sigma ** 2, 0.0)
-        assert got == pytest.approx(float(quad[0]), abs=1e-6)
+        quad = kernel_dot_quadrature(
+            ELU, KernelArgs(sigma, sigma, np.cos(np.pi - 1e-9), sigma ** 2), nodes=120)
+        assert got == pytest.approx(quad, abs=1e-6)
 
     def test_agrees_with_quadrature_on_grid(self):
-        thetas = np.array([0.05, 0.5, 1.0, np.pi / 2, 2.5, np.pi - 0.05])
+        thetas = np.pi * (np.arange(63) + 1.0) / 64.0
         for norm in (0.5, 1.0, 5.0):
             sigma = sigma_star(ELU, norm)
             vals = lambda3_elu(norm, sigma, thetas)
@@ -220,6 +224,50 @@ def test_quadrature_rows_match_lambda3_to_the_end_angles(norm):
         want = lambda3(act, s, s, np.cos(thetas), sigma ** 2, 0.0)
         got = lambda3_quad_grid(act, s, thetas, sigma ** 2, 0.0)
         assert np.abs(got - want).max() <= 1e-13, act.kind
+
+
+@pytest.mark.parametrize("n", [1, 5, 31])
+def test_quadrature_rows_match_lambda3_on_coarse_grids(n):
+    # the cells of the grid pi (k + 1) / (n + 1) widen as n falls; their
+    # sub-cells keep ~4096 angular nodes on every grid (512 angles: above)
+    thetas = np.pi * (np.arange(n) + 1.0) / (n + 1.0)
+    for norm in (0.5, 1.0, 5.0):
+        elus = [ELU, selu(1.0507, 1.6733)] if norm < 5.0 else []
+        for act in [RELU, lrelu(0.2), GELU] + elus:
+            sigma = sigma_star(act, norm)
+            s = sigma * norm
+            want = lambda3(act, s, s, np.cos(thetas), sigma ** 2, 0.0)
+            got = lambda3_quad_grid(act, s, thetas, sigma ** 2, 0.0)
+            assert np.abs(got - want).max() <= 1e-13, (act.kind, norm)
+
+
+@pytest.mark.parametrize("n", [1, 5, 31, 512])
+def test_erf_quadrature_rows_match_closed_form(n):
+    # ERF sweeps carry quadrature rows only; at sigma*(0.5) and at a
+    # narrow s = 7.5 (sigma_w^2 = 1), where the 120-node polar rule of
+    # pair_mean_quad is 1.9e-12 off
+    thetas = np.pi * (np.arange(n) + 1.0) / (n + 1.0)
+    sigma = sigma_star(ERF, 0.5)
+    for s, sw2 in ((0.5 * sigma, sigma ** 2), (7.5, 1.0)):
+        want = lambda3(ERF, s, s, np.cos(thetas), sw2, 0.0)
+        got = lambda3_quad_grid(ERF, s, thetas, sw2, 0.0)
+        assert np.abs(got - want).max() <= 1e-13, s
+
+
+@pytest.mark.parametrize("thetas", [np.linspace(0.3, 2.8, 5), [np.pi - 1e-9],
+                                    np.pi * np.arange(1.0, 9.0) / 8.0,
+                                    np.pi * np.arange(8.0, 0.0, -1.0) / 9.0],
+                         ids=["linspace", "end-angle", "k-over-n", "reversed"])
+def test_quadrature_rows_refuse_angles_off_the_grid(thetas):
+    with pytest.raises(ValueError, match=r"pi \(k \+ 1\) / "):
+        lambda3_quad_grid(GELU, 1.5, thetas, 2.0, 0.0)
+
+
+def test_quadrature_rows_take_the_grid_to_a_few_ulps():
+    thetas = np.pi * np.arange(1.0, 9.0) / 9.0
+    exact = lambda3_quad_grid(GELU, 1.5, thetas, 2.0, 0.0)
+    nudged = lambda3_quad_grid(GELU, 1.5, thetas + 2.0 * np.spacing(thetas), 2.0, 0.0)
+    assert np.array_equal(exact, nudged)
 
 
 class TestSigmaStar:
@@ -285,6 +333,61 @@ class TestSigmaStar:
     def test_norm_validation(self):
         with pytest.raises(ValueError):
             sigma_star(GELU, 0.0)
+
+
+def _scipy_bisect(f, a, b, xtol):
+    from scipy.optimize import bisect
+    return float(bisect(f, a, b, xtol=xtol))
+
+
+def test_roots_match_scipy_bisect_bit_for_bit(monkeypatch):
+    # the in-module bisection takes scipy.optimize.bisect's steps and stop
+    # rule; both root finders of this module return the same doubles
+    def roots():
+        out = [sigma_star(act, norm) for act in (GELU, ELU, selu(1.0507, 1.6733))
+               for norm in (0.5, 1.0, 5.0)]
+        out += [sigma_star(ERF, norm) for norm in (0.5, 0.99)]
+        for act in (GELU, ELU, RELU, ERF):
+            for norm in (0.5, 1.0, 5.0):
+                sigma = 1.2 if act is ERF else sigma_star(act, norm)
+                for sw2, sb2 in ((sigma ** 2, 0.0), (2.0, 0.1)):
+                    out.append(_norm_fixed_point(act, sw2 * norm * norm + sb2, sw2, sb2))
+        return out
+
+    ours = roots()
+    monkeypatch.setattr(fixed_point, "_bisect", _scipy_bisect)
+    assert [x.hex() for x in ours] == [x.hex() for x in roots()]
+
+
+@pytest.mark.parametrize("f, a, b", [(lambda x: x * x - 2.0, 0.0, 2.0),
+                                     (lambda x: np.tanh(40.0 * (x - 0.3)), 1.0, -1.0),
+                                     (lambda x: x - 1.0, 0.0, 1.0),
+                                     (lambda x: x, 0.0, 5.0),
+                                     (lambda x: np.exp(x) - 1e-300, -800.0, 0.0)])
+@pytest.mark.parametrize("xtol", [1e-300, 1e-12, 1e-3])
+def test_bisect_matches_scipy(f, a, b, xtol):
+    assert fixed_point._bisect(f, a, b, xtol) == _scipy_bisect(f, a, b, xtol)
+
+
+def test_bisect_refuses_nan_and_an_unbracketed_root():
+    with pytest.raises(ValueError, match="NaN"):
+        fixed_point._bisect(lambda x: np.nan if x > 0.4 else -1.0, 0.0, 1.0, 1e-8)
+    with pytest.raises(ValueError, match="different signs"):
+        fixed_point._bisect(lambda x: x + 2.0, 0.0, 1.0, 1e-8)
+
+
+def test_import_leaves_scipy_optimize_out():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, nnkernels, nnkernels.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestFindFixedPoint:
@@ -380,7 +483,7 @@ def test_verdict_sup_is_the_max_over_all_512_angles(act, norm, sw2_sb2):
 
 
 def test_sweep_rows_schema():
-    thetas = np.linspace(0.3, 2.8, 5)
+    thetas = np.pi * (np.arange(9) + 1.0) / 10.0
     rows = lambda3_sweep_rows(GELU, 1.0, 1.47, thetas)
     assert {r[5] for r in rows} == {"lower-bound", "quadrature"}
     rows = lambda3_sweep_rows(ERF, 0.5, sigma_star(ERF, 0.5), thetas)
@@ -399,7 +502,7 @@ def test_sweep_closed_rows_match_quadrature_off_sigma_star(act, sigma):
     # away from sigma* (sigma_w^2 = 2) and with SELU scales, the closed-form
     # rows are still lambda_3, not the scale-free sigma^2 E[psi' psi']
     sigma = sigma or sigma_star(act, 1.0)
-    thetas = np.linspace(0.05, np.pi - 0.05, 9)
+    thetas = np.pi * (np.arange(63) + 1.0) / 64.0
     rows = lambda3_sweep_rows(act, 1.0, sigma, thetas)
     closed = np.array([r[1] for r in rows if r[5] == "closed-form"])
     quad = np.array([r[1] for r in rows if r[5] == "quadrature"])

@@ -11,7 +11,7 @@ from nnkernels import activations as am
 from nnkernels.activations import ELU, GELU, RELU, lrelu
 from nnkernels.fixed_point import lambda3_quad_grid, sigma_star
 from nnkernels.kernels import pair_mean
-from nnkernels.quadrature import pair_mean_quad
+from nnkernels.quadrature import autocorr_mean_quad, pair_mean_quad
 
 # a kinked integrand (the LReLU step derivative) and a smooth one
 INTEGRANDS = {"lrelu-deriv": lambda z: am.deriv(lrelu(0.2), z),
@@ -140,19 +140,23 @@ def _elu_dot_mpmath(s, rho):
 
 def test_elu_dot_oracle_against_mpmath_at_s7():
     # sigma*(ELU) x 5 on the `nnk fixedpoint` grid, where the closed form
-    # is 1.6e-11 off (ROADMAP item 2); the oracle must hold to 1e-13
+    # is 1.6e-11 off (ROADMAP item 2); both oracles must hold to 1e-13.
+    # rho is cos(337 pi / 513), the grid's angle nearest -0.473
     s, rho = 7.011889768764377, -0.47325223402736816
+    assert np.cos(np.pi * 337 / 513.0) == rho
     with mp.workdps(30):
         ref = _elu_dot_mpmath(s, rho)
         assert abs(ref - mp.mpf("0.2340692418881439809")) < 1e-18
     f = lambda z: am.deriv(ELU, z)
     assert abs(pair_mean_quad(f, f, s, s, rho) - float(ref)) <= 1e-13
+    assert abs(autocorr_mean_quad(f, s, 512)[336] - float(ref)) <= 1e-13
 
 
 def test_lambda3_grid_peak_memory_is_tile_sized():
-    # the 512-angle sweep of `nnk fixedpoint`: each entry evaluates psi'
-    # once on one (90, 240) grid, ~170 KB (the product and its paired copy
-    # add two more), where one (512, 90, 240) block would be 88 MB
+    # the 512-angle sweep of `nnk fixedpoint`: psi' is evaluated once on a
+    # (90, 4104) grid, one (30, 1026) slab of ~250 KB at a time (its
+    # spectrum and the integrand's temporaries add a few more), where the
+    # whole grid would be 3 MB and one (90, 240) grid per angle 88 MB
     s = sigma_star(GELU, 1.0)
     thetas = np.pi * (np.arange(512) + 1.0) / 513.0
     tracemalloc.start()
