@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,8 +248,8 @@ def test_quadrature_rows_match_lambda3_on_coarse_grids(n):
 @pytest.mark.parametrize("n", [1, 5, 31, 512])
 def test_erf_quadrature_rows_match_closed_form(n):
     # ERF sweeps carry quadrature rows only; at sigma*(0.5) and at a
-    # narrow s = 7.5 (sigma_w^2 = 1), where the 120-node polar rule of
-    # pair_mean_quad is 1.9e-12 off
+    # narrow s = 7.5 (sigma_w^2 = 1), where rows from the 120-node polar
+    # rule of pair_mean_quad are 1.2e-10 off on 512 angles
     thetas = np.pi * (np.arange(n) + 1.0) / (n + 1.0)
     sigma = sigma_star(ERF, 0.5)
     for s, sw2 in ((0.5 * sigma, sigma ** 2), (7.5, 1.0)):
@@ -377,10 +381,6 @@ def test_bisect_refuses_nan_and_an_unbracketed_root():
 
 
 def test_import_leaves_scipy_optimize_out():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
