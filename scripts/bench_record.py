@@ -2,7 +2,7 @@
 """Record the benchmark of one or more checkouts as BENCH_<label>.json.
 
     python3 scripts/bench_record.py --checkout LABEL=DIR [--checkout LABEL=DIR ...]
-        [--workloads W ...] [--seeds K] [--seconds T]
+        [--workloads W ...] [--seeds K] [--seconds T] [--cli]
         [--no-tier1] [--out-dir DIR]
 
 For each seed 1..K and each workload, runs the benchmark command of
@@ -19,15 +19,29 @@ against the first checkout (ties count for neither), and gives the
 median and quartiles over seeds of the log ratio of its run to the
 first checkout's run of the same seed.
 
+With ``--cli``, each seed also runs every case of ``CLI_CASES`` once per
+checkout, in the same rotating order: an ``nnk`` subcommand at its
+documented defaults, started as ``python -m nnkernels.cli`` in a fresh
+process with ``--out`` added, so its wall time includes the interpreter
+start and the package import. ``gp-fit`` reads a 100 x 6 CSV generated
+from a fixed seed. ``benchmark`` is left out: at its defaults it exits 1
+on the predictive-variance check (ROADMAP item 16). The file's ``cli``
+entry (null without ``--cli``) gives per case the median and quartiles of
+the wall time, every exit code, and the sha256 of stdout and of the
+``--out`` file, per run and, where all runs agree, once; each file after
+the first also says whether its bytes equal the first checkout's.
+
 The default checkout is this repository, labelled by its short SHA.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -35,6 +49,19 @@ import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+NNK = [sys.executable, "-m", "nnkernels.cli"]
+# name -> arguments; "{dataset}" stands for the generated gp-fit CSV
+CLI_CASES = {
+    "kernel-eval": ["kernel-eval"],
+    "mc-verify": ["mc-verify"],
+    "fixedpoint": ["fixedpoint"],
+    "norm-preserve": ["norm-preserve"],
+    "gp-fit": ["gp-fit", "--dataset", "{dataset}"],
+    "simplicity": ["simplicity"],
+    "kernel-eval-elu": ["kernel-eval", "--activation", "elu"],
+    "fixedpoint-elu": ["fixedpoint", "--activation", "elu"],
+    "gp-fit-elu": ["gp-fit", "--activation", "elu", "--dataset", "{dataset}"],
+}
 
 
 def _git(checkout, *args):
@@ -75,6 +102,45 @@ def run_benchmark(checkout, command, workload, seed, seconds):
     return {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def write_dataset(path, rows=100, dim=6, seed=0):
+    """A CSV with a header, ``dim`` standard normal features and a sin
+    target plus noise, from ``seed``."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((rows, dim))
+    y = np.sin(X @ rng.standard_normal(dim) / np.sqrt(dim)) + 0.1 * rng.standard_normal(rows)
+    lines = [",".join([f"x{i}" for i in range(dim)] + ["y"])]
+    lines += [",".join(f"{v:.17g}" for v in row) for row in np.column_stack([X, y])]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_cli(checkout, argv, workdir):
+    """One ``nnk`` run in a fresh process: wall time, exit code and the
+    sha256 of stdout and of the ``--out`` file (None if none was written)."""
+    out = Path(workdir) / "out"
+    out.unlink(missing_ok=True)
+    t0 = time.perf_counter()
+    proc = subprocess.run([*NNK, *argv, "--out", str(out)], cwd=workdir, env=_env(checkout),
+                          capture_output=True)
+    wall = time.perf_counter() - t0
+    return {"wall_s": wall, "exit_code": proc.returncode, "stdout_sha256": _sha256(proc.stdout),
+            "out_sha256": _sha256(out.read_bytes()) if out.exists() else None}
+
+
+def summarize_cli(runs):
+    q1, med, q3 = np.percentile([r["wall_s"] for r in runs], [25, 50, 75])
+    out = {"wall_s": {"median": med, "q1": q1, "q3": q3},
+           "exit_codes": [r["exit_code"] for r in runs]}
+    for key in ("stdout_sha256", "out_sha256"):
+        values = {r[key] for r in runs}
+        out[key] = values.pop() if len(values) == 1 else None
+    out["runs"] = runs
+    return out
 
 
 def summarize(runs, metrics):
@@ -125,6 +191,7 @@ def parse_args(argv):
     p.add_argument("--workloads", nargs="+")
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--seconds", type=float)
+    p.add_argument("--cli", action="store_true")
     p.add_argument("--no-tier1", action="store_true")
     p.add_argument("--out-dir", type=Path, default=REPO)
     args = p.parse_args(argv)
@@ -148,6 +215,10 @@ def main(argv=None):
     labels = list(checkouts)
 
     runs = {label: {w: [] for w in workloads} for label in labels}
+    cli_runs = {label: {c: [] for c in CLI_CASES} for label in labels}
+    workdir = tempfile.TemporaryDirectory()
+    dataset = Path(workdir.name) / "gp_fit.csv"
+    write_dataset(dataset)
     for i, seed in enumerate(seeds):
         order = labels[i % len(labels):] + labels[:i % len(labels)]
         for w in workloads:
@@ -156,6 +227,14 @@ def main(argv=None):
                 run["position"] = order.index(label)
                 runs[label][w].append(run)
                 print(f"{label} {w} seed {seed}: {json.dumps(run['metrics'])}", flush=True)
+        for case, argv in CLI_CASES.items() if args.cli else ():
+            argv = [a.replace("{dataset}", str(dataset)) for a in argv]
+            for label in order:
+                run = run_cli(checkouts[label], argv, workdir.name)
+                cli_runs[label][case].append(run)
+                print(f"{label} nnk {case} seed {seed}: {run['wall_s']:.3f} s, "
+                      f"exit {run['exit_code']}", flush=True)
+    workdir.cleanup()
 
     for label in labels:
         checkout = checkouts[label]
@@ -168,6 +247,7 @@ def main(argv=None):
             "settings": {"seconds": seconds, "seeds": seeds, "checkouts": labels,
                          "cpus": os.cpu_count(), "quartiles": "numpy linear"},
             "workloads": {},
+            "cli": None,
         }
         for w in workloads:
             entry = summarize(runs[label][w], spec["end_to_end"])
@@ -179,6 +259,15 @@ def main(argv=None):
                     runs[label][w], base, spec["end_to_end"])
             entry["runs"] = runs[label][w]
             record["workloads"][w] = entry
+        if args.cli:
+            record["cli"] = {}
+            for case, argv in CLI_CASES.items():
+                entry = {"argv": argv, **summarize_cli(cli_runs[label][case])}
+                if label != labels[0]:
+                    both = cli_runs[label][case] + cli_runs[labels[0]][case]
+                    entry["same_bytes_as_" + labels[0]] = all(
+                        len({r[k] for r in both}) == 1 for k in ("stdout_sha256", "out_sha256"))
+                record["cli"][case] = entry
         args.out_dir.mkdir(parents=True, exist_ok=True)
         out = args.out_dir / f"BENCH_{label}.json"
         out.write_text(json.dumps(record, indent=1) + "\n")

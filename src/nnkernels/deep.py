@@ -9,10 +9,16 @@ stores one (sigma_w^2, sigma_b^2) pair per index; the shared
 constructor replicates a single pair, which is the default protocol.
 
 Every update, scalar or matrix, kernel or tangent kernel, shared or
-per-level variances, goes through one array function, ``_layer_step``.
-The pair calls take a state of floats or of arrays (one pair per entry)
-and step the stacked norms ``[s1_sq, s2_sq]`` as rows 0 and 1. The tangent kernel T starts at zero on the input map, so T = k after
-update 1, and follows T' = T * kdot + k'.
+per-level variances, goes through one array function, ``_layer_step``,
+and each layer is one kernel call: the pairs and each row's own
+diagonal at rho = 1 are the entries of one ``pair_mean`` call (or, with
+the tangent kernel, one ``pair_moments`` call), whose diagonal entries
+are the next squared norms. The matrix path builds those entries once
+per depth sweep; the pair calls take a state of floats or of arrays (one
+pair per entry) and step the stacked norms ``[s1_sq, s2_sq]`` as rows 0
+and 1, with the entries ``_PAIR_ENTRIES``. The tangent kernel T starts
+at zero on the input map, so T = k after update 1, and follows
+T' = T * kdot + k'.
 ``_layer_jacobian`` is the closed-form Jacobian of one pair update, for
 every activation; ``kernel_grad`` chains it into exact gradients.
 """
@@ -24,15 +30,24 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .activations import Activation
-from .kernels import (diag_mean, kernel_dot_values, kernel_values,
-                      pair_dd_mean, pair_dot_mean, pair_moments)
+from .kernels import (_unit_clip, kernel_dot_values, pair_dd_mean, pair_dot_mean,
+                      pair_mean, pair_moments)
 
 _RHO_OVERSHOOT = 1e-12
+
+# The entries of one pair step: the pair (0, 1), then each row's own
+# diagonal (0, 0) and (1, 1), indexing the stacked norms [s1_sq, s2_sq].
+_PAIR_ENTRIES = (np.array([0, 0, 1]), np.array([1, 0, 1]))
 
 
 def _any(flags):
     """``np.any`` over every entry, at a quarter of its cost on a scalar."""
     return np.logical_or.reduce(flags, axis=None)
+
+
+def _all(flags):
+    """``np.all`` over every entry, as ``_any``."""
+    return np.logical_and.reduce(flags, axis=None)
 
 
 @dataclass(frozen=True)
@@ -45,10 +60,11 @@ class LayerState:
     rho: float
 
     def __post_init__(self):
-        if _any(np.isnan(self.rho) | (abs(self.rho) > 1.0)):
+        if not _all(abs(self.rho) <= 1.0):  # false at NaN
             raise ValueError("rho must lie in [-1, 1]")
-        if _any((self.s1_sq < 0.0) | (self.s2_sq < 0.0)):
-            raise ValueError("squared norms must be nonnegative")
+        if not _all(np.isfinite(self.s1_sq + self.s2_sq)
+                    & (np.minimum(self.s1_sq, self.s2_sq) >= 0.0)):
+            raise ValueError("squared norms s1_sq, s2_sq must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -92,39 +108,57 @@ def _normalized(k, s1_sq, s2_sq):
             f"normalized kernel overshoots [-1, 1] by {float(np.max(over)):.3e}; "
             "this signals a kernel bug"
         )
-    return np.clip(rho, -1.0, 1.0)
+    return _unit_clip(rho)
 
 
-def _layer_step(act: Activation, s_sq, pairs, rho, sigma_w2, sigma_b2,
-                t_rows=None, t_pairs=None):
-    """One layer of the kernel and tangent-kernel recursion, on arrays.
+def _layer_step(act: Activation, s_sq, entries, rho, sigma_w2, sigma_b2, t=None):
+    """One layer of the kernel and tangent-kernel recursion, on arrays, in
+    one kernel call.
 
-    ``s_sq`` holds each row's squared signal norm; pair p joins rows
-    ``pairs[0][p]`` and ``pairs[1][p]`` at correlation ``rho[p]``. Returns
-    the next level's ``(s_sq, k, t_rows, t_pairs)``: k' = sigma_w^2
-    E[psi psi] + sigma_b^2 on the pairs, and T' = T kdot + k' for each
-    tangent-kernel part given (None stays None). With pair T given, both
-    pair means come from one ``pair_moments`` call.
+    ``s_sq`` holds each row's squared signal norm; entry e joins rows
+    ``entries[0][e]`` and ``entries[1][e]`` at correlation ``rho[e]``. The
+    caller lists the pairs first and then each row's own diagonal, at
+    rho = 1, so the one call also gives the next norms. Returns the next
+    level's k' = sigma_w^2 E[psi psi] + sigma_b^2 on every entry (on the
+    diagonal, the next ``s_sq``) and, with the tangent kernel ``t`` given
+    (broadcast against the entries), T' = T kdot + k' from the same
+    ``pair_moments`` call; else None.
     """
-    i, j = pairs
+    i, j = entries
     s = np.sqrt(s_sq)
-    if t_pairs is None:
-        k = kernel_values(act, s[i], s[j], rho, sigma_w2, sigma_b2)
+    # The updates are in place, in an order that gives the bits of
+    # sigma_w2 * mean + sigma_b2 and t * (sigma_w2 * dot_mean) + k: with
+    # two fresh batch-sized temporaries per update, glibc trimmed and
+    # regrew its heap on every layer of the matrix path (~200 page faults
+    # per layer at 8,515 entries, GELU 1.7x slower).
+    if t is None:
+        k = pair_mean(act, s[i], s[j], rho)
     else:
-        mean, dot_mean = pair_moments(act, s[i], s[j], rho)
-        k = sigma_w2 * mean + sigma_b2
-        t_pairs = t_pairs * (sigma_w2 * dot_mean) + k
-    s_sq_new = sigma_w2 * diag_mean(act, s) + sigma_b2
-    if t_rows is not None:
-        t_rows = t_rows * kernel_dot_values(act, s, s, np.ones_like(s), sigma_w2) + s_sq_new
-    return s_sq_new, k, t_rows, t_pairs
+        k, kdot = pair_moments(act, s[i], s[j], rho)
+    k *= sigma_w2
+    k += sigma_b2
+    if t is None:
+        return k, None
+    kdot *= sigma_w2
+    kdot *= t
+    kdot += k
+    return k, kdot
+
+
+def _with_diagonal(rho):
+    """``[rho, 1, 1]`` along a new first axis: the correlations of
+    ``_PAIR_ENTRIES``."""
+    out = np.ones((3,) + np.shape(rho))
+    out[0] = rho
+    return out
 
 
 def _positive_norms(state, name):
     """The stacked squared norms ``[s1_sq, s2_sq]`` of a pair state."""
     s_sq = np.array([state.s1_sq, state.s2_sq])
-    if _any(s_sq <= 0.0):
-        raise ValueError(f"{name} requires strictly positive signal norms")
+    if not _all((s_sq > 0.0) & (s_sq < np.inf)):  # false at NaN
+        raise ValueError(f"{name} requires finite, strictly positive squared norms "
+                         "s1_sq, s2_sq")
     return s_sq
 
 
@@ -132,7 +166,8 @@ def iterate_state(act: Activation, state: LayerState, sigma_w2: float,
                   sigma_b2: float) -> LayerState:
     """One layer update of (s1^2, s2^2, rho), on one pair or an array of pairs."""
     s_sq = _positive_norms(state, "iterate_state")
-    (s1_sq, s2_sq), k, _, _ = _layer_step(act, s_sq, (0, 1), state.rho, sigma_w2, sigma_b2)
+    (k, s1_sq, s2_sq), _ = _layer_step(act, s_sq, _PAIR_ENTRIES, _with_diagonal(state.rho),
+                                       sigma_w2, sigma_b2)
     return LayerState(s1_sq, s2_sq, _normalized(k, s1_sq, s2_sq))
 
 
@@ -166,7 +201,8 @@ def state_trajectory(act: Activation, x1, x2, hyper: NetworkHyper):
     k = sw[0] * float(x1 @ x2) + sb[0]
     traj = [(*s_sq, k)]
     for l in range(1, len(sw)):
-        s_sq, k, _, _ = _layer_step(act, s_sq, (0, 1), _normalized(k, *s_sq), sw[l], sb[l])
+        (k, *s_sq), _ = _layer_step(act, s_sq, _PAIR_ENTRIES,
+                                    _with_diagonal(_normalized(k, *s_sq)), sw[l], sb[l])
         traj.append((*s_sq, k))
     return traj
 
@@ -175,9 +211,10 @@ def ntk_iterate(act: Activation, state: NtkState, sigma_w2: float,
                 sigma_b2: float) -> NtkState:
     """One tangent-kernel update: T' = T kdot' + k' (plus diag updates)."""
     s_sq = _positive_norms(state, "ntk_iterate")
-    rho = _normalized(state.k, state.s1_sq, state.s2_sq)
-    (s1_sq, s2_sq), k, _, T = _layer_step(act, s_sq, (0, 1), rho, sigma_w2, sigma_b2,
-                                          t_pairs=state.T)
+    rho = _with_diagonal(_normalized(state.k, state.s1_sq, state.s2_sq))
+    # the pair's T, broadcast to the rows' entries too, whose T' is unused
+    (k, s1_sq, s2_sq), (T, _, _) = _layer_step(act, s_sq, _PAIR_ENTRIES, rho, sigma_w2,
+                                               sigma_b2, t=state.T)
     return NtkState(s1_sq, s2_sq, k, T, state.tau)
 
 
@@ -216,17 +253,21 @@ def kernel_matrices_by_depth(act: Activation, X, sigma_w2, sigma_b2,
         raise ValueError("depths must be increasing and >= 1")
     sw, sb = (np.broadcast_to(v, depths[-1] + 1) for v in (sigma_w2, sigma_b2))
     iu, ju = np.triu_indices(n, k=1)
+    p = iu.size
+    rows = np.arange(n)
+    entries = (np.concatenate([iu, rows]), np.concatenate([ju, rows]))
     upper, lower = iu * n + ju, ju * n + iu
     s_sq = sw[0] * np.einsum("ij,ij->i", X, X) + sb[0]
     k = sw[0] * np.einsum("ij,ij->i", X[iu], X[ju]) + sb[0]
-    t_rows, t_pairs = (np.zeros(n), np.zeros(iu.size)) if use_ntk else (None, None)
+    t = np.zeros(p + n) if use_ntk else None
+    rho = np.ones(p + n)  # the pairs, then the rows' diagonal, which stays at 1
     want = set(depths)
     for depth in range(1, depths[-1] + 1):
-        rho = _normalized(k, s_sq[iu], s_sq[ju])
-        s_sq, k, t_rows, t_pairs = _layer_step(act, s_sq, (iu, ju), rho, sw[depth],
-                                               sb[depth], t_rows, t_pairs)
+        rho[:p] = _normalized(k, s_sq[iu], s_sq[ju])
+        k_all, t = _layer_step(act, s_sq, entries, rho, sw[depth], sb[depth], t)
+        k, s_sq = k_all[:p], k_all[p:]
         if depth in want:
-            diag, off = (t_rows, t_pairs) if use_ntk else (s_sq, k)
+            off, diag = (t[:p], t[p:]) if use_ntk else (k, s_sq)
             K = np.empty(n * n)
             K[upper] = off
             K[lower] = off

@@ -32,11 +32,12 @@ So is ``pair_dd_mean``, D = E[psi''(s1 Z1) psi(s2 Z2)] (a kink adds a
 delta to psi''): by Price's theorem, 2 dE[psi psi]/ds1^2, the entry the
 layer Jacobian in ``deep`` is built from. ``pair_moments`` gives
 E[psi psi] and E[psi' psi'] together, for the tangent-kernel step. For
-ELU/SELU all three come from one evaluator, ``_elu_moments``: five bvn
-terms per entry from three Genz integrals, in one call of the Genz rule
-per chunk of entries; for 0.925 <= |rho| < 1 a 1-D Gauss-Legendre rule
-over Z1 of closed-form conditional moments; at rho = +-1 the limits.
-``diag_mean`` is ``pair_mean`` at rho = 1.
+ELU/SELU all three come from one evaluator, ``_elu_moments``, which
+computes only the ones its caller returns: five bvn terms per entry from
+three Genz integrals, in one call of the Genz rule per chunk of entries;
+for 0.925 <= |rho| < 1 a 1-D Gauss-Legendre rule over Z1 of closed-form
+conditional moments; at rho = +-1 the limits. ``diag_mean`` is
+``pair_mean`` at rho = 1.
 """
 
 from __future__ import annotations
@@ -93,8 +94,13 @@ class KernelArgs:
             raise ValueError("variances must be nonnegative")
 
 
+def _unit_clip(x):
+    """``np.clip(x, -1, 1)``, at half its cost on small arrays."""
+    return np.minimum(np.maximum(x, -1.0), 1.0)
+
+
 def _arccos_theta(rho):
-    return np.arccos(np.clip(rho, -1.0, 1.0))
+    return np.arccos(_unit_clip(rho))
 
 
 def _lrelu_slope(act: Activation) -> float:
@@ -103,20 +109,22 @@ def _lrelu_slope(act: Activation) -> float:
     return act.lrelu_slope
 
 
-def _elu_moments(act, s1, s2, rho):
-    """``(E[psi psi], E[psi' psi'], E[psi'' psi])`` for ELU/SELU, vectorized.
+def _elu_moments(act, s1, s2, rho, want=("mean", "dot", "dd")):
+    """The ELU/SELU moments named in ``want``, in its order, vectorized:
+    "mean" E[psi psi], "dot" E[psi' psi'] and "dd" E[psi'' psi].
 
     Each entry takes one rule, by its band on theta = arccos(rho):
     ``_elu_limits`` at |rho| = 1, ``_elu_interior`` where |cos theta| <
-    ``GENZ_RHO_MAX`` and ``_elu_tail`` between. A band that holds all
-    entries and fits one chunk runs on the arrays directly; otherwise each
-    band runs on its own entries, in chunks of ``_ELU_CHUNK`` and
-    ``_TAIL_CHUNK``.
+    ``GENZ_RHO_MAX`` and ``_elu_tail`` between; each rule computes only
+    the moments in ``want``. A band that holds all entries and fits one
+    chunk runs on the arrays directly; otherwise each band runs on its
+    own entries, gathered by its mask, or in chunks of ``_ELU_CHUNK`` and
+    ``_TAIL_CHUNK`` when it holds more.
     """
     s1, s2, rho = _broadcast(s1, s2, rho)
-    if np.isnan(s1).any() or np.isnan(s2).any() or np.isnan(rho).any():
+    if np.isnan(s1 + s2 + rho).any():  # NaN in any argument makes the sum NaN
         raise ValueError("ELU/SELU moments: NaN argument")
-    if (s1 > ELU_S_MAX).any() or (s2 > ELU_S_MAX).any():
+    if (np.maximum(s1, s2) > ELU_S_MAX).any():
         raise OverflowError(f"ELU/SELU closed form limited to s <= {ELU_S_MAX}; exponential "
                             "factors overflow the double range beyond that")
     shape = rho.shape
@@ -125,38 +133,49 @@ def _elu_moments(act, s1, s2, rho):
     l2 = lam * lam
     theta = _arccos_theta(rho)
     limit = np.abs(rho) >= 1.0
-    tail = ~limit & (np.abs(np.cos(theta)) >= GENZ_RHO_MAX)
+    interior = np.abs(np.cos(theta)) < GENZ_RHO_MAX  # never at |rho| = 1
     bands = ((limit, _elu_limits, rho.size, rho),
-             (~limit & ~tail, _elu_interior, _ELU_CHUNK, theta),
-             (tail, _elu_tail, _TAIL_CHUNK, rho))
+             (interior, _elu_interior, _ELU_CHUNK, theta),
+             (~(limit | interior), _elu_tail, _TAIL_CHUNK, rho))
+    outs = [np.empty(rho.size) for _ in want]
     for band, rule, size, arg in bands:
-        if band.all() and rho.size <= size:
-            outs = rule(l2, alpha, s1, s2, arg)
+        count = np.count_nonzero(band)
+        if count == rho.size and count <= size:
+            outs = rule(l2, alpha, s1, s2, arg, want)
             break
-    else:
-        outs = [np.empty(rho.size) for _ in range(3)]
-        for band, rule, size, arg in bands:
+        if count <= size:
+            parts = [band] if count else []
+        else:
             entries = np.flatnonzero(band)
-            for i in range(0, entries.size, size):
-                idx = entries[i:i + size]
-                for out, v in zip(outs, rule(l2, alpha, s1[idx], s2[idx], arg[idx])):
-                    out[idx] = v
+            parts = [entries[i:i + size] for i in range(0, count, size)]
+        for idx in parts:
+            for out, v in zip(outs, rule(l2, alpha, s1[idx], s2[idx], arg[idx], want)):
+                out[idx] = v
     return [out.reshape(shape) if shape else float(out[0]) for out in outs]
 
 
-def _elu_limits(l2, alpha, s1, s2, rho):
+def _elu_limits(l2, alpha, s1, s2, rho, want):
     """``_elu_moments`` at rho = +-1, where Z2 = +-Z1: closed forms in
-    c = expscaled_cdf(s) of s1, s2 and s1 + s2."""
+    c = expscaled_cdf(s) of s1, s2 and s1 + s2. A batch of one sign
+    evaluates only that sign's forms."""
     a2 = alpha * alpha
-    c1, c2, c12 = expscaled_cdf(np.stack([s1, s2, s1 + s2]))
+    c1, c2, c12 = expscaled_cdf(np.array([s1, s2, s1 + s2]))
+    pos = {"mean": lambda: l2 * (s1 * s2 / 2.0 + a2 * (c12 - c1 - c2 + 0.5)),
+           "dot": lambda: l2 * (0.5 + a2 * c12),
+           "dd": lambda: l2 * (a2 * (c12 - c1))}
+    neg = {"mean": lambda: -l2 * alpha * s1 * s2 * (c1 + c2),
+           "dot": lambda: l2 * (alpha * (c1 + c2)),
+           "dd": lambda: l2 * (alpha * s2 * (1.0 / SQRT_2PI - s1 * c1))}
     hi = rho > 0.0
-    return [np.where(hi, l2 * (s1 * s2 / 2.0 + a2 * (c12 - c1 - c2 + 0.5)),
-                     -l2 * alpha * s1 * s2 * (c1 + c2)),
-            np.where(hi, l2 * (0.5 + a2 * c12), l2 * (alpha * (c1 + c2))),
-            np.where(hi, l2 * (a2 * (c12 - c1)), l2 * (alpha * s2 * (1.0 / SQRT_2PI - s1 * c1)))]
+    n_hi = np.count_nonzero(hi)
+    if n_hi == hi.size:
+        return [pos[w]() for w in want]
+    if n_hi == 0:
+        return [neg[w]() for w in want]
+    return [np.where(hi, pos[w](), neg[w]()) for w in want]
 
 
-def _elu_interior(l2, alpha, s1, s2, theta):
+def _elu_interior(l2, alpha, s1, s2, theta, want):
     """``_elu_moments`` at |cos theta| < ``GENZ_RHO_MAX``, on 1-D arrays:
     E(s1, s2), E(s1, 0), E(0, s2) with E(a, b) = E[e^(a Z1 + b Z2); Z1 < 0,
     Z2 < 0], and B(s1), B(s2) with B(b) = E[e^(b Z2); Z1 > 0, Z2 < 0]. Each
@@ -165,63 +184,79 @@ def _elu_interior(l2, alpha, s1, s2, theta):
     """
     a2 = alpha * alpha
     sn, cs = np.sin(theta), np.cos(theta)
-    c1, x1, x2 = expscaled_cdf(np.stack([s1, s1 * sn, s2 * sn]))
     # the E rows as upper orthants at (-h, -k); E(s1, 0) enters with its
     # arguments swapped, so that B(s1) is its upper half as B(s2) is that
     # of E(0, s2)
     e12, e10, e01, b1, b2 = special._blocked(
         special._bvnu_genz, special._BLOCK_COLS,
-        np.stack([s1 + s2 * cs, s1 * cs, s2 * cs]),
-        np.stack([s1 * cs + s2, s1, s2]),
+        np.array([s1 + s2 * cs, s1 * cs, s2 * cs]),
+        np.array([s1 * cs + s2, s1, s2]),
         cs,
-        np.stack([(s1 * s1 + 2.0 * s1 * s2 * cs + s2 * s2) / 2.0, s1 * s1 / 2.0, s2 * s2 / 2.0]),
+        np.array([(s1 * s1 + 2.0 * s1 * s2 * cs + s2 * s2) / 2.0, s1 * s1 / 2.0, s2 * s2 / 2.0]),
         up=slice(1, None))
     quadrant = (np.pi - theta) / TWO_PI  # P(Z1 < 0, Z2 < 0)
-    # E[Theta(Z1) Z1 Theta(-Z2)(e^{s2 Z2} - 1)] and its mirror, the linear
-    # side's scale factored out by homogeneity
-    cross = (s1 * ((x2 - 0.5) / SQRT_2PI + s2 * cs * b2)
-             + s2 * ((x1 - 0.5) / SQRT_2PI + s1 * cs * b1))
-    mean = l2 * (s1 * s2 * (sn + (np.pi - theta) * cs) / TWO_PI + alpha * cross
-                 + a2 * (e12 - e10 - e01 + quadrant))
-    dot = l2 * (quadrant + alpha * (b2 + b1) + a2 * e12)
-    lin = s2 * ((x1 - cs / 2.0) / SQRT_2PI + s1 * cs * (c1 - e10))
-    jump = (s2 * sn / SQRT_2PI + alpha * (x2 - 0.5)) / (SQRT_2PI * s1)
-    dd = l2 * (alpha * (lin + alpha * (e12 - e10)) + (1.0 - alpha) * jump)
-    return mean, dot, dd
+    outs = {}
+    if "dot" in want:
+        outs["dot"] = l2 * (quadrant + alpha * (b2 + b1) + a2 * e12)
+    if "mean" in want or "dd" in want:
+        c1, x1, x2 = expscaled_cdf(np.array([s1, s1 * sn, s2 * sn]))
+    if "mean" in want:
+        # E[Theta(Z1) Z1 Theta(-Z2)(e^{s2 Z2} - 1)] and its mirror, the
+        # linear side's scale factored out by homogeneity
+        cross = (s1 * ((x2 - 0.5) / SQRT_2PI + s2 * cs * b2)
+                 + s2 * ((x1 - 0.5) / SQRT_2PI + s1 * cs * b1))
+        outs["mean"] = l2 * (s1 * s2 * (sn + (np.pi - theta) * cs) / TWO_PI + alpha * cross
+                             + a2 * (e12 - e10 - e01 + quadrant))
+    if "dd" in want:
+        lin = s2 * ((x1 - cs / 2.0) / SQRT_2PI + s1 * cs * (c1 - e10))
+        jump = (s2 * sn / SQRT_2PI + alpha * (x2 - 0.5)) / (SQRT_2PI * s1)
+        outs["dd"] = l2 * (alpha * (lin + alpha * (e12 - e10)) + (1.0 - alpha) * jump)
+    return [outs[w] for w in want]
 
 
-def _elu_tail(l2, alpha, s1, s2, rho):
+def _elu_tail(l2, alpha, s1, s2, rho, want):
     """``_elu_moments`` where |cos theta| >= ``GENZ_RHO_MAX``, by one 1-D
     rule over Z1 = z. Given z, Y = s2 Z2 is N(s2 rho z, v^2), v = s2 tau,
     tau = sqrt(1 - rho^2), so E[psi(Y) | z] and E[psi'(Y) | z] are closed
     forms (``_conditional``); the moments integrate them against
     phi(z) psi(s1 z), phi(z) psi'(s1 z) and phi(z) psi''(s1 z), whose kink
-    at 0 adds (1 - alpha) phi(0) E[psi(Y) | 0] / s1.
+    at 0 adds (1 - alpha) phi(0) E[psi(Y) | 0] / s1. The rule holds on the
+    whole open band |rho| < 1: its panel edge min(1, tau / |rho|) is
+    written tau / max(|rho|, tau), which is 1 at rho = 0.
     """
     tau = np.sqrt((1.0 - rho) * (1.0 + rho))
     n = s1.size
-    edges = np.sort(np.hstack([np.broadcast_to(_TAIL_EDGES, (n, _TAIL_EDGES.size)),
-                               np.outer(1.0 / np.maximum(s1, 1.0), _TAIL_SCALES),
-                               np.outer(np.minimum(1.0, tau / np.abs(rho)), _TAIL_SCALES)]),
-                    axis=1)
-    half = np.diff(edges, axis=1)[..., None] / 2.0
+    edges = np.empty((n, _TAIL_EDGES.size + 2 * _TAIL_SCALES.size))
+    edges[:, :_TAIL_EDGES.size] = _TAIL_EDGES
+    edges[:, _TAIL_EDGES.size:] = (
+        np.array([1.0 / np.maximum(s1, 1.0), tau / np.maximum(np.abs(rho), tau)]).T[..., None]
+        * _TAIL_SCALES).reshape(n, -1)
+    edges.sort(axis=1)
+    half = (edges[:, 1:] - edges[:, :-1])[..., None] / 2.0
     z = (edges[:, :-1, None] + half * (_TAIL_NODES + 1.0)).reshape(n, -1)
     w = (half * _TAIL_WEIGHTS).reshape(n, -1) * np.exp(-0.5 * z * z) / SQRT_2PI
     v = s2 * tau
-    (g_pos, g_neg), (d_pos, d_neg) = (
-        np.hsplit(c, 2) for c in _conditional(alpha, (rho / tau)[:, None] * np.hstack([z, -z]),
-                                              v[:, None]))
+    m = z.shape[1]
+    g, d = _conditional(alpha, (rho / tau)[:, None] * np.concatenate([z, -z], axis=1),
+                        v[:, None], value="mean" in want or "dd" in want,
+                        slope="dot" in want)
     sz = s1[:, None] * z
-    e = np.exp(-sz)  # psi'(-s1 z) / (lam alpha)
-    mean = (w * (sz * g_pos + alpha * np.expm1(-sz) * g_neg)).sum(axis=1)
-    dot = (w * (d_pos + alpha * e * d_neg)).sum(axis=1)
-    kink = _conditional(alpha, np.zeros(n), v)[0] / (SQRT_2PI * s1)
-    dd = alpha * (w * e * g_neg).sum(axis=1) + (1.0 - alpha) * kink
-    return l2 * mean, l2 * dot, l2 * dd
+    outs = {}
+    if "mean" in want:
+        outs["mean"] = l2 * (w * (sz * g[:, :m] + alpha * np.expm1(-sz) * g[:, m:])).sum(axis=1)
+    if "dot" in want or "dd" in want:
+        e = np.exp(-sz)  # psi'(-s1 z) / (lam alpha)
+    if "dot" in want:
+        outs["dot"] = l2 * (w * (d[:, :m] + alpha * e * d[:, m:])).sum(axis=1)
+    if "dd" in want:
+        kink = _conditional(alpha, np.zeros(n), v, slope=False)[0] / (SQRT_2PI * s1)
+        outs["dd"] = l2 * (alpha * (w * e * g[:, m:]).sum(axis=1) + (1.0 - alpha) * kink)
+    return [outs[w] for w in want]
 
 
-def _conditional(alpha, t, v):
-    """``(E[psi(Y)], E[psi'(Y)])`` at lam = 1 for Y ~ N(t v, v^2), from
+def _conditional(alpha, t, v, value=True, slope=True):
+    """``(E[psi(Y)], E[psi'(Y)])`` at lam = 1 for Y ~ N(t v, v^2), each
+    only if asked for (``value``, ``slope``; else None), from
     E[Y; Y > 0] = v (t Phi(t) + phi(t)) and E[e^Y; Y < 0] =
     exp(t v + v^2/2) Phi(-t - v), the latter as
     exp(-t^2/2) erfcx((t + v)/sqrt(2)) / 2 where t + v >= 0: each form on
@@ -234,11 +269,18 @@ def _conditional(alpha, t, v):
     low = ~up
     ey[low] = np.exp((v * (t + v / 2.0))[low]) * ndtr(-u[low])
     cdf = ndtr(t)
-    return v * (t * cdf + pdf / SQRT_2PI) + alpha * (ey - ndtr(-t)), cdf + alpha * ey
+    return (v * (t * cdf + pdf / SQRT_2PI) + alpha * (ey - ndtr(-t)) if value else None,
+            cdf + alpha * ey if slope else None)
 
 
 def _broadcast(*arrays):
-    return np.broadcast_arrays(*[np.asarray(v, dtype=float) for v in arrays])
+    """The arguments as float arrays of one shape: unchanged when their
+    shapes already agree, else broadcast."""
+    arrays = [np.asarray(v, dtype=float) for v in arrays]
+    shape = arrays[0].shape
+    if all(a.shape == shape for a in arrays[1:]):
+        return arrays
+    return np.broadcast_arrays(*arrays)
 
 
 def pair_mean(act: Activation, s1, s2, rho):
@@ -253,8 +295,8 @@ def pair_mean(act: Activation, s1, s2, rho):
                          + a * rho)
     elif kind == "erf":
         out = (2.0 / np.pi) * np.arcsin(
-            np.clip(2.0 * rho * s1 * s2
-                    / np.sqrt((1.0 + 2.0 * s1 * s1) * (1.0 + 2.0 * s2 * s2)), -1.0, 1.0)
+            _unit_clip(2.0 * rho * s1 * s2
+                       / np.sqrt((1.0 + 2.0 * s1 * s1) * (1.0 + 2.0 * s2 * s2)))
         )
     elif kind == "gelu":
         # s1 s2 r, r r, q = s1s s2s (1 - r r) and sqrt(d) are computed once
@@ -263,7 +305,7 @@ def pair_mean(act: Activation, s1, s2, rho):
         # which differs in floats. The updates are in place: holding the
         # shared terms as extra arrays made the heap grow and shrink on each
         # call of the depth_sweep benchmark, ~46 page faults per call.
-        r = np.clip(rho, -1.0, 1.0)
+        r = _unit_clip(rho)
         c = s1 * s2
         c *= r
         out = c / 4.0
@@ -293,7 +335,7 @@ def pair_mean(act: Activation, s1, s2, rho):
         c *= np.arctan(t)
         out += c
     else:  # elu / selu
-        return _elu_moments(act, s1, s2, rho)[0]
+        return _elu_moments(act, s1, s2, rho, ("mean",))[0]
     return out if out.shape else float(out)
 
 
@@ -306,9 +348,9 @@ def pair_dot_mean(act: Activation, s1, s2, rho):
         theta = _arccos_theta(rho)
         out = (1.0 - a) ** 2 * (np.pi - theta) / TWO_PI + a
     elif kind in ("elu", "selu"):
-        return _elu_moments(act, s1, s2, rho)[1]
+        return _elu_moments(act, s1, s2, rho, ("dot",))[0]
     else:  # gelu / erf; the radicands stay >= 1 at |rho| = 1, so no endpoint branch
-        c = s1 * s2 * np.clip(rho, -1.0, 1.0)
+        c = s1 * s2 * _unit_clip(rho)
         if kind == "erf":
             out = (4.0 / np.pi) / np.sqrt(
                 (1.0 + 2.0 * s1 * s1) * (1.0 + 2.0 * s2 * s2) - 4.0 * c * c)
@@ -329,7 +371,7 @@ def pair_moments(act: Activation, s1, s2, rho):
     bvn rows per pair."""
     if act.kind not in ("elu", "selu"):
         return pair_mean(act, s1, s2, rho), pair_dot_mean(act, s1, s2, rho)
-    return tuple(_elu_moments(act, s1, s2, rho)[:2])
+    return tuple(_elu_moments(act, s1, s2, rho, ("mean", "dot")))
 
 
 def pair_dd_mean(act: Activation, s1, s2, rho):
@@ -342,12 +384,12 @@ def pair_dd_mean(act: Activation, s1, s2, rho):
     kind = act.kind
     if kind in ("relu", "lrelu"):
         a = _lrelu_slope(act)
-        r = np.clip(rho, -1.0, 1.0)
+        r = _unit_clip(rho)
         out = (1.0 - a) ** 2 * s2 * np.sqrt((1.0 - r) * (1.0 + r)) / (TWO_PI * s1)
     elif kind in ("elu", "selu"):
-        return _elu_moments(act, s1, s2, rho)[2]
+        return _elu_moments(act, s1, s2, rho, ("dd",))[0]
     else:  # gelu / erf; no endpoint branch, as in pair_dot_mean
-        c = s1 * s2 * np.clip(rho, -1.0, 1.0)
+        c = s1 * s2 * _unit_clip(rho)
         if kind == "erf":
             a = 1.0 + 2.0 * s1 * s1
             out = -(8.0 / np.pi) * c / (a * np.sqrt(a * (1.0 + 2.0 * s2 * s2) - 4.0 * c * c))

@@ -23,3 +23,18 @@ def bvn_work(monkeypatch):
                                    (kernels, "_elu_tail", "tail", 2)):
         monkeypatch.setattr(module, name, counting(getattr(module, name), key, arg))
     return calls, work
+
+
+@pytest.fixture
+def elu_calls(monkeypatch):
+    """Records the arguments of each call of the ELU/SELU moment evaluator
+    ``kernels._elu_moments``: a list of (s1, s2, rho, the other args)."""
+    from nnkernels import kernels
+    calls, evaluate = [], kernels._elu_moments
+
+    def recorded(act, s1, s2, rho, *args, **kwargs):
+        calls.append((np.array(s1), np.array(s2), np.array(rho), args, kwargs))
+        return evaluate(act, s1, s2, rho, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_elu_moments", recorded)
+    return calls

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -18,7 +19,7 @@ def test_bench_record_schema(tmp_path):
     assert proc.returncode == 0, proc.stderr
     record = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     assert len(record["git_sha"]) == 40 and isinstance(record["dirty"], bool)
-    assert record["src_lines"] > 0 and record["tier1"] is None
+    assert record["src_lines"] > 0 and record["tier1"] is None and record["cli"] is None
     entry = record["workloads"]["finite_width"]
     assert entry["attempted"] >= 1 and entry["failed"] == 0 and entry["all_correct"]
     names = [m["name"] for m in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]]
@@ -36,11 +37,46 @@ def test_bench_record_schema(tmp_path):
         assert stats["q1"] <= stats["median"] <= stats["q3"]
 
 
-def test_paired_log_ratios():
+def _bench_record():
     spec = importlib.util.spec_from_file_location("bench_record",
                                                   REPO / "scripts" / "bench_record.py")
     bench_record = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_record)
+    return bench_record
+
+
+def test_cli_record_fields(tmp_path):
+    from nnkernels.cli import build_parser
+    from nnkernels.data import load_csv
+    bench_record = _bench_record()
+    dataset = tmp_path / "d.csv"
+    bench_record.write_dataset(dataset)
+    ds = load_csv(dataset, -1)
+    assert ds.X.shape == (100, 6) and np.isfinite(ds.y).all()
+    first = dataset.read_bytes()
+    bench_record.write_dataset(dataset)
+    assert dataset.read_bytes() == first
+    # every case parses as given (at the defaults, plus --out); benchmark,
+    # which exits 1 at its defaults, is not among them
+    parser, _ = build_parser()
+    for argv in bench_record.CLI_CASES.values():
+        parser.parse_args([a.replace("{dataset}", str(dataset)) for a in argv] + ["--out", "o"])
+    assert "benchmark" not in {argv[0] for argv in bench_record.CLI_CASES.values()}
+    # one cheap subcommand, run twice: wall time, exit code and both hashes
+    runs = [bench_record.run_cli(REPO, ["norm-preserve", "--norm-points", "3"], tmp_path)
+            for _ in range(2)]
+    entry = bench_record.summarize_cli(runs)
+    assert entry["exit_codes"] == [0, 0]
+    assert entry["wall_s"]["q1"] <= entry["wall_s"]["median"] <= entry["wall_s"]["q3"]
+    assert entry["out_sha256"] == hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest()
+    assert len(entry["stdout_sha256"]) == 64 and entry["runs"] == runs
+    failed = bench_record.run_cli(REPO, ["norm-preserve", "--norm-min", "-1"], tmp_path)
+    assert failed["exit_code"] == 1 and failed["out_sha256"] is None
+    assert bench_record.summarize_cli(runs + [failed])["out_sha256"] is None
+
+
+def test_paired_log_ratios():
+    bench_record = _bench_record()
     metrics = [{"name": "ops_per_s"}, {"name": "failed_share"}]
     base = [{"metrics": {"ops_per_s": v, "failed_share": 0.0}} for v in (10.0, 20.0, 10.0)]
     runs = [{"metrics": {"ops_per_s": v, "failed_share": 0.0}} for v in (11.0, 22.0, 12.0)]

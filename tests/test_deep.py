@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from nnkernels.activations import ELU, ERF, GELU, RELU, from_name, lrelu, selu
-from nnkernels.deep import (LayerState, NetworkHyper, NtkState, _layer_jacobian,
+from nnkernels.deep import (_PAIR_ENTRIES, LayerState, NetworkHyper, NtkState, _layer_jacobian,
                             _layer_step, _normalized, _validated, deep_kernel_matrix,
                             deep_normalized_kernel, input_state, iterate_state,
                             kernel_grad, kernel_matrices_by_depth, ntk_iterate,
                             scaled_ntk_iterate, state_trajectory)
 from nnkernels.fixed_point import sigma_star
+from nnkernels.kernels import diag_mean, kernel_dot_values, pair_mean, pair_moments
 
 from fd_oracle import kernel_grad_fd
 
@@ -185,24 +186,35 @@ class TestArraysOfPairs:
             batch, [deep_normalized_kernel(act, float(t), 0.8, hyper) for t in thetas])
 
     @pytest.mark.parametrize("field, bad", [("rho", np.nan), ("rho", 1.5), ("rho", -1.0 - 1e-9),
-                                            ("s1_sq", -1.0), ("s2_sq", -0.5)])
+                                            ("s1_sq", -1.0), ("s2_sq", -0.5),
+                                            ("s1_sq", np.nan), ("s2_sq", np.nan),
+                                            ("s1_sq", np.inf), ("s2_sq", -np.inf)])
     def test_bad_entry_rejected_by_state(self, field, bad):
         columns = {"s1_sq": np.ones(6), "s2_sq": np.ones(6), "rho": np.full(6, 0.3)}
         columns[field][4] = bad
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rho" if field == "rho" else "norms"):
             LayerState(**columns)
+        with pytest.raises(ValueError):
+            LayerState(*(float(columns[f][4]) for f in ("s1_sq", "s2_sq", "rho")))
 
     @pytest.mark.parametrize("field", ["s1_sq", "s2_sq"])
     def test_zero_norm_rejected_by_steps(self, field):
-        columns = {"s1_sq": np.ones(6), "s2_sq": np.ones(6)}
-        columns[field][2] = 0.0
-        zeros = np.zeros(6)
-        with pytest.raises(ValueError):
-            iterate_state(GELU, LayerState(**columns, rho=zeros), 1.0, 0.0)
-        with pytest.raises(ValueError):
-            ntk_iterate(GELU, NtkState(**columns, k=zeros, T=zeros), 1.0, 0.0)
-        with pytest.raises(ValueError):
-            scaled_ntk_iterate(GELU, NtkState(**columns, k=zeros, T=zeros, tau=0.5), 1.0, 0.0)
+        # zero, NaN and infinite squared norms; a LayerState refuses the
+        # last two itself
+        for bad in (0.0, np.nan, np.inf):
+            columns = {"s1_sq": np.ones(6), "s2_sq": np.ones(6)}
+            columns[field][2] = bad
+            zeros = np.zeros(6)
+            with pytest.raises(ValueError, match="norms"):
+                iterate_state(GELU, LayerState(**columns, rho=zeros), 1.0, 0.0)
+            with pytest.raises(ValueError, match="norms"):
+                ntk_iterate(GELU, NtkState(**columns, k=zeros, T=zeros), 1.0, 0.0)
+            with pytest.raises(ValueError, match="norms"):
+                scaled_ntk_iterate(GELU, NtkState(**columns, k=zeros, T=zeros, tau=0.5),
+                                   1.0, 0.0)
+            with pytest.raises(ValueError, match="norms"):
+                ntk_iterate(GELU, NtkState(float(columns["s1_sq"][2]),
+                                           float(columns["s2_sq"][2]), 0.5, 0.0), 1.0, 0.0)
 
     def test_input_state_shapes(self):
         st = input_state(np.array([0.0, 1.0, np.pi]), 1.0, 2.0, 0.1)
@@ -306,15 +318,17 @@ class TestKernelMatrix:
         X = np.random.Generator(np.random.Philox(key=16)).standard_normal((n, 3))
         sw, sb, depths = 1.4, 0.1, [1, 3, 4]
         iu, ju = np.triu_indices(n, k=1)
+        p = iu.size
+        entries = (np.append(iu, np.arange(n)), np.append(ju, np.arange(n)))
         s_sq = sw * np.einsum("ij,ij->i", X, X) + sb
         k = sw * np.einsum("ij,ij->i", X[iu], X[ju]) + sb
-        t_rows, t_pairs = (np.zeros(n), np.zeros(iu.size)) if use_ntk else (None, None)
+        t = np.zeros(p + n) if use_ntk else None
         ref = {}
         for depth in range(1, depths[-1] + 1):
-            rho = _normalized(k, s_sq[iu], s_sq[ju])
-            s_sq, k, t_rows, t_pairs = _layer_step(GELU, s_sq, (iu, ju), rho, sw, sb,
-                                                   t_rows, t_pairs)
-            diag, off = (t_rows, t_pairs) if use_ntk else (s_sq, k)
+            rho = np.append(_normalized(k, s_sq[iu], s_sq[ju]), np.ones(n))
+            k_all, t = _layer_step(GELU, s_sq, entries, rho, sw, sb, t)
+            k, s_sq = k_all[:p], k_all[p:]
+            diag, off = (t[p:], t[:p]) if use_ntk else (s_sq, k)
             ref[depth] = np.zeros((n, n))
             ref[depth][iu, ju] = off
             ref[depth][ju, iu] = off
@@ -358,6 +372,81 @@ class TestKernelMatrix:
         assert r.size > 0 and work["tail"] > 0
 
 
+class TestOneCallStep:
+    """``_layer_step`` takes the pairs and the rows' diagonal in one kernel
+    call, and equals the separate calls bit for bit."""
+
+    @staticmethod
+    def separate(act, s_sq, entries, rho, sw, sb, t):
+        """The step from separate calls: ``pair_mean`` / ``pair_moments`` on
+        the pairs, ``diag_mean`` and ``kernel_dot_values`` at rho = 1 on the
+        rows."""
+        n = len(s_sq)
+        i, j = (e[:-n] for e in entries)
+        s = np.sqrt(s_sq)
+        s_sq_new = sw * diag_mean(act, s) + sb
+        if t is None:
+            return np.concatenate([sw * pair_mean(act, s[i], s[j], rho[:-n]) + sb, s_sq_new]), None
+        mean, dot = pair_moments(act, s[i], s[j], rho[:-n])
+        k = sw * mean + sb
+        t_rows = t[-n:] * kernel_dot_values(act, s, s, 1.0, sw) + s_sq_new
+        return (np.concatenate([k, s_sq_new]),
+                np.concatenate([t[:-n] * (sw * dot) + k, t_rows]))
+
+    @staticmethod
+    def elu_band_correlations(rng, m):
+        """Correlations in the Genz band, in the tail band and at +-1."""
+        rho = rng.uniform(-0.9, 0.9, m)
+        rho[::4] = rng.choice([-1.0, 1.0], rho[::4].size) * rng.uniform(0.93, 1.0 - 1e-9,
+                                                                         rho[::4].size)
+        rho[1::8] = rng.choice([-1.0, 1.0], rho[1::8].size)
+        return rho
+
+    @pytest.mark.parametrize("act", SIX_ACTS, ids=lambda a: a.kind)
+    @pytest.mark.parametrize("use_ntk", [False, True], ids=["nngp", "ntk"])
+    def test_equals_separate_calls(self, act, use_ntk):
+        rng = np.random.default_rng(8)
+        sw, sb = 1.3, 0.1
+        n = 40
+        iu, ju = np.triu_indices(n, k=1)
+        matrix_rho = np.append(self.elu_band_correlations(rng, iu.size), np.ones(n))
+        m = 24
+        pairs_rho = np.ones((3, m))
+        pairs_rho[0] = self.elu_band_correlations(rng, m)
+        cases = [  # one pair in each band, arrays of pairs, a 40-row matrix
+            *((rng.uniform(0.2, 4.0, 2), _PAIR_ENTRIES, np.array([r, 1.0, 1.0]))
+              for r in (0.3, -0.6, 0.97, -0.999, 1.0, -1.0)),
+            (rng.uniform(0.2, 4.0, (2, m)), _PAIR_ENTRIES, pairs_rho),
+            (rng.uniform(0.2, 4.0, n), (np.append(iu, np.arange(n)), np.append(ju, np.arange(n))),
+             matrix_rho),
+        ]
+        for s_sq, entries, rho in cases:
+            t = rng.uniform(0.0, 2.0, rho.shape) if use_ntk else None
+            got = _layer_step(act, s_sq, entries, rho, sw, sb, t)
+            want = self.separate(act, s_sq, entries, rho, sw, sb, t)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("act", [ELU, selu(1.0507, 1.6733)], ids=lambda a: a.kind)
+    def test_one_elu_call_per_layer(self, act, elu_calls):
+        for rho in (0.4, 0.97, -1.0):  # the Genz band, the tail band and a limit
+            elu_calls.clear()
+            iterate_state(act, LayerState(1.3, 0.8, rho), 1.5, 0.1)
+            ntk_iterate(act, NtkState(1.3, 0.8, rho * np.sqrt(1.3 * 0.8), 0.2), 1.5, 0.1)
+            assert len(elu_calls) == 2
+        elu_calls.clear()
+        iterate_state(act, LayerState(np.full(5, 1.3), np.full(5, 0.8), np.linspace(-1, 1, 5)),
+                      1.5, 0.1)
+        assert len(elu_calls) == 1
+        X = np.random.default_rng(3).standard_normal((9, 4))
+        for use_ntk in (False, True):
+            elu_calls.clear()
+            list(kernel_matrices_by_depth(act, X, 1.5, 0.1, [1, 2, 4], use_ntk))
+            assert len(elu_calls) == 4
+            rho = np.array([call[2] for call in elu_calls])
+            assert rho.shape == (4, 9 * 8 // 2 + 9) and (rho[:, -9:] == 1.0).all()
+
+
 class TestRefusals:
     def test_non_finite_kernel_refused(self):
         K = np.eye(3)
@@ -385,7 +474,7 @@ class TestLayerJacobian:
 
         def step(x):
             rho = x[2] / np.sqrt(x[0] * x[1])
-            s_sq, k, _, _ = _layer_step(act, x[:2], (0, 1), rho, sw2, sb2)
+            (k, *s_sq), _ = _layer_step(act, x[:2], _PAIR_ENTRIES, [rho, 1.0, 1.0], sw2, sb2)
             return np.array([*s_sq, k])
 
         worst = 0.0

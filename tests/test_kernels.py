@@ -51,7 +51,7 @@ def dd_oracle(act, s1, s2, rho, nodes=200):
     return oracle, regular
 
 
-def _elu_interior_five_calls(l2, alpha, s1, s2, theta):
+def _elu_interior_five_calls(l2, alpha, s1, s2, theta, want):
     """``kernels._elu_interior`` with its five bvn terms as five rows of one
     ``bvn_cdf_exp`` call, each at its own arguments: the reference it
     matches bit for bit in the Genz band |cos theta| < 0.925."""
@@ -75,7 +75,7 @@ def _elu_interior_five_calls(l2, alpha, s1, s2, theta):
     lin = s2 * ((x1 - cs / 2.0) / SQRT_2PI + s1 * cs * (c1 - e10))
     jump = (s2 * sn / SQRT_2PI + alpha * (x2 - 0.5)) / (SQRT_2PI * s1)
     dd = l2 * (alpha * (lin + alpha * (e12 - e10)) + (1.0 - alpha) * jump)
-    return mean, dot, dd
+    return [{"mean": mean, "dot": dot, "dd": dd}[w] for w in want]
 
 
 def _elu_moments_both(monkeypatch, act, s1, s2, rho):
@@ -415,15 +415,35 @@ class TestInvariants:
             new, ref = _elu_moments_both(monkeypatch, act, s1[i], s2[i], rho[i])
             assert new.shape == (3,) and np.array_equal(new, ref)
 
+    @pytest.mark.parametrize("act", [ELU, selu(1.0507, 1.6733)], ids=lambda a: a.kind)
+    def test_elu_tail_rule_defined_at_rho_zero(self, act):
+        # the 1-D rule, used as a reference across the whole open band, is
+        # finite and warning-free at rho = 0 and agrees there with the Genz
+        # rule of the interior
+        import warnings
+        lam, alpha = ((act.selu_lambda, act.selu_alpha) if act.kind == "selu" else (1.0, 1.0))
+        s = np.geomspace(0.05, 5.0, 9)
+        s1, s2 = (np.repeat(s, s.size), np.tile(s, s.size))
+        want = ("mean", "dot", "dd")
+        for r in (0.0, -0.0, 1e-300, -1e-300):
+            rho = np.full(s1.size, r)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                tail = np.array(kernels_mod._elu_tail(lam * lam, alpha, s1, s2, rho, want))
+            ref = np.array(kernels_mod._elu_interior(lam * lam, alpha, s1, s2,
+                                                     np.arccos(rho), want))
+            assert np.isfinite(tail).all()
+            assert (np.abs(tail - ref) / np.maximum(1.0, np.abs(ref))).max() <= 1e-13
+
     def test_elu_dispatch_touches_only_its_bands(self, monkeypatch):
         # a Genz-band batch evaluates no limit entry, a mixed one exactly its
         # |rho| = 1 entries, and no ELU path calls the public bvn_cdf_exp
         from nnkernels import special
         seen, rule = [], kernels_mod._elu_limits
 
-        def limits(l2, alpha, s1, s2, rho):
+        def limits(l2, alpha, s1, s2, rho, want):
             seen.append(rho.copy())
-            return rule(l2, alpha, s1, s2, rho)
+            return rule(l2, alpha, s1, s2, rho, want)
 
         def refused(*args):
             raise AssertionError("bvn_cdf_exp called")
