@@ -104,10 +104,11 @@ def run_benchmark(checkout, command, workload, seed, seconds):
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
-def write_dataset(path, rows=100, dim=6, seed=0):
-    """A CSV with a header, ``dim`` standard normal features and a sin
-    target plus noise, from ``seed``."""
-    rng = np.random.default_rng(seed)
+def write_dataset(path):
+    """The ``gp-fit`` CSV: a header, 100 rows of 6 standard normal features
+    and a sin target plus noise, from seed 0."""
+    rows, dim = 100, 6
+    rng = np.random.default_rng(0)
     X = rng.standard_normal((rows, dim))
     y = np.sin(X @ rng.standard_normal(dim) / np.sqrt(dim)) + 0.1 * rng.standard_normal(rows)
     lines = [",".join([f"x{i}" for i in range(dim)] + ["y"])]
@@ -216,25 +217,24 @@ def main(argv=None):
 
     runs = {label: {w: [] for w in workloads} for label in labels}
     cli_runs = {label: {c: [] for c in CLI_CASES} for label in labels}
-    workdir = tempfile.TemporaryDirectory()
-    dataset = Path(workdir.name) / "gp_fit.csv"
-    write_dataset(dataset)
-    for i, seed in enumerate(seeds):
-        order = labels[i % len(labels):] + labels[:i % len(labels)]
-        for w in workloads:
-            for label in order:
-                run = run_benchmark(checkouts[label], spec["command"], w, seed, seconds)
-                run["position"] = order.index(label)
-                runs[label][w].append(run)
-                print(f"{label} {w} seed {seed}: {json.dumps(run['metrics'])}", flush=True)
-        for case, argv in CLI_CASES.items() if args.cli else ():
-            argv = [a.replace("{dataset}", str(dataset)) for a in argv]
-            for label in order:
-                run = run_cli(checkouts[label], argv, workdir.name)
-                cli_runs[label][case].append(run)
-                print(f"{label} nnk {case} seed {seed}: {run['wall_s']:.3f} s, "
-                      f"exit {run['exit_code']}", flush=True)
-    workdir.cleanup()
+    with tempfile.TemporaryDirectory() as workdir:
+        dataset = Path(workdir) / "gp_fit.csv"
+        write_dataset(dataset)
+        for i, seed in enumerate(seeds):
+            order = labels[i % len(labels):] + labels[:i % len(labels)]
+            for w in workloads:
+                for label in order:
+                    run = run_benchmark(checkouts[label], spec["command"], w, seed, seconds)
+                    run["position"] = order.index(label)
+                    runs[label][w].append(run)
+                    print(f"{label} {w} seed {seed}: {json.dumps(run['metrics'])}", flush=True)
+            for case, argv in CLI_CASES.items() if args.cli else ():
+                argv = [a.replace("{dataset}", str(dataset)) for a in argv]
+                for label in order:
+                    run = run_cli(checkouts[label], argv, workdir)
+                    cli_runs[label][case].append(run)
+                    print(f"{label} nnk {case} seed {seed}: {run['wall_s']:.3f} s, "
+                          f"exit {run['exit_code']}", flush=True)
 
     for label in labels:
         checkout = checkouts[label]
