@@ -23,13 +23,12 @@ With ``--cli``, each seed also runs every case of ``CLI_CASES`` once per
 checkout, in the same rotating order: an ``nnk`` subcommand at its
 documented defaults, started as ``python -m nnkernels.cli`` in a fresh
 process with ``--out`` added, so its wall time includes the interpreter
-start and the package import. ``gp-fit`` reads a 100 x 6 CSV generated
-from a fixed seed. ``benchmark`` is left out: at its defaults it exits 1
-on the predictive-variance check (ROADMAP item 16). The file's ``cli``
-entry (null without ``--cli``) gives per case the median and quartiles of
-the wall time, every exit code, and the sha256 of stdout and of the
-``--out`` file, per run and, where all runs agree, once; each file after
-the first also says whether its bytes equal the first checkout's.
+start and the package import. ``gp-fit`` and ``benchmark`` read a
+100 x 6 CSV generated from a fixed seed. The file's ``cli`` entry (null
+without ``--cli``) gives per case the median and quartiles of the wall
+time, every exit code, and the sha256 of stdout and of the ``--out``
+file, per run and, where all runs agree, once; each file after the first
+also says whether its bytes equal the first checkout's.
 
 The default checkout is this repository, labelled by its short SHA.
 """
@@ -50,13 +49,14 @@ import numpy as np
 REPO = Path(__file__).resolve().parent.parent
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 NNK = [sys.executable, "-m", "nnkernels.cli"]
-# name -> arguments; "{dataset}" stands for the generated gp-fit CSV
+# name -> arguments; "{dataset}" stands for the generated CSV
 CLI_CASES = {
     "kernel-eval": ["kernel-eval"],
     "mc-verify": ["mc-verify"],
     "fixedpoint": ["fixedpoint"],
     "norm-preserve": ["norm-preserve"],
     "gp-fit": ["gp-fit", "--dataset", "{dataset}"],
+    "benchmark": ["benchmark", "--dataset", "{dataset}"],
     "simplicity": ["simplicity"],
     "kernel-eval-elu": ["kernel-eval", "--activation", "elu"],
     "fixedpoint-elu": ["fixedpoint", "--activation", "elu"],
@@ -105,7 +105,7 @@ def run_benchmark(checkout, command, workload, seed, seconds):
 
 
 def write_dataset(path):
-    """The ``gp-fit`` CSV: a header, 100 rows of 6 standard normal features
+    """The ``gp-fit`` and ``benchmark`` CSV: a header, 100 rows of 6 standard normal features
     and a sin target plus noise, from seed 0."""
     rows, dim = 100, 6
     rng = np.random.default_rng(0)

@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import astuple
 
 import numpy as np
 
@@ -196,10 +197,7 @@ def cmd_benchmark(args):
                                       metric=args.metric, n_splits=args.splits,
                                       train_frac=args.train_frac, seed=args.seed,
                                       sigma_b2=args.sigma_b2)
-    columns = gp_mod.GRID_CSV_COLUMNS
-    out_rows = [(r.activation, r.depth, r.sigma_w2, r.sigma_b2, r.noise_var,
-                 r.split_id, r.train_rmse, r.test_rmse, r.nll) for r in rows]
-    return columns, out_rows, {"best": ranked[:5]}
+    return gp_mod.GRID_CSV_COLUMNS, [astuple(r) for r in rows], {"best": ranked[:5]}
 
 
 def cmd_simplicity(args):
@@ -218,12 +216,10 @@ def cmd_simplicity(args):
             X = np.vstack([ds.X, grid.X])
             n = ds.n
             for depth, K in kernel_matrices_by_depth(act, X, sw2, 0.0, depths):
-                gp = gp_mod.fit(K[:n, :n], ds.y, args.noise_var)
-                mean_tr, _ = gp_mod.predict(gp, K[:n, :n], np.diag(K)[:n])
-                mean_te, _ = gp_mod.predict(gp, K[n:, :n], np.diag(K)[n:])
+                alpha = gp_mod.fit(K[:n, :n], ds.y, args.noise_var).alpha
                 rows.append((name, args.f, depth, rep,
-                             float(np.mean((mean_tr - ds.y) ** 2)),
-                             float(np.mean((mean_te - grid.y) ** 2))))
+                             float(np.mean((K[:n, :n] @ alpha - ds.y) ** 2)),
+                             float(np.mean((K[n:, :n] @ alpha - grid.y) ** 2))))
     return columns, rows, None
 
 

@@ -280,9 +280,9 @@ def deep_kernel_matrix(act: Activation, X, hyper: NetworkHyper,
     """Depth-L kernel (or tangent-kernel) matrix over the rows of X.
 
     Symmetry is exact by construction (upper triangle computed once).
-    Non-finite entries raise. K must pass a Cholesky check; if it fails,
-    K + 1e-8 (trace/N) I is checked instead and, if that passes, K is
-    returned unchanged (without the jitter), else ArithmeticError.
+    A non-finite entry raises ArithmeticError naming its pair. K is not
+    factorized here: ``gp.fit`` factorizes it, and refuses a K + noise
+    that is not positive definite.
     """
     _, K = next(kernel_matrices_by_depth(act, X, hyper.sigma_w2, hyper.sigma_b2,
                                          [hyper.depth], use_ntk=use_ntk))
@@ -294,16 +294,6 @@ def _validated(K):
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise ArithmeticError(f"non-finite kernel entry at pair ({i}, {j})")
-    try:
-        np.linalg.cholesky(K)
-        return K
-    except np.linalg.LinAlgError:
-        pass
-    jitter = 1e-8 * np.trace(K) / K.shape[0]
-    try:
-        np.linalg.cholesky(K + jitter * np.eye(K.shape[0]))
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError("kernel matrix not PSD even after jitter") from exc
     return K
 
 

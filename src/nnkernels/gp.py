@@ -7,12 +7,13 @@ Alg. 2.1: one LAPACK ``potrf`` (Cholesky), ``potrs`` (weights) and
 with the same arguments, so the results are theirs bit for bit; the
 inputs are validated once here (shape, finiteness, symmetry, noise)
 instead of again in each of scipy's wrappers, whose fixed cost dominated
-a fit at N = 30.
+a fit at N = 30. ``fit`` is the one factorization of a kernel matrix;
+``grid_search`` forms its means as K alpha, without the variance solves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
@@ -85,7 +86,8 @@ def predict(gp: GpFit, K_star, K_star_star_diag):
 
     mean = K* alpha; var = diag(K**) - row quadratic form. Variances
     above the -1e-10 tolerance are clamped to zero (counted on the fit
-    object); anything lower raises, signalling an asymmetric kernel.
+    object); anything lower raises. The tolerance is absolute: at a large
+    kernel scale (diag(K) ~ 1e14) the rounding of k** - v.v can cross it.
     """
     K_star = np.atleast_2d(np.asarray(K_star, dtype=float))
     k_diag = np.asarray(K_star_star_diag, dtype=float)
@@ -133,28 +135,34 @@ class GridResult:
     nll: float
 
 
-GRID_CSV_COLUMNS = ("activation", "depth", "sigma_w2", "sigma_b2", "noise_var",
-                    "split_id", "train_rmse", "test_rmse", "nll")
+GRID_CSV_COLUMNS = tuple(f.name for f in fields(GridResult))
 
 
 def _grid_one_sigma(act, X, y, sigma_w2, sigma_b2, depths, noise_var, splits):
-    rows = []
+    # The computed Cholesky factor L of the n x n train block A = K +
+    # noise_var I is exact for A + dA, |dA| <= gamma_{n+1} |L||L^T| (Higham,
+    # Accuracy and Stability of Numerical Algorithms, Thm 10.3), whose
+    # entries are at most max diag(A). Where noise_var <= gamma_{n+1} max
+    # diag(K), that exceeds the noise term: the cell's metrics mean nothing
+    # and stay nan. The max is over every row, so all splits of a cell agree.
+    n, u = len(splits[0][0]), np.finfo(float).eps / 2
+    gamma = (n + 1) * u / (1.0 - (n + 1) * u)
+    nan = float("nan")
+    metrics = dict.fromkeys(depths, [(nan, nan, nan)] * len(splits))
     try:
         for depth, K in kernel_matrices_by_depth(act, X, sigma_w2, sigma_b2, depths):
-            for split_id, (tr, te) in enumerate(splits):
-                gp = fit(K[np.ix_(tr, tr)], y[tr], noise_var)
-                mean_tr, _ = predict(gp, K[np.ix_(tr, tr)], np.diag(K)[tr])
-                mean_te, _ = predict(gp, K[np.ix_(te, tr)], np.diag(K)[te])
-                rows.append(GridResult(act.kind, depth, sigma_w2, sigma_b2, noise_var,
-                                       split_id, rmse(mean_tr, y[tr]),
-                                       rmse(mean_te, y[te]), nll(gp, y[tr])))
+            if noise_var <= gamma * np.diag(K).max():
+                continue
+            cell = metrics[depth] = []
+            for tr, te in splits:
+                K_tr = K[np.ix_(tr, tr)]
+                gp = fit(K_tr, y[tr], noise_var)
+                cell.append((rmse(K_tr @ gp.alpha, y[tr]),
+                             rmse(K[np.ix_(te, tr)] @ gp.alpha, y[te]), nll(gp, y[tr])))
     except OverflowError:
-        # the ELU/SELU closed forms refuse s > ELU_S_MAX: this column's
-        # deeper cells get nan metrics
-        done, nan = {r.depth for r in rows}, float("nan")
-        rows += [GridResult(act.kind, d, sigma_w2, sigma_b2, noise_var, i, nan, nan, nan)
-                 for d in depths if d not in done for i in range(len(splits))]
-    return rows
+        pass  # the ELU/SELU closed forms refuse s > ELU_S_MAX: deeper cells keep nan
+    return [GridResult(act.kind, d, sigma_w2, sigma_b2, noise_var, i, *m)
+            for d in depths for i, m in enumerate(metrics[d])]
 
 
 def grid_search(dataset: Dataset, act: Activation, depth_range, sigma_w2_range,
@@ -166,7 +174,8 @@ def grid_search(dataset: Dataset, act: Activation, depth_range, sigma_w2_range,
     (configuration, split); ``ranked`` aggregates the chosen metric
     over splits, sorted by (metric, depth, sigma_w2) so ties resolve to
     the smallest depth, then the smallest weight variance. Cells whose
-    kernel leaves the ELU/SELU guard get nan metrics and are not ranked.
+    kernel leaves the ELU/SELU guard, or with noise_var <= gamma_{n+1} max
+    diag(K) (n the train size), get nan metrics and are not ranked.
     """
     if dataset.n < 4:
         raise ValueError("dataset too small for a grid search (need >= 4 points)")

@@ -56,12 +56,12 @@ def test_cli_record_fields(tmp_path):
     first = dataset.read_bytes()
     bench_record.write_dataset(dataset)
     assert dataset.read_bytes() == first
-    # every case parses as given (at the defaults, plus --out); benchmark,
-    # which exits 1 at its defaults, is not among them
-    parser, _ = build_parser()
+    # every case parses as given (at the defaults, plus --out), and every
+    # subcommand has a case
+    parser, commands = build_parser()
     for argv in bench_record.CLI_CASES.values():
         parser.parse_args([a.replace("{dataset}", str(dataset)) for a in argv] + ["--out", "o"])
-    assert "benchmark" not in {argv[0] for argv in bench_record.CLI_CASES.values()}
+    assert {argv[0] for argv in bench_record.CLI_CASES.values()} == set(commands)
     # one cheap subcommand, run twice: wall time, exit code and both hashes
     runs = [bench_record.run_cli(REPO, ["norm-preserve", "--norm-points", "3"], tmp_path)
             for _ in range(2)]

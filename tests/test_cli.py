@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from nnkernels import activations as am
+from nnkernels import data as data_mod
 from nnkernels import deep
+from nnkernels import gp as gp_mod
 from nnkernels.activations import ELU, GELU, from_name
 from nnkernels.cli import main
 from nnkernels.deep import NetworkHyper, deep_normalized_kernel, input_state, iterate_state
@@ -357,6 +359,61 @@ class TestGpCommands:
         assert len(best) == 5
         assert all(np.isfinite(b["test_rmse"]) for b in best)
         assert not {(b["depth"], b["sigma_w2"]) for b in best} & nan_cells
+
+    @pytest.mark.parametrize("name", ["relu", "gelu"])
+    def test_benchmark_numerically_singular_cells(self, tmp_path, capsys, name):
+        # at sigma_w^2 4.7..5.0 and depth <= 32, max diag(K) reaches ~1e14:
+        # the noise 0.1 falls under the Cholesky rounding bound, and the
+        # old means-and-variances path raised on the predictive variance
+        path, out = tmp_path / "d.csv", tmp_path / "bench.csv"
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((100, 6))
+        y = np.sin(X @ rng.standard_normal(6) / np.sqrt(6)) + 0.1 * rng.standard_normal(100)
+        Z = np.column_stack([X, y])
+        np.savetxt(path, (Z - Z.mean(axis=0)) / Z.std(axis=0), delimiter=",", fmt="%.17g",
+                   header="x0,x1,x2,x3,x4,x5,y", comments="")
+        code, stdout, err = run_cli([
+            "benchmark", "--dataset", str(path), "--activation", name, "--sw2-min", "4.7",
+            "--sw2-max", "5.0", "--depth-max", "32", "--out", str(out)], capsys)
+        assert code == 0, err
+        rows = read_csv(out)[1:]
+        assert len(rows) == 4 * 32 * 5
+        nan_cells = {(int(r[1]), float(r[2])) for r in rows if r[7] == "nan"}
+        assert all(r[6:] == ["nan"] * 3 for r in rows if (int(r[1]), float(r[2])) in nan_cells)
+        # the rule from K itself: noise <= gamma_{n+1} max diag(K), u = eps / 2
+        ds, _ = data_mod.standardize(data_mod.load_csv(path, -1))
+        splits = [[part.indices for part in data_mod.split(ds, 0.8, i)] for i in range(5)]
+        n, u = 80, 2.0 ** -53
+        gamma = (n + 1) * u / (1 - (n + 1) * u)
+        act, rule, raised = from_name(name), set(), set()
+        sigmas = sorted({float(r[2]) for r in rows})
+        for sw2 in sigmas:
+            for depth, K in deep.kernel_matrices_by_depth(act, ds.X, sw2, 0.0, range(1, 33)):
+                if 0.1 <= gamma * K.diagonal().max():
+                    rule.add((depth, sw2))
+                for tr, te in splits:  # the old path: fit, then predict on both blocks
+                    try:
+                        gp = gp_mod.fit(K[np.ix_(tr, tr)], ds.y[tr], 0.1)
+                        gp_mod.predict(gp, K[np.ix_(tr, tr)], np.diag(K)[tr])
+                        gp_mod.predict(gp, K[np.ix_(te, tr)], np.diag(K)[te])
+                    except ArithmeticError:
+                        raised.add((depth, sw2))
+        assert nan_cells == rule and len(rule) == 15
+        assert raised and raised <= nan_cells
+        ranked, _ = gp_mod.grid_search(ds, act, range(1, 33), sigmas, 0.1)
+        assert len(ranked) == 4 * 32 - len(nan_cells)
+        assert not {(r["depth"], r["sigma_w2"]) for r in ranked} & nan_cells
+        best = json.loads(stdout.strip().splitlines()[0])["best"]
+        assert best == ranked[:5]
+
+    def test_simplicity_reads_means_only(self, monkeypatch, tmp_path, capsys):
+        calls, dtrtrs = [], gp_mod.dtrtrs
+        monkeypatch.setattr(gp_mod, "dtrtrs",
+                            lambda *a, **k: calls.append(a) or dtrtrs(*a, **k))
+        code, _, err = run_cli(["simplicity", "--n-train", "10", "--depth-max", "3",
+                                "--repeats", "1", "--out", str(tmp_path / "s.csv")], capsys)
+        assert code == 0, err
+        assert calls == []
 
     def test_simplicity_runs_both_activations(self, tmp_path, capsys):
         out = tmp_path / "simp.csv"

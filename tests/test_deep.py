@@ -454,12 +454,15 @@ class TestRefusals:
         with pytest.raises(ArithmeticError, match=r"non-finite kernel entry at pair \(1, 2\)"):
             _validated(K)
 
-    def test_not_psd_kernel_refused(self):
-        with pytest.raises(ArithmeticError, match="not PSD"):
-            _validated(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        # singular, but PSD within the jitter: returned as it is
-        K = np.ones((2, 2))
-        assert _validated(K) is K
+    def test_kernel_matrix_not_factorized(self, monkeypatch):
+        # gp.fit is the one factorization (and PSD refusal) of a kernel matrix
+        calls, cholesky = [], np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a) or cholesky(a))
+        X = np.random.default_rng(4).standard_normal((7, 3))
+        for use_ntk in (False, True):
+            K = deep_kernel_matrix(GELU, X, NetworkHyper.shared(3, 1.5), use_ntk=use_ntk)
+            assert K.shape == (7, 7) and np.isfinite(K).all()
+        assert calls == []
 
     def test_normalized_overshoot_refused(self):
         with pytest.raises(ArithmeticError, match="overshoots"):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
+from nnkernels import gp as gp_mod
 from nnkernels.activations import RELU
-from nnkernels.data import Dataset, disc_grid, disc_task
+from nnkernels.data import Dataset, disc_grid, disc_task, split
 from nnkernels.deep import kernel_matrices_by_depth
-from nnkernels.gp import GRID_CSV_COLUMNS, fit, grid_search, nll, predict
+from nnkernels.gp import GRID_CSV_COLUMNS, fit, grid_search, nll, predict, rmse
 
 
 def dense_posterior(K, y, noise, K_star, K_ss_diag):
@@ -247,6 +248,26 @@ class TestGridSearch:
         ranked, _ = grid_search(ds, RELU, [1, 2], [0.5, 1.0], 0.1, n_splits=2)
         keys = [(r["test_rmse"], r["depth"], r["sigma_w2"]) for r in ranked]
         assert keys == sorted(keys)
+
+    def test_means_without_variance_solves(self, monkeypatch):
+        # the grid reads means only: no predict and no trtrs, the same bits
+        ds, calls = self._toy(), []
+        for name in ("predict", "dtrtrs"):
+            real = getattr(gp_mod, name)
+            monkeypatch.setattr(gp_mod, name, lambda *a, real=real, name=name, **k:
+                                calls.append(name) or real(*a, **k))
+        _, rows = grid_search(ds, RELU, [1, 2], [0.5, 1.0], 0.1, n_splits=2)
+        assert calls == []
+        monkeypatch.undo()
+        assert len(rows) == 8
+        for r in rows:
+            tr, te = (part.indices for part in split(ds, 0.8, r.split_id))
+            [(_, K)] = kernel_matrices_by_depth(RELU, ds.X, r.sigma_w2, 0.0, [r.depth])
+            gp = fit(K[np.ix_(tr, tr)], ds.y[tr], 0.1)
+            assert r.train_rmse == rmse(predict(gp, K[np.ix_(tr, tr)], np.diag(K)[tr])[0],
+                                        ds.y[tr])
+            assert r.test_rmse == rmse(predict(gp, K[np.ix_(te, tr)], np.diag(K)[te])[0],
+                                       ds.y[te])
 
     def test_too_small_dataset(self):
         ds = Dataset(np.eye(3), np.arange(3.0))
