@@ -105,8 +105,8 @@ def run_benchmark(checkout, command, workload, seed, seconds):
 
 
 def write_dataset(path):
-    """The ``gp-fit`` and ``benchmark`` CSV: a header, 100 rows of 6 standard normal features
-    and a sin target plus noise, from seed 0."""
+    """The ``gp-fit`` and ``benchmark`` CSV: a header, 100 rows of 6
+    standard normal features and a sin target plus noise, from seed 0."""
     rows, dim = 100, 6
     rng = np.random.default_rng(0)
     X = rng.standard_normal((rows, dim))

@@ -148,7 +148,7 @@ def _grid_one_sigma(act, X, y, sigma_w2, sigma_b2, depths, noise_var, splits):
     n, u = len(splits[0][0]), np.finfo(float).eps / 2
     gamma = (n + 1) * u / (1.0 - (n + 1) * u)
     nan = float("nan")
-    metrics = dict.fromkeys(depths, [(nan, nan, nan)] * len(splits))
+    metrics = dict.fromkeys(depths, ((nan, nan, nan),) * len(splits))
     try:
         for depth, K in kernel_matrices_by_depth(act, X, sigma_w2, sigma_b2, depths):
             if noise_var <= gamma * np.diag(K).max():
