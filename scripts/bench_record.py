@@ -12,7 +12,7 @@ checkouts make alternating pairs of runs. Each checkout's file holds:
 every run, and per workload the median and quartiles of each end-to-end
 metric, failed/attempted and whether every run was correct; the tier-1
 wall time and pass count (run once per checkout, unless ``--no-tier1``);
-the ``src/`` line count; and the git SHA, with ``dirty`` set when
+``src_lines``, the ``wc -l`` total of ``src/nnkernels/*.py``; and the git SHA, with ``dirty`` set when
 ``src/`` differs from it. With two or more checkouts, each file after
 the first also counts, per workload and metric, the pairs of runs it won
 against the first checkout (ties count for neither), and gives the
@@ -70,8 +70,8 @@ def _git(checkout, *args):
 
 
 def _src_lines(checkout):
-    return sum(len(p.read_text().splitlines())
-               for p in sorted((checkout / "src").rglob("*.py")))
+    """The ``wc -l`` total of ``src/nnkernels/*.py``: its newline count."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "nnkernels").glob("*.py"))
 
 
 def _env(checkout):

@@ -175,7 +175,7 @@ def cmd_gp_fit(args):
         "n_train": n, "n_test": test.n,
         "train_rmse": gp_mod.rmse(mean_tr, train.y),
         "test_rmse": gp_mod.rmse(mean_te, test.y),
-        "nll": gp_mod.nll(gp, train.y),
+        "nll": gp.nll,
     }
     columns = ("index", "split", "y", "mean", "var")
     rows = ([(int(i), "train", float(y), float(m), float(v))
@@ -223,6 +223,23 @@ def cmd_simplicity(args):
     return columns, rows, None
 
 
+# Each flag that only some subcommands read: those subcommands, then its
+# add_argument keywords. Any other subcommand refuses it and its config key.
+_OWNED_FLAGS = {
+    "--depth": ("kernel-eval mc-verify gp-fit", dict(type=int, default=4)),
+    "--sigma-w2": ("kernel-eval mc-verify fixedpoint gp-fit",
+                   dict(type=float, default=None,
+                        help="weight variance; defaults to the norm-preserving value")),
+    "--sigma-b2": ("kernel-eval mc-verify fixedpoint gp-fit benchmark",
+                   dict(type=float, default=0.0)),
+    "--noise-var": ("gp-fit benchmark simplicity", dict(type=float, default=0.1)),
+    "--norm": ("kernel-eval mc-verify fixedpoint gp-fit", dict(type=float, default=1.0)),
+    "--dataset": ("gp-fit benchmark", dict(default=None)),
+    "--target-col": ("gp-fit benchmark", dict(default="-1")),
+    "--seed": ("mc-verify gp-fit benchmark simplicity", dict(type=int, default=0)),
+}
+
+
 def build_parser():
     """The ``nnk`` parser and its subcommand parsers by name."""
     common = argparse.ArgumentParser(add_help=False)
@@ -234,15 +251,6 @@ def build_parser():
                         help="gelu | elu | selu | relu | lrelu | erf "
                              "(default gelu; simplicity runs gelu and relu)")
     common.add_argument("--lrelu-slope", type=float, default=0.2)
-    common.add_argument("--depth", type=int, default=4)
-    common.add_argument("--sigma-w2", type=float, default=None,
-                        help="weight variance; defaults to the norm-preserving value")
-    common.add_argument("--sigma-b2", type=float, default=0.0)
-    common.add_argument("--noise-var", type=float, default=0.1)
-    common.add_argument("--norm", type=float, default=1.0)
-    common.add_argument("--dataset", default=None)
-    common.add_argument("--target-col", default="-1")
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--self-check", action="store_true",
@@ -299,6 +307,9 @@ def build_parser():
     sp.add_argument("--depth-max", type=int, default=100)
     sp.add_argument("--repeats", type=int, default=10)
     sp.set_defaults(func=cmd_simplicity)
+    for flag, (names, kwargs) in _OWNED_FLAGS.items():
+        for name in names.split():
+            sub.choices[name].add_argument(flag, **kwargs)
     return p, sub.choices
 
 

@@ -43,9 +43,10 @@ class Dataset:
         return self.X.shape[1]
 
 
-def load_csv(path, target_column, has_header: bool | None = None) -> Dataset:
+def load_csv(path, target_column) -> Dataset:
     """Load a numeric CSV; ``target_column`` is a name (requires a
-    header) or a 0-based index (negative counts from the end)."""
+    header) or a 0-based index (negative counts from the end). The first
+    row is a header when any of its cells is not a number."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
@@ -53,13 +54,9 @@ def load_csv(path, target_column, has_header: bool | None = None) -> Dataset:
         raise ValueError(f"{path}: empty file")
 
     header = None
-    if has_header is None:
-        try:
-            [float(c) for c in rows[0]]
-        except ValueError:
-            header = rows[0]
-            rows = rows[1:]
-    elif has_header:
+    try:
+        [float(c) for c in rows[0]]
+    except ValueError:
         header = rows[0]
         rows = rows[1:]
 

@@ -153,19 +153,22 @@ def _with_diagonal(rho):
     return out
 
 
-def _positive_norms(state, name):
-    """The stacked squared norms ``[s1_sq, s2_sq]`` of a pair state."""
-    s_sq = np.array([state.s1_sq, state.s2_sq])
-    if not _all((s_sq > 0.0) & (s_sq < np.inf)):  # false at NaN
-        raise ValueError(f"{name} requires finite, strictly positive squared norms "
-                         "s1_sq, s2_sq")
+def _positive_norms(s_sq, name):
+    """``s_sq``, one squared norm per row (``[s1_sq, s2_sq]`` of a pair
+    state, or sigma_w^2 ||x||^2 + sigma_b^2 of each input), if each is
+    finite and strictly positive; else a ``ValueError`` naming a row."""
+    ok = (s_sq > 0.0) & (s_sq < np.inf)  # false at NaN
+    if not _all(ok):
+        row = np.argwhere(~ok)[0]
+        raise ValueError(f"{name} requires finite, strictly positive squared norms; "
+                         f"row {row[0]} has {float(s_sq[tuple(row)])!r}")
     return s_sq
 
 
 def iterate_state(act: Activation, state: LayerState, sigma_w2: float,
                   sigma_b2: float) -> LayerState:
     """One layer update of (s1^2, s2^2, rho), on one pair or an array of pairs."""
-    s_sq = _positive_norms(state, "iterate_state")
+    s_sq = _positive_norms(np.array([state.s1_sq, state.s2_sq]), "iterate_state")
     (k, s1_sq, s2_sq), _ = _layer_step(act, s_sq, _PAIR_ENTRIES, _with_diagonal(state.rho),
                                        sigma_w2, sigma_b2)
     return LayerState(s1_sq, s2_sq, _normalized(k, s1_sq, s2_sq))
@@ -193,11 +196,14 @@ def deep_normalized_kernel(act: Activation, theta0, norm: float,
 
 
 def state_trajectory(act: Activation, x1, x2, hyper: NetworkHyper):
-    """Per-level (s1_sq, s2_sq, k) from the input map through depth L."""
+    """Per-level (s1_sq, s2_sq, k) from the input map through depth L;
+    level 1 is the one-layer kernel of x1 and x2. An input whose squared
+    norm sigma_w^2 ||x||^2 + sigma_b^2 is 0 or not finite raises
+    ``ValueError``."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     sw, sb = hyper.sigma_w2, hyper.sigma_b2
-    s_sq = sw[0] * np.array([x1 @ x1, x2 @ x2]) + sb[0]
+    s_sq = _positive_norms(sw[0] * np.array([x1 @ x1, x2 @ x2]) + sb[0], "state_trajectory")
     k = sw[0] * float(x1 @ x2) + sb[0]
     traj = [(*s_sq, k)]
     for l in range(1, len(sw)):
@@ -210,7 +216,7 @@ def state_trajectory(act: Activation, x1, x2, hyper: NetworkHyper):
 def ntk_iterate(act: Activation, state: NtkState, sigma_w2: float,
                 sigma_b2: float) -> NtkState:
     """One tangent-kernel update: T' = T kdot' + k' (plus diag updates)."""
-    s_sq = _positive_norms(state, "ntk_iterate")
+    s_sq = _positive_norms(np.array([state.s1_sq, state.s2_sq]), "ntk_iterate")
     rho = _with_diagonal(_normalized(state.k, state.s1_sq, state.s2_sq))
     # the pair's T, broadcast to the rows' entries too, whose T' is unused
     (k, s1_sq, s2_sq), (T, _, _) = _layer_step(act, s_sq, _PAIR_ENTRIES, rho, sigma_w2,
@@ -239,7 +245,9 @@ def kernel_matrices_by_depth(act: Activation, X, sigma_w2, sigma_b2,
 
     ``sigma_w2`` and ``sigma_b2`` are one value for every level or, as in
     ``NetworkHyper``, one per level 0..max(depths). Vectorized over
-    all index pairs; ``depths`` must be increasing. Each K is a fresh,
+    all index pairs; ``depths`` must be increasing. A row whose squared
+    norm sigma_w^2 ||x||^2 + sigma_b^2 is 0 or not finite raises
+    ``ValueError`` naming it, before any layer. Each K is a fresh,
     exactly symmetric array, written whole by two scatters of the pair
     values through C-order flat indices fixed once, and one diagonal
     stride.
@@ -257,7 +265,8 @@ def kernel_matrices_by_depth(act: Activation, X, sigma_w2, sigma_b2,
     rows = np.arange(n)
     entries = (np.concatenate([iu, rows]), np.concatenate([ju, rows]))
     upper, lower = iu * n + ju, ju * n + iu
-    s_sq = sw[0] * np.einsum("ij,ij->i", X, X) + sb[0]
+    s_sq = _positive_norms(sw[0] * np.einsum("ij,ij->i", X, X) + sb[0],
+                           "kernel_matrices_by_depth")
     k = sw[0] * np.einsum("ij,ij->i", X[iu], X[ju]) + sb[0]
     t = np.zeros(p + n) if use_ntk else None
     rho = np.ones(p + n)  # the pairs, then the rows' diagonal, which stays at 1

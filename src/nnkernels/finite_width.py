@@ -9,8 +9,8 @@ The input layer draws weights at the raw variance sigma_w^2 (matching
 the kernel's input map s^2 = sigma_w^2 ||x||^2 + sigma_b^2); hidden
 layers scale by 1/fan_in.
 
-``factored_kernel_trajectory`` (behind ``empirical_trajectory``,
-``empirical_normalized_kernel`` and ``nnk mc-verify``) samples such a
+``factored_kernel_trajectory`` (behind ``empirical_trajectory`` and
+``nnk mc-verify``) samples such a
 network restricted to its P inputs, carrying only the n x P array of
 post-activations H from layer to layer. Given H, the rows of the next
 pre-activations W H + b are iid N(0, (sigma_w^2/n) H^T H) plus the
@@ -145,16 +145,6 @@ def rotated_pair(theta0: float, norm: float, seed: int):
     x1 = norm * (q @ np.array([1.0, 0.0]))
     x2 = norm * (q @ np.array([np.cos(theta0), np.sin(theta0)]))
     return x1, x2
-
-
-def empirical_normalized_kernel(act: Activation, theta0: float, norm: float,
-                                width: int, depth: int, sigma_w2: float,
-                                sigma_b2: float, seed: int) -> float:
-    """Final-layer empirical normalized kernel from one sampled network."""
-    if width < 100:
-        raise ValueError("width must be >= 100")
-    return float(empirical_trajectory(act, theta0, norm, width, depth,
-                                      sigma_w2, sigma_b2, seed)[-1])
 
 
 def empirical_trajectory(act: Activation, theta0: float, norm: float,

@@ -1,8 +1,9 @@
 """Exact Gaussian-process regression on precomputed kernel matrices.
 
-``fit``, ``predict`` and ``nll`` are Rasmussen & Williams (2006),
-Alg. 2.1: one LAPACK ``potrf`` (Cholesky), ``potrs`` (weights) and
-``trtrs`` (variances), called directly. These are the routines
+``fit`` and ``predict`` are Rasmussen & Williams (2006), Alg. 2.1: one
+LAPACK ``potrf`` (Cholesky), ``potrs`` (weights) and ``trtrs``
+(variances), called directly; the log marginal likelihood comes from
+the fit's own weights and log-determinant. These are the routines
 ``scipy.linalg.cholesky``, ``cho_solve`` and ``solve_triangular`` call,
 with the same arguments, so the results are theirs bit for bit; the
 inputs are validated once here (shape, finiteness, symmetry, noise)
@@ -27,7 +28,8 @@ _VAR_CLAMP = -1e-10
 
 @dataclass
 class GpFit:
-    """Cholesky factorization of K + noise_var * I with solved weights.
+    """Cholesky factorization of K + noise_var * I with solved weights
+    and the negative log marginal likelihood ``nll`` of the targets.
 
     ``jitter`` is the diagonal term the one retry added to K + noise_var
     * I (0.0 when the first factorization succeeded).
@@ -36,6 +38,7 @@ class GpFit:
     chol_lower: np.ndarray
     alpha: np.ndarray
     log_det: float
+    nll: float
     n_var_clamped: int = 0
     jitter: float = 0.0
 
@@ -55,7 +58,8 @@ def _potrs(L, b):
 
 
 def fit(K, y, noise_var: float) -> GpFit:
-    """Factorize K + noise_var * I and solve for the weights."""
+    """Factorize K + noise_var * I, solve for the weights and take the
+    negative log marginal likelihood from them."""
     K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] != y.shape[0]:
@@ -78,7 +82,8 @@ def fit(K, y, noise_var: float) -> GpFit:
                                   f"(leading minor {info} not positive definite)")
     alpha = _potrs(L, y)
     log_det = 2.0 * float(np.log(np.diag(L)).sum())
-    return GpFit(L, alpha, log_det, jitter=float(jitter))
+    nll = float(0.5 * y @ alpha + 0.5 * log_det + 0.5 * n * np.log(2.0 * np.pi))
+    return GpFit(L, alpha, log_det, nll, jitter=float(jitter))
 
 
 def predict(gp: GpFit, K_star, K_star_star_diag):
@@ -94,6 +99,7 @@ def predict(gp: GpFit, K_star, K_star_star_diag):
     if K_star.shape[1] != gp.alpha.shape[0] or K_star.shape[0] != k_diag.shape[0]:
         raise ValueError("shape mismatch between K_star and the fit")
     _finite(K_star, "K_star")
+    _finite(k_diag, "K_star_star_diag")
     mean = K_star @ gp.alpha
     v, info = dtrtrs(gp.chol_lower, K_star.T, lower=1)
     if info:
@@ -106,14 +112,6 @@ def predict(gp: GpFit, K_star, K_star_star_diag):
         gp.n_var_clamped += int(clamped.sum())
         var = np.where(clamped, 0.0, var)
     return mean, var
-
-
-def nll(gp: GpFit, y) -> float:
-    """Negative log marginal likelihood of targets under the fit."""
-    y = np.asarray(y, dtype=float)
-    alpha = _potrs(gp.chol_lower, y)
-    n = y.shape[0]
-    return float(0.5 * y @ alpha + 0.5 * gp.log_det + 0.5 * n * np.log(2.0 * np.pi))
 
 
 def rmse(predicted, target) -> float:
@@ -158,7 +156,7 @@ def _grid_one_sigma(act, X, y, sigma_w2, sigma_b2, depths, noise_var, splits):
                 K_tr = K[np.ix_(tr, tr)]
                 gp = fit(K_tr, y[tr], noise_var)
                 cell.append((rmse(K_tr @ gp.alpha, y[tr]),
-                             rmse(K[np.ix_(te, tr)] @ gp.alpha, y[te]), nll(gp, y[tr])))
+                             rmse(K[np.ix_(te, tr)] @ gp.alpha, y[te]), gp.nll))
     except OverflowError:
         pass  # the ELU/SELU closed forms refuse s > ELU_S_MAX: deeper cells keep nan
     return [GridResult(act.kind, d, sigma_w2, sigma_b2, noise_var, i, *m)

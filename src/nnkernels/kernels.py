@@ -428,32 +428,6 @@ def kernel_dot(act: Activation, args: KernelArgs) -> float:
     return float(kernel_dot_values(act, args.s1, args.s2, args.rho, args.sigma_w2))
 
 
-def input_geometry(x1, x2, sigma_w2, sigma_b2):
-    """(s1, s2, rho) of the transformed inputs under the diagonal prior.
-
-    s_i = sqrt(sigma_w^2 ||x_i||^2 + sigma_b^2); rho is the cosine
-    between the transformed augmented inputs (the plain input cosine
-    when sigma_b^2 = 0).
-    """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if x1.shape != x2.shape or x1.ndim != 1 or x1.size < 1:
-        raise ValueError("x1, x2 must be 1-D vectors of equal dimension")
-    s1_sq = sigma_w2 * float(x1 @ x1) + sigma_b2
-    s2_sq = sigma_w2 * float(x2 @ x2) + sigma_b2
-    if s1_sq <= 0.0 or s2_sq <= 0.0:
-        raise ValueError("zero-norm input with sigma_b^2 = 0 is unsupported")
-    dot = sigma_w2 * float(x1 @ x2) + sigma_b2
-    rho = float(np.clip(dot / np.sqrt(s1_sq * s2_sq), -1.0, 1.0))
-    return np.sqrt(s1_sq), np.sqrt(s2_sq), rho
-
-
-def kernel_from_inputs(act: Activation, x1, x2, sigma_w2, sigma_b2) -> float:
-    """Layer kernel evaluated directly on a pair of input vectors."""
-    s1, s2, rho = input_geometry(x1, x2, sigma_w2, sigma_b2)
-    return float(kernel_values(act, s1, s2, rho, sigma_w2, sigma_b2))
-
-
 def kernel_quadrature(act: Activation, args: KernelArgs, nodes: int = 80) -> float:
     """Numerical-integration oracle for the kernel.
 

@@ -1,6 +1,6 @@
 """Scalar special functions used by the closed-form kernels.
 
-Univariate normal pdf/cdf, an overflow-safe ``exp(t^2/2) * Phi(-t)``,
+The standard normal pdf, an overflow-safe ``exp(t^2/2) * Phi(-t)``,
 and the bivariate normal CDF (Genz's rewrite of the Drezner-Wesolowsky
 algorithm, with optional exponential prefactor folded into the
 quadrature so that products like ``exp(q) * Phi2`` stay finite) for
@@ -41,12 +41,6 @@ def std_normal_pdf(z):
     """Standard normal density ``phi(z)``."""
     z = np.asarray(z, dtype=float)
     out = np.exp(-0.5 * z * z) / SQRT_2PI
-    return out if out.shape else float(out)
-
-
-def std_normal_cdf(z):
-    """Standard normal distribution function ``Phi(z)``."""
-    out = ndtr(np.asarray(z, dtype=float))
     return out if out.shape else float(out)
 
 

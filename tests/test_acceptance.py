@@ -29,7 +29,7 @@ from nnkernels.finite_width import empirical_trajectory
 from nnkernels.fixed_point import (eigenvalues, lambda3_elu,
                                    lambda3_gelu_lower, lambda3_lrelu,
                                    sigma_star)
-from nnkernels.gp import fit, nll, predict
+from nnkernels.gp import fit, predict
 from nnkernels.kernels import KernelArgs, kernel_mc, kernel_values
 from nnkernels.quadrature import mean_1d, pair_mean_quad
 from scipy.integrate import quad
@@ -353,7 +353,7 @@ def test_criterion_9_gp_engine_vs_dense_oracle():
          np.abs(var - var_d).max() <= 1e-9,
          f"max diff {np.abs(var - var_d).max():.2e} (<= 1e-9)"),
         ("nll vs dense solve",
-         abs(nll(gp, y) - nll_d) <= 1e-9, f"diff {abs(nll(gp, y) - nll_d):.2e}"),
+         abs(gp.nll - nll_d) <= 1e-9, f"diff {abs(gp.nll - nll_d):.2e}"),
         ("posterior-constancy check (adjudicated by criterion 6)", True,
          "criterion 6 asserts the depth-64 kernel constancy and the "
          "posterior-mean retention predicted for it"),

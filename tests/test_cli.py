@@ -1,3 +1,4 @@
+import argparse
 import csv
 import importlib
 import importlib.util
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from nnkernels import activations as am
+from nnkernels import cli
 from nnkernels import data as data_mod
 from nnkernels import deep
 from nnkernels import gp as gp_mod
@@ -105,7 +107,7 @@ class TestKernelEval:
     def test_byte_identical_reruns(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["kernel-eval", "--activation", "elu", "--depth", "2",
-                "--theta-points", "4", "--seed", "3"]
+                "--theta-points", "4"]
         run_cli(args + ["--out", str(a)], capsys)
         run_cli(args + ["--out", str(b)], capsys)
         assert a.read_bytes() == b.read_bytes()
@@ -466,6 +468,106 @@ def test_default_activation_is_gelu(command, tmp_path, dataset_csv, capsys):
     assert outputs[0] == outputs[1]
 
 
+# the flags that only some subcommands read, and those subcommands
+SHARED_FLAG_OWNERS = {
+    "--depth": {"kernel-eval", "mc-verify", "gp-fit"},
+    "--sigma-w2": {"kernel-eval", "mc-verify", "fixedpoint", "gp-fit"},
+    "--norm": {"kernel-eval", "mc-verify", "fixedpoint", "gp-fit"},
+    "--sigma-b2": {"kernel-eval", "mc-verify", "fixedpoint", "gp-fit", "benchmark"},
+    "--noise-var": {"gp-fit", "benchmark", "simplicity"},
+    "--dataset": {"gp-fit", "benchmark"},
+    "--target-col": {"gp-fit", "benchmark"},
+    "--seed": {"mc-verify", "gp-fit", "benchmark", "simplicity"},
+}
+SUBCOMMANDS = sorted([*DEFAULT_ACTIVATION_RUNS, "simplicity"])
+UNREAD_FLAGS = [(command, flag) for flag, owners in SHARED_FLAG_OWNERS.items()
+                for command in SUBCOMMANDS if command not in owners]
+SMALL_RUNS = {**DEFAULT_ACTIVATION_RUNS,
+              "simplicity": ["--n-train", "5", "--depth-max", "1", "--repeats", "1"]}
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that records the names of the attributes read from it."""
+
+    def __init__(self):
+        object.__setattr__(self, "_reads", set())
+        super().__init__()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestFlagOwnership:
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_parser_defines_exactly_what_the_run_reads(self, command, monkeypatch, tmp_path,
+                                                       dataset_csv, capsys):
+        namespaces, build = [], cli.build_parser
+
+        def recording_parser():
+            parser, commands = build()
+            parse = parser.parse_args
+
+            def parse_args(argv):
+                ns = parse(argv, namespace=ReadRecorder())
+                ns._reads.clear()  # argparse's own reads while parsing
+                namespaces.append(ns)
+                return ns
+            parser.parse_args = parse_args
+            return parser, commands
+
+        monkeypatch.setattr(cli, "build_parser", recording_parser)
+        argv = [command, *SMALL_RUNS[command], "--out", str(tmp_path / "o.csv")]
+        if command in ("gp-fit", "benchmark"):
+            argv += ["--dataset", str(dataset_csv)]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0, err
+        _, commands = build()
+        defined = {a.dest for a in commands[command]._actions if a.dest != "help"}
+        assert namespaces[-1]._reads - {"func", "command"} == defined
+
+    @pytest.mark.parametrize("command, flag", [
+        pair for pair in UNREAD_FLAGS
+        if pair not in {("benchmark", "--depth"), ("simplicity", "--depth")}])
+    def test_unread_flag_refused_on_the_command_line(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, "1"])
+        assert exc.value.code == 2
+        # on norm-preserve, --norm is a prefix of three flags of its own
+        ambiguous = (command, flag) == ("norm-preserve", "--norm")
+        reason = "ambiguous option" if ambiguous else "unrecognized arguments"
+        assert reason in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+    def test_unread_config_key_refused(self, command, flag, tmp_path, capsys):
+        key = flag[2:].replace("-", "_")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1}))
+        code, stdout, err = run_cli([command, "--config", str(cfg)], capsys)
+        assert code == 1 and stdout == ""
+        message = json.loads(err.strip())["message"]
+        assert message == f"unknown config keys: {[key]}"
+
+    @pytest.mark.parametrize("command", ["benchmark", "simplicity"])
+    def test_depth_reads_as_depth_max(self, command, tmp_path, dataset_csv, capsys):
+        # argparse takes an unambiguous prefix: --depth is --depth-max here
+        if command == "benchmark":
+            args = ["--sw2-min", "1.0", "--sw2-max", "1.0", "--splits", "1",
+                    "--dataset", str(dataset_csv)]
+        else:
+            args = ["--n-train", "5", "--repeats", "1"]
+        outputs = []
+        for flag in ("--depth", "--depth-max"):
+            out = tmp_path / f"{flag}.csv"
+            code, stdout, err = run_cli([command, *args, flag, "2", "--out", str(out)], capsys)
+            assert code == 0, err
+            outputs.append((stdout, out.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert {int(r[1] if command == "benchmark" else r[2])
+                for r in read_csv(tmp_path / "--depth.csv")[1:]} == {1, 2}
+
+
 class TestErrorContract:
     def test_missing_dataset_gives_json_error(self, tmp_path, capsys):
         code, _, err = run_cli(["gp-fit", "--dataset", str(tmp_path / "nope.csv")],
@@ -478,6 +580,32 @@ class TestErrorContract:
         code, _, err = run_cli(["kernel-eval", "--activation", "swish"], capsys)
         assert code == 1
         assert json.loads(err.strip())["error"] == "ValueError"
+
+    @pytest.mark.parametrize("command", ["gp-fit", "benchmark"])
+    def test_zero_norm_row_named(self, command, tmp_path, capsys):
+        # two rows sit at the column means: standardized, they are the
+        # origin, whose kernel row is 0/0 without a bias
+        rng = np.random.default_rng(7)
+        centre = np.array([3.0, -2.0])
+        A = rng.integers(-5, 6, (15, 2)).astype(float)
+        X = np.vstack([centre + A[:7], centre, centre - A, centre, centre + A[7:]])
+        y = rng.standard_normal(32)
+        path = tmp_path / "centred.csv"
+        np.savetxt(path, np.column_stack([X, y]), delimiter=",", fmt="%.17g")
+        args = [command, "--dataset", str(path), "--activation", "relu"]
+        if command == "benchmark":
+            args += ["--depth-max", "2", "--sw2-min", "1.0", "--sw2-max", "1.0",
+                     "--splits", "1"]
+        code, stdout, err = run_cli(args, capsys)
+        assert code == 1 and stdout == ""
+        [line] = err.splitlines()
+        obj = json.loads(line)
+        assert obj["error"] == "ValueError"
+        assert "strictly positive squared norms; row " in obj["message"]
+        if command == "benchmark":  # the dataset's own row order
+            assert "row 7 has 0.0" in obj["message"]
+        code, _, err = run_cli(args + ["--sigma-b2", "0.1"], capsys)
+        assert code == 0, err
 
     def test_json_format(self, tmp_path, capsys):
         out = tmp_path / "out.json"

@@ -54,7 +54,7 @@ class TestLoadCsv:
         p = tmp_path / "raw.csv"
         p.write_text("1.0,2.0\n3.0,4.0\n")
         with pytest.raises(ValueError, match="header"):
-            load_csv(p, "target", has_header=False)
+            load_csv(p, "target")
 
 
 class TestStandardize:

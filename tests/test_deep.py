@@ -464,6 +464,32 @@ class TestRefusals:
             assert K.shape == (7, 7) and np.isfinite(K).all()
         assert calls == []
 
+    @pytest.mark.parametrize("use_ntk", [False, True])
+    def test_zero_norm_row_refused_once(self, use_ntk, monkeypatch):
+        # a row at the origin has level-0 squared norm sigma_w^2 ||x||^2 = 0:
+        # refused by name before any layer, where it made a 0/0 correlation
+        steps = []
+        monkeypatch.setattr("nnkernels.deep._layer_step",
+                            lambda *a, **k: steps.append(1) or _layer_step(*a, **k))
+        X = np.random.default_rng(3).standard_normal((5, 3))
+        X[3] = 0.0
+        with pytest.raises(ValueError, match="row 3 has 0.0"):
+            next(kernel_matrices_by_depth(GELU, X, 1.5, 0.0, [1, 4], use_ntk=use_ntk))
+        with pytest.raises(ValueError, match="row 3"):
+            deep_kernel_matrix(RELU, X, NetworkHyper.shared(2, 2.0), use_ntk=use_ntk)
+        assert steps == []
+        # a bias gives the origin a positive norm
+        _, K = next(kernel_matrices_by_depth(GELU, X, 1.5, 0.1, [2], use_ntk=use_ntk))
+        assert np.isfinite(K).all()
+
+    @pytest.mark.parametrize("zero", [0, 1])
+    def test_zero_norm_input_pair_refused(self, zero):
+        x = [np.array([0.6, 0.8]), np.array([1.0, 0.0])]
+        x[zero] = np.zeros(2)
+        with pytest.raises(ValueError, match=f"row {zero} has 0.0"):
+            state_trajectory(ELU, *x, NetworkHyper.shared(3, 1.0))
+        assert len(state_trajectory(ELU, *x, NetworkHyper.shared(3, 1.0, 0.2))) == 4
+
     def test_normalized_overshoot_refused(self):
         with pytest.raises(ArithmeticError, match="overshoots"):
             _normalized(np.array([0.5, 1.0 + 1e-9]), 1.0, 1.0)

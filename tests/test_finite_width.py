@@ -4,9 +4,7 @@ from scipy import stats
 
 from nnkernels.activations import ELU, GELU, RELU
 from nnkernels.deep import NetworkHyper, deep_normalized_kernel
-from nnkernels.finite_width import (empirical_kernel_trajectory,
-                                    empirical_normalized_kernel,
-                                    empirical_trajectory,
+from nnkernels.finite_width import (empirical_kernel_trajectory, empirical_trajectory,
                                     factored_kernel_trajectory, random_rotation,
                                     rotated_pair, sample_net)
 from nnkernels.fixed_point import sigma_star
@@ -48,25 +46,22 @@ class TestSampler:
         assert net.biases[0].std() == pytest.approx(np.sqrt(0.1), rel=0.15)
 
     def test_identical_inputs_give_exactly_one(self):
-        val = empirical_normalized_kernel(GELU, 0.0, 1.0, 200, 3, 1.5, 0.0, seed=9)
-        assert val == pytest.approx(1.0, abs=1e-12)
+        traj = empirical_trajectory(GELU, 0.0, 1.0, 200, 3, 1.5, 0.0, seed=9)
+        assert traj.shape == (3,)
+        np.testing.assert_allclose(traj, 1.0, rtol=0, atol=1e-12)
 
     def test_relu_single_layer_orthogonal(self):
-        vals = [empirical_normalized_kernel(RELU, np.pi / 2, 1.0, 3000, 1, 2.0, 0.0, seed=s)
+        vals = [empirical_trajectory(RELU, np.pi / 2, 1.0, 3000, 1, 2.0, 0.0, seed=s)[-1]
                 for s in range(5)]
         assert np.abs(np.mean(vals) - 1 / np.pi) <= 0.05
         for v in vals:
             assert abs(v - 1 / np.pi) <= 0.05
 
     def test_width_floor(self):
-        with pytest.raises(ValueError):
-            empirical_normalized_kernel(GELU, 1.0, 1.0, 50, 1, 1.0, 0.0, seed=0)
-
-    def test_trajectory_matches_final(self):
-        traj = empirical_trajectory(GELU, 1.0, 1.0, 300, 4, 1.5, 0.1, seed=13)
-        final = empirical_normalized_kernel(GELU, 1.0, 1.0, 300, 4, 1.5, 0.1, seed=13)
-        assert traj.shape == (4,)
-        assert traj[-1] == final
+        # nnk mc-verify samples widths down to 1; a width of 0 is refused
+        for width in (0, -3):
+            with pytest.raises(ValueError, match="width"):
+                empirical_trajectory(GELU, 1.0, 1.0, width, 1, 1.0, 0.0, seed=0)
 
 
 class TestAgainstAnalytic:
@@ -104,8 +99,7 @@ class TestAgainstAnalytic:
         theta0 = np.pi / 2
         v = {}
         for width in (750, 3000):
-            vals = [empirical_normalized_kernel(RELU, theta0, 1.0, width, 1,
-                                                2.0, 0.0, seed=500 + s)
+            vals = [empirical_trajectory(RELU, theta0, 1.0, width, 1, 2.0, 0.0, seed=500 + s)[-1]
                     for s in range(100)]
             v[width] = np.var(vals, ddof=1)
         assert v[3000] <= 0.40 * v[750]

@@ -6,7 +6,7 @@ from nnkernels import gp as gp_mod
 from nnkernels.activations import RELU
 from nnkernels.data import Dataset, disc_grid, disc_task, split
 from nnkernels.deep import kernel_matrices_by_depth
-from nnkernels.gp import GRID_CSV_COLUMNS, fit, grid_search, nll, predict, rmse
+from nnkernels.gp import GRID_CSV_COLUMNS, fit, grid_search, predict, rmse
 
 
 def dense_posterior(K, y, noise, K_star, K_ss_diag):
@@ -65,9 +65,9 @@ class TestFit:
         with pytest.raises(ValueError):
             predict(gp, np.array([[np.nan, 0.0]]), np.ones(1))
         with pytest.raises(ValueError):
-            nll(gp, np.zeros(3))
+            fit(np.eye(2), np.zeros(3), 0.1)
         with pytest.raises(ValueError):
-            nll(gp, np.array([np.nan, 0.0]))
+            fit(np.eye(2), np.array([np.nan, 0.0]), 0.1)
 
     @pytest.mark.parametrize("scale", [0.9, 1.1])
     def test_symmetry_tolerance(self, scale):
@@ -102,7 +102,7 @@ class TestFit:
 
 
 def assert_matches_scipy_wrappers(K, y, K_star, k_diag, noise=0.1):
-    """``fit``, ``predict`` and ``nll`` equal, bit for bit, Rasmussen &
+    """``fit`` (with its ``nll``) and ``predict`` equal, bit for bit, Rasmussen &
     Williams Alg. 2.1 through scipy's validating wrappers."""
     A = K + noise * np.eye(K.shape[0])
     jitter = 0.0
@@ -120,7 +120,7 @@ def assert_matches_scipy_wrappers(K, y, K_star, k_diag, noise=0.1):
     ref = (L, alpha, log_det, jitter, K_star @ alpha, np.where(var < 0.0, 0.0, var), ref_nll)
     gp = fit(K, y, noise)
     got = (gp.chol_lower, gp.alpha, gp.log_det, gp.jitter,
-           *predict(gp, K_star, k_diag), nll(gp, y))
+           *predict(gp, K_star, k_diag), gp.nll)
     for a, b in zip(got, ref):
         assert np.array_equal(a, b)
     return gp
@@ -194,33 +194,41 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict(gp, np.zeros((2, 4)), np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_test_diagonal_refused(self, bad):
+        # a NaN or infinite K** entry would pass into the variances silently
+        gp = fit(random_spd(4, 5), np.ones(4), 0.1)
+        with pytest.raises(ValueError, match="K_star_star_diag"):
+            predict(gp, np.zeros((2, 4)), np.array([1.0, bad]))
+        assert gp.n_var_clamped == 0
+
 
 class TestNll:
     def test_single_point_closed_form(self):
         gp = fit(np.zeros((1, 1)), np.zeros(1), 1.0)
-        assert nll(gp, np.zeros(1)) == pytest.approx(0.5 * np.log(2 * np.pi), rel=1e-12)
+        assert gp.nll == pytest.approx(0.5 * np.log(2 * np.pi), rel=1e-12)
 
     def test_noise_doubling_closed_form(self):
         y = np.array([0.7, -0.3, 1.1])
         g1 = fit(np.zeros((3, 3)), y, 1.0)
         g2 = fit(np.zeros((3, 3)), y, 2.0)
         expected_delta = 0.5 * 3 * np.log(2.0) + 0.5 * (y @ y) * (1 / 2 - 1)
-        assert nll(g2, y) - nll(g1, y) == pytest.approx(expected_delta, rel=1e-12)
+        assert g2.nll - g1.nll == pytest.approx(expected_delta, rel=1e-12)
 
     def test_matches_dense_oracle(self):
         K = random_spd(10, 9)
         rng = np.random.Generator(np.random.Philox(key=10))
         y = rng.standard_normal(10)
         gp = fit(K, y, 0.25)
-        assert nll(gp, y) == pytest.approx(dense_nll(K, y, 0.25), abs=1e-9)
+        assert gp.nll == pytest.approx(dense_nll(K, y, 0.25), abs=1e-9)
 
     def test_permutation_invariance(self):
         K = random_spd(12, 11)
         rng = np.random.Generator(np.random.Philox(key=12))
         y = rng.standard_normal(12)
         perm = rng.permutation(12)
-        a = nll(fit(K, y, 0.1), y)
-        b = nll(fit(K[np.ix_(perm, perm)], y[perm], 0.1), y[perm])
+        a = fit(K, y, 0.1).nll
+        b = fit(K[np.ix_(perm, perm)], y[perm], 0.1).nll
         assert a == pytest.approx(b, rel=1e-10)
 
 

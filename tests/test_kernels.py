@@ -5,12 +5,18 @@ from hypothesis import strategies as st
 
 from nnkernels import kernels as kernels_mod
 from nnkernels.activations import ELU, ERF, GELU, RELU, lrelu, selu
+from nnkernels.deep import NetworkHyper, state_trajectory
 from nnkernels.kernels import (_ELU_CHUNK, _TAIL_CHUNK, ELU_S_MAX, KernelArgs, _elu_moments,
                                diag_mean, kernel, kernel_dot, kernel_dot_quadrature,
-                               kernel_dot_values, kernel_from_inputs,
-                               kernel_mc, kernel_quadrature, kernel_values,
+                               kernel_dot_values, kernel_mc, kernel_quadrature, kernel_values,
                                pair_dd_mean, pair_dot_mean, pair_mean,
                                pair_moments)
+
+
+def layer_one_kernel(act, x1, x2, sigma_w2, sigma_b2):
+    """The one-layer kernel of two input vectors: level 1 of ``state_trajectory``."""
+    return state_trajectory(act, x1, x2, NetworkHyper.shared(1, sigma_w2, sigma_b2))[1][2]
+
 
 CLOSED_FORM_ACTS = [RELU, lrelu(0.2), ERF, GELU, ELU, selu(1.0507, 1.6733)]
 CLOSED_DOT_ACTS = [RELU, lrelu(0.2), ERF, GELU, ELU, selu(1.0507, 1.6733)]
@@ -117,24 +123,24 @@ class TestExamples:
         # k(x, x) = sigma_w^2 E[psi^2(s Z)] with s^2 = sigma_w^2 ||x||^2;
         # at the He variance the *preserved hidden norm* (k - sigma_b^2)/sigma_w^2
         # equals ||x||^2 = 1 while the kernel itself is 2
-        k = kernel_from_inputs(RELU, [1.0, 0.0], [1.0, 0.0], 2.0, 0.0)
+        k = layer_one_kernel(RELU, [1.0, 0.0], [1.0, 0.0], 2.0, 0.0)
         assert k == pytest.approx(2.0, rel=1e-12)
         assert (k - 0.0) / 2.0 == pytest.approx(1.0, rel=1e-12)
 
     def test_relu_orthogonal_inputs(self):
-        got = kernel_from_inputs(RELU, [1.0, 0.0], [0.0, 1.0], 1.0, 0.0)
+        got = layer_one_kernel(RELU, [1.0, 0.0], [0.0, 1.0], 1.0, 0.0)
         assert got == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-12)
 
     def test_gelu_diagonal_from_inputs(self):
         # quadrature-verified constant; also the norm-preservation identity
-        got = kernel_from_inputs(GELU, [0.6, 0.8], [0.6, 0.8], 1.0, 0.0)
+        got = layer_one_kernel(GELU, [0.6, 0.8], [0.6, 0.8], 1.0, 0.0)
         assert got == pytest.approx(0.4252214825702987, rel=1e-10)
         oracle = kernel_quadrature(GELU, KernelArgs(1.0, 1.0, 1.0), nodes=120)
         assert got == pytest.approx(oracle, rel=1e-10)
 
     def test_zero_norm_input_rejected(self):
-        with pytest.raises(ValueError):
-            kernel_from_inputs(GELU, [0.0, 0.0], [1.0, 0.0], 1.0, 0.0)
+        with pytest.raises(ValueError, match="row 0"):
+            layer_one_kernel(GELU, [0.0, 0.0], [1.0, 0.0], 1.0, 0.0)
 
     def test_elu_independent_factorization(self):
         # (e^{1/2} Phi(-1) + 1/sqrt(2 pi) - 1/2)^2, Monte-Carlo confirmed

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import ndtr
 
 from nnkernels.special import (_BLOCK_COLS, GENZ_RHO_MAX, _blocked, _bvnu_genz, bvn_cdf,
-                               bvn_cdf_exp, expscaled_cdf, std_normal_cdf, std_normal_pdf)
+                               bvn_cdf_exp, expscaled_cdf, std_normal_pdf)
 
 
 def bvn_reference(h, k, rho):
@@ -35,25 +36,10 @@ class TestUnivariate:
     def test_pdf_symmetry(self):
         assert std_normal_pdf(-1.0) == std_normal_pdf(1.0)
 
-    def test_cdf_examples(self):
-        assert std_normal_cdf(0.0) == 0.5
-        assert std_normal_cdf(8.0) == pytest.approx(1.0, abs=1e-15)
-        assert std_normal_cdf(1.0) == pytest.approx(0.8413447461, abs=1e-10)
-
-    def test_cdf_vs_erf_reference(self):
-        from scipy.special import erf
-        z = np.linspace(-8, 8, 201)
-        ref = 0.5 * (1.0 + erf(z / np.sqrt(2.0)))
-        assert np.abs(std_normal_cdf(z) - ref).max() <= 1e-14
-
-    def test_cdf_monotone(self):
-        z = np.linspace(-10, 10, 500)
-        assert (np.diff(std_normal_cdf(z)) >= 0).all()
-
     def test_expscaled_cdf(self):
         # e^{t^2/2} Phi(-t) against the direct product in the safe range
         for t in (-3.0, -1.0, 0.0, 0.5, 2.0, 10.0):
-            direct = np.exp(t * t / 2) * std_normal_cdf(-t)
+            direct = np.exp(t * t / 2) * ndtr(-t)
             assert expscaled_cdf(t) == pytest.approx(direct, rel=1e-13)
         # large argument: ~ 1/(t sqrt(2 pi)), finite
         assert np.isfinite(expscaled_cdf(50.0))
@@ -81,7 +67,7 @@ class TestBvnCdf:
     def test_marginalization(self):
         for k in (-1.0, 0.3, 2.0):
             for rho in (-0.8, 0.0, 0.6):
-                assert bvn_cdf(8.0, k, rho) == pytest.approx(std_normal_cdf(k), abs=1e-12)
+                assert bvn_cdf(8.0, k, rho) == pytest.approx(ndtr(k), abs=1e-12)
 
     def test_third_at_half_correlation(self):
         got = bvn_cdf(0.0, 0.0, 0.5)
@@ -154,7 +140,7 @@ class TestBvnCdf:
     @given(h=st.floats(-3, 3), k=st.floats(-3, 3))
     def test_zero_correlation_factorizes(self, h, k):
         assert bvn_cdf(h, k, 0.0) == pytest.approx(
-            std_normal_cdf(h) * std_normal_cdf(k), abs=1e-12)
+            ndtr(h) * ndtr(k), abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(h=st.floats(-3, 3), k=st.floats(-3, 3), rho=st.floats(-0.92, 0.92),
@@ -240,7 +226,7 @@ class TestHalves:
         h, k = rng.uniform(-4, 4, (2, 2, r.size))
         q = rng.uniform(0, 12, (2, r.size))
         out = _blocked(_bvnu_genz, _BLOCK_COLS, h, k, r, q, up=slice(None))
-        err = np.abs(out[:2] + out[2:] - np.exp(q) * std_normal_cdf(-k)) / np.exp(q)
+        err = np.abs(out[:2] + out[2:] - np.exp(q) * ndtr(-k)) / np.exp(q)
         assert err.max() <= 1e-13
 
 
