@@ -28,7 +28,11 @@ start and the package import. ``gp-fit`` and ``benchmark`` read a
 without ``--cli``) gives per case the median and quartiles of the wall
 time, every exit code, and the sha256 of stdout and of the ``--out``
 file, per run and, where all runs agree, once; each file after the first
-also says whether its bytes equal the first checkout's.
+also says whether its bytes equal the first checkout's. Each seed also
+times ``python -c "import nnkernels"`` once per checkout, in the same
+order and environment; ``import_s`` (null without ``--cli``) holds the
+median, the quartiles and every run, to read beside the benchmark's
+``setup_s``, which is mostly this import.
 
 The default checkout is this repository, labelled by its short SHA.
 """
@@ -49,6 +53,7 @@ import numpy as np
 REPO = Path(__file__).resolve().parent.parent
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 NNK = [sys.executable, "-m", "nnkernels.cli"]
+IMPORT = [sys.executable, "-c", "import nnkernels"]
 # name -> arguments; "{dataset}" stands for the generated CSV
 CLI_CASES = {
     "kernel-eval": ["kernel-eval"],
@@ -133,9 +138,26 @@ def run_cli(checkout, argv, workdir):
             "out_sha256": _sha256(out.read_bytes()) if out.exists() else None}
 
 
+def run_import(checkout, workdir):
+    """Wall time of ``import nnkernels`` in a fresh process, with the
+    environment of the ``nnk`` cases."""
+    t0 = time.perf_counter()
+    proc = subprocess.run(IMPORT, cwd=workdir, env=_env(checkout), capture_output=True,
+                          text=True)
+    wall = time.perf_counter() - t0
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: import nnkernels exited {proc.returncode}: "
+                           f"{proc.stderr.strip()[-2000:]}")
+    return wall
+
+
+def _quartiles(values):
+    q1, med, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": med, "q1": q1, "q3": q3}
+
+
 def summarize_cli(runs):
-    q1, med, q3 = np.percentile([r["wall_s"] for r in runs], [25, 50, 75])
-    out = {"wall_s": {"median": med, "q1": q1, "q3": q3},
+    out = {"wall_s": _quartiles([r["wall_s"] for r in runs]),
            "exit_codes": [r["exit_code"] for r in runs]}
     for key in ("stdout_sha256", "out_sha256"):
         values = {r[key] for r in runs}
@@ -149,9 +171,8 @@ def summarize(runs, metrics):
            "failed": sum(r["failed"] for r in runs),
            "all_correct": all(r["correct"] for r in runs), "metrics": {}}
     for m in metrics:
-        q1, med, q3 = np.percentile([r["metrics"][m["name"]] for r in runs], [25, 50, 75])
         out["metrics"][m["name"]] = {"unit": m["unit"], "better": m["better"],
-                                     "median": med, "q1": q1, "q3": q3}
+                                     **_quartiles([r["metrics"][m["name"]] for r in runs])}
     return out
 
 
@@ -180,8 +201,7 @@ def paired_log_ratios(runs, base_runs, metrics):
         if not all(a > 0 and b > 0 for a, b in pairs):
             out[name] = None
             continue
-        q1, med, q3 = np.percentile([np.log(a / b) for a, b in pairs], [25, 50, 75])
-        out[name] = {"median": med, "q1": q1, "q3": q3}
+        out[name] = _quartiles([np.log(a / b) for a, b in pairs])
     return out
 
 
@@ -217,6 +237,7 @@ def main(argv=None):
 
     runs = {label: {w: [] for w in workloads} for label in labels}
     cli_runs = {label: {c: [] for c in CLI_CASES} for label in labels}
+    import_runs = {label: [] for label in labels}
     with tempfile.TemporaryDirectory() as workdir:
         dataset = Path(workdir) / "gp_fit.csv"
         write_dataset(dataset)
@@ -228,6 +249,9 @@ def main(argv=None):
                     run["position"] = order.index(label)
                     runs[label][w].append(run)
                     print(f"{label} {w} seed {seed}: {json.dumps(run['metrics'])}", flush=True)
+            for label in order if args.cli else ():
+                import_runs[label].append(run_import(checkouts[label], workdir))
+                print(f"{label} import seed {seed}: {import_runs[label][-1]:.3f} s", flush=True)
             for case, argv in CLI_CASES.items() if args.cli else ():
                 argv = [a.replace("{dataset}", str(dataset)) for a in argv]
                 for label in order:
@@ -248,6 +272,7 @@ def main(argv=None):
                          "cpus": os.cpu_count(), "quartiles": "numpy linear"},
             "workloads": {},
             "cli": None,
+            "import_s": None,
         }
         for w in workloads:
             entry = summarize(runs[label][w], spec["end_to_end"])
@@ -260,6 +285,7 @@ def main(argv=None):
             entry["runs"] = runs[label][w]
             record["workloads"][w] = entry
         if args.cli:
+            record["import_s"] = {**_quartiles(import_runs[label]), "runs": import_runs[label]}
             record["cli"] = {}
             for case, argv in CLI_CASES.items():
                 entry = {"argv": argv, **summarize_cli(cli_runs[label][case])}

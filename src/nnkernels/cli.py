@@ -163,16 +163,17 @@ def cmd_gp_fit(args):
     ds = _load_standardized(args)
     train, test = data_mod.split(ds, args.train_frac, args.seed)
     sw2, _ = _sigma_w2(args, act, args.norm)
-    X = np.vstack([train.X, test.X])
-    _, K = next(kernel_matrices_by_depth(act, X, sw2, args.sigma_b2, [args.depth]))
-    n = train.n
-    gp = gp_mod.fit(K[:n, :n], train.y, args.noise_var)
-    mean_tr, var_tr = gp_mod.predict(gp, K[:n, :n], np.diag(K)[:n])
-    mean_te, var_te = gp_mod.predict(gp, K[n:, :n], np.diag(K)[n:])
+    # K in the dataset's own order, so a refused row is named as in the CSV
+    _, K = next(kernel_matrices_by_depth(act, ds.X, sw2, args.sigma_b2, [args.depth]))
+    tr, te, diag = train.indices, test.indices, np.diag(K)
+    K_tr = K[np.ix_(tr, tr)]
+    gp = gp_mod.fit(K_tr, train.y, args.noise_var)
+    mean_tr, var_tr = gp_mod.predict(gp, K_tr, diag[tr])
+    mean_te, var_te = gp_mod.predict(gp, K[np.ix_(te, tr)], diag[te])
     metrics = {
         "activation": act.kind, "depth": args.depth, "sigma_w2": sw2,
         "sigma_b2": args.sigma_b2, "noise_var": args.noise_var,
-        "n_train": n, "n_test": test.n,
+        "n_train": train.n, "n_test": test.n,
         "train_rmse": gp_mod.rmse(mean_tr, train.y),
         "test_rmse": gp_mod.rmse(mean_te, test.y),
         "nll": gp.nll,

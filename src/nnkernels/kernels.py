@@ -5,9 +5,9 @@ For zero-mean weight priors the kernel of one infinitely wide layer is
     k = sigma_w^2 E[psi(s1 Z1) psi(s2 Z2)] + sigma_b^2,
 
 with (Z1, Z2) standard bivariate normal, correlation rho = cos(theta).
-This module provides closed forms for every supported activation, plus
-quadrature and Monte-Carlo oracles for checking them. All closed-form
-paths are vectorized over (s1, s2, rho) arrays of a common shape.
+This module provides closed forms for every supported activation,
+vectorized over (s1, s2, rho) arrays of a common shape; the quadrature
+and Monte-Carlo oracles that check them live with the tests.
 
 Closed forms:
   ReLU / LReLU  arc-cosine degree-1 (Cho & Saul, 2009) plus the linear
@@ -47,9 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfcx, ndtr, roots_legendre
 
-from . import activations as act_mod
 from .activations import Activation, _selu_params
-from .quadrature import ZMAX, pair_mean_quad
+from .quadrature import ZMAX
 from . import special
 from .special import GENZ_RHO_MAX, SQRT_2PI, TWO_PI, _check_correlation, expscaled_cdf
 
@@ -289,9 +288,9 @@ def pair_mean(act: Activation, s1, s2, rho):
     kind = act.kind
     if kind in ("relu", "lrelu"):
         a = _lrelu_slope(act)
-        theta = _arccos_theta(rho)
+        r = _unit_clip(rho)  # cos theta; sin theta from it, as in pair_dd_mean
         out = s1 * s2 * ((1.0 - a) ** 2
-                         * (np.sin(theta) + (np.pi - theta) * np.cos(theta)) / TWO_PI
+                         * (np.sqrt((1.0 - r) * (1.0 + r)) + (np.pi - np.arccos(r)) * r) / TWO_PI
                          + a * rho)
     elif kind == "erf":
         out = (2.0 / np.pi) * np.arcsin(
@@ -427,56 +426,3 @@ def kernel_dot(act: Activation, args: KernelArgs) -> float:
     """Derivative kernel ``sigma_w^2 E[psi'(s1 Z1) psi'(s2 Z2)]``."""
     return float(kernel_dot_values(act, args.s1, args.s2, args.rho, args.sigma_w2))
 
-
-def kernel_quadrature(act: Activation, args: KernelArgs, nodes: int = 80) -> float:
-    """Numerical-integration oracle for the kernel.
-
-    ``sigma_w^2 E[psi(s1 Z1) psi(s2 Z2)] + sigma_b^2`` by the polar
-    Gauss-Legendre rule of ``pair_mean_quad``, whose angular panels split
-    at the rays where the activation kinks lie (plain Gauss-Hermite
-    converges only algebraically for the piecewise activations, stalling
-    near 1e-4 relative error at 120 nodes).
-    """
-    f = lambda z: act_mod.eval(act, z)
-    e = pair_mean_quad(f, f, args.s1, args.s2, args.rho, nodes=nodes)
-    return float(args.sigma_w2 * e + args.sigma_b2)
-
-
-def kernel_dot_quadrature(act: Activation, args: KernelArgs, nodes: int = 80) -> float:
-    """Quadrature oracle for the derivative kernel
-    ``sigma_w^2 E[psi'(s1 Z1) psi'(s2 Z2)]``, by the same polar rule."""
-    f = lambda z: act_mod.deriv(act, z)
-    e = pair_mean_quad(f, f, args.s1, args.s2, args.rho, nodes=nodes)
-    return float(args.sigma_w2 * e)
-
-
-def kernel_mc(act: Activation, args: KernelArgs, samples: int, seed: int,
-              use_deriv: bool = False):
-    """Monte-Carlo oracle: (mean, stderr) of the kernel estimate.
-
-    Unbiased, reproducible per seed (counter-based Philox stream),
-    chunked so that 1e7-sample runs stay within a small memory budget.
-    """
-    if samples < 10_000:
-        raise ValueError("samples must be >= 1e4")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    tau = np.sqrt(max(1.0 - args.rho * args.rho, 0.0))
-    f = (lambda z: act_mod.deriv(act, z)) if use_deriv else (lambda z: act_mod.eval(act, z))
-    total = 0.0
-    total_sq = 0.0
-    remaining = samples
-    while remaining > 0:
-        m = min(remaining, 1_000_000)
-        g1 = rng.standard_normal(m)
-        g2 = rng.standard_normal(m)
-        z2 = args.rho * g1 + tau * g2
-        vals = args.sigma_w2 * f(args.s1 * g1) * f(args.s2 * z2)
-        if not use_deriv:
-            vals = vals + args.sigma_b2
-        total += vals.sum()
-        total_sq += (vals * vals).sum()
-        remaining -= m
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    stderr = np.sqrt(var / samples)
-    return float(mean), float(stderr)

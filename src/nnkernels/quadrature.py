@@ -1,22 +1,21 @@
-"""Gaussian-expectation quadrature used by the kernel oracles.
+"""Gaussian-expectation quadrature over two correlated standard normals:
+``autocorr_mean_quad`` gives the quadrature rows of ``nnk fixedpoint``,
+and the test oracles build on the polar rule ``pair_mean_quad``.
 
-The defining expectations are over one or two standard normals. For
-smooth integrands plain Gauss-Hermite converges spectrally, but the
+For smooth integrands plain Gauss-Hermite converges spectrally, but the
 piecewise activations (ReLU/LReLU/ELU/SELU) have kinks or jumps at 0,
 where Gauss-Hermite stalls at ~1e-4..1e-5 relative error even with
 hundreds of nodes. The rules here therefore use Gauss-Legendre panels
-split at the kinks, so each panel sees a smooth integrand: in 1-D over
-[-ZMAX, ZMAX] with the normal density in the weights, and in 2-D in
-polar coordinates, where the kinks of f1(s1 Z1) and f2(s2 Z2) lie on
-four rays through the origin whatever the correlation; the four panels
-between them form two antipodal pairs whose nodes both coordinates share,
-so each factor is evaluated once per entry, and an equal second factor
-reuses the first one's values. On the angle grid theta_k = k pi / M
-every angle is a whole number of cells of one shared angular grid, so
-``autocorr_mean_quad`` takes E[f(s Z1) f(s Z2)] at all of them from one
-evaluation of f, as a circular autocorrelation. Truncation at
-ZMAX = 9.5 (in z, and in the polar radius) contributes < 1e-17 for
-polynomially bounded integrands.
+split at the kinks, in polar coordinates, where the kinks of f1(s1 Z1)
+and f2(s2 Z2) lie on four rays through the origin whatever the
+correlation; the four panels between them form two antipodal pairs
+whose nodes both coordinates share, so each factor is evaluated once
+per entry, and an equal second factor reuses the first one's values. On
+the angle grid theta_k = k pi / M every angle is a whole number of cells
+of one shared angular grid, so ``autocorr_mean_quad`` takes
+E[f(s Z1) f(s Z2)] at all of them from one evaluation of f, as a
+circular autocorrelation. Truncating the polar radius at ZMAX = 9.5
+costs < 1e-17 for polynomially bounded integrands.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_legendre
 
-from .special import _check_correlation, std_normal_pdf
+from .special import _check_correlation
 
 ZMAX = 9.5
 
@@ -43,25 +42,6 @@ def _gauss_panels(edges, n: int):
     half = 0.5 * np.diff(edges)[:, None]
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     return (half * x + mid).ravel(), (half * w).ravel()
-
-
-def normal_panel_nodes(n: int, cuts=()):
-    """Nodes/weights for ``int f(z) phi(z) dz`` over [-ZMAX, ZMAX].
-
-    The interval is split at ``cuts`` (clipped into range); each panel
-    carries an n-point Gauss-Legendre rule with the normal density
-    folded into the weights.
-    """
-    edges = np.clip(np.concatenate([[-ZMAX], np.atleast_1d(np.asarray(cuts, float)), [ZMAX]]),
-                    -ZMAX, ZMAX)
-    z, w = _gauss_panels(np.unique(edges), n)
-    return z, w * std_normal_pdf(z)
-
-
-def mean_1d(f, nodes: int = 120, cuts=(0.0,)):
-    """``E[f(Z)]`` for Z ~ N(0,1), panel-split at ``cuts``."""
-    z, w = normal_panel_nodes(nodes, cuts)
-    return float(w @ f(z))
 
 
 def _radial_rule(n: int):

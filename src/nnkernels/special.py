@@ -1,12 +1,12 @@
 """Scalar special functions used by the closed-form kernels.
 
-The standard normal pdf, an overflow-safe ``exp(t^2/2) * Phi(-t)``,
-and the bivariate normal CDF (Genz's rewrite of the Drezner-Wesolowsky
-algorithm, with optional exponential prefactor folded into the
-quadrature so that products like ``exp(q) * Phi2`` stay finite) for
-|rho| < 0.925 and |rho| = 1; the band between is refused. The Genz rule
-``_bvnu_genz`` also gives the other half ``Z1 > h`` of a row from the
-same integral; the ELU/SELU moments call it directly.
+An overflow-safe ``exp(t^2/2) * Phi(-t)`` and the bivariate normal CDF
+(Genz's rewrite of the Drezner-Wesolowsky algorithm, with optional
+exponential prefactor folded into the quadrature so that products like
+``exp(q) * Phi2`` stay finite) for |rho| < 0.925 and |rho| = 1; the
+band between is refused. The Genz rule ``_bvnu_genz`` also gives the
+other half ``Z1 > h`` of a row from the same integral; the ELU/SELU
+moments call it directly.
 
 Everything here is pure, reentrant and vectorized over ndarray inputs.
 """
@@ -35,13 +35,6 @@ _BLOCK_COLS = 256
 # accuracy there, and the ELU/SELU moments, its one caller in that band,
 # take a 1-D rule of their own (``kernels._elu_tail``).
 GENZ_RHO_MAX = 0.925
-
-
-def std_normal_pdf(z):
-    """Standard normal density ``phi(z)``."""
-    z = np.asarray(z, dtype=float)
-    out = np.exp(-0.5 * z * z) / SQRT_2PI
-    return out if out.shape else float(out)
 
 
 def expscaled_cdf(t):
@@ -85,7 +78,7 @@ def _bvnu_genz(h, k, r, q, up=slice(0, 0)):
     is the integral negated plus its own product term, bit for bit the row
     at (-h, k, -r). For r < 0 the integral cancels against the product
     term, so the result loses relative accuracy where it is small next to
-    it, and can come out negative: ``bvn_cdf(-2.5, -2.5, -0.9)`` is below
+    it, and can come out negative: ``bvn_cdf_exp(-2.5, -2.5, -0.9)`` is below
     0, and the ELU/SELU kernels fail at s >~ 10 (ROADMAP item 2). The
     exponent never exceeds q, so only where q > 700 can it pass 700 and be
     refused rather than overflow.
@@ -160,7 +153,7 @@ def bvn_cdf_exp(h, k, rho, q=0.0):
     shape = h.shape
     h, k, rho, q = (a.reshape(-1) for a in (h, k, rho, q))
     if np.isnan(h).any() or np.isnan(k).any():
-        raise ValueError("bvn_cdf: NaN argument")
+        raise ValueError("bvn_cdf_exp: NaN argument")
     rho = _check_correlation(rho)
     absr = np.abs(rho)
     if ((absr >= GENZ_RHO_MAX) & (absr < 1.0)).any():
@@ -177,10 +170,3 @@ def bvn_cdf_exp(h, k, rho, q=0.0):
     res = res.reshape(shape)
     return res if res.shape else float(res)
 
-
-def bvn_cdf(h, k, rho):
-    """``P(Z1 <= h, Z2 <= k)`` for a standard bivariate normal, corr rho.
-
-    Absolute accuracy is ~1e-14; infinite arguments take their limits.
-    """
-    return bvn_cdf_exp(h, k, rho, 0.0)

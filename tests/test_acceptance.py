@@ -30,12 +30,12 @@ from nnkernels.fixed_point import (eigenvalues, lambda3_elu,
                                    lambda3_gelu_lower, lambda3_lrelu,
                                    sigma_star)
 from nnkernels.gp import fit, predict
-from nnkernels.kernels import KernelArgs, kernel_mc, kernel_values
-from nnkernels.quadrature import mean_1d, pair_mean_quad
+from nnkernels.kernels import KernelArgs, kernel_values
+from nnkernels.quadrature import pair_mean_quad
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from fd_oracle import kernel_grad_fd
+from oracle import kernel_grad_fd, kernel_mc, mean_1d
 
 GRID_S = (0.25, 0.5, 1.0, 2.0, 5.0)
 GRID_THETA = (0.05, 0.5, 1.0, np.pi / 2, 2.5, np.pi - 0.05)

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -19,7 +20,7 @@ def test_bench_record_schema(tmp_path):
     assert proc.returncode == 0, proc.stderr
     record = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     assert len(record["git_sha"]) == 40 and isinstance(record["dirty"], bool)
-    assert record["tier1"] is None and record["cli"] is None
+    assert record["tier1"] is None and record["cli"] is None and record["import_s"] is None
     # the north star's line count, as `wc -l src/nnkernels/*.py` totals it
     wc = subprocess.run(["wc", "-l", *sorted((REPO / "src" / "nnkernels").glob("*.py"))],
                         capture_output=True, text=True, check=True)
@@ -77,6 +78,35 @@ def test_cli_record_fields(tmp_path):
     failed = bench_record.run_cli(REPO, ["norm-preserve", "--norm-min", "-1"], tmp_path)
     assert failed["exit_code"] == 1 and failed["out_sha256"] is None
     assert bench_record.summarize_cli(runs + [failed])["out_sha256"] is None
+
+
+def test_import_s_recorded_with_cli(tmp_path, monkeypatch):
+    # the workloads faked and one cheap case: this checks the import
+    # timing and where it lands in the record, with and without --cli
+    bench_record = _bench_record()
+    names = [m["name"] for m in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]]
+    fake = lambda checkout, command, workload, seed, seconds: {
+        "seed": seed, "correct": True, "attempted": 1, "failed": 0,
+        "metrics": {name: 1.0 for name in names}}
+    monkeypatch.setattr(bench_record, "run_benchmark", fake)
+    monkeypatch.setattr(bench_record, "CLI_CASES",
+                        {"norm-preserve": ["norm-preserve", "--norm-points", "3"]})
+    argv = ["--checkout", f"a={REPO}", "--checkout", f"b={REPO}", "--workloads", "finite_width",
+            "--seeds", "1", "--no-tier1", "--out-dir", str(tmp_path)]
+    assert bench_record.main(argv + ["--cli"]) == 0
+    for label in "ab":
+        record = json.loads((tmp_path / f"BENCH_{label}.json").read_text())
+        stats = record["import_s"]
+        assert len(stats["runs"]) == 1 and 0.0 < stats["runs"][0] < 60.0
+        assert stats["q1"] == stats["median"] == stats["q3"] == stats["runs"][0]
+        assert record["cli"]["norm-preserve"]["exit_codes"] == [0]
+    assert bench_record.main(argv) == 0
+    for label in "ab":
+        record = json.loads((tmp_path / f"BENCH_{label}.json").read_text())
+        assert record["import_s"] is None and record["cli"] is None
+    monkeypatch.setattr(bench_record, "IMPORT", [sys.executable, "-c", "import nnkernels_nowhere"])
+    with pytest.raises(RuntimeError, match="(?s)import nnkernels exited 1: .*nnkernels_nowhere"):
+        bench_record.run_import(REPO, tmp_path)
 
 
 def test_paired_log_ratios():

@@ -22,7 +22,8 @@ from nnkernels.cli import main
 from nnkernels.deep import NetworkHyper, deep_normalized_kernel, input_state, iterate_state
 from nnkernels.fixed_point import lambda3, sigma_star
 from nnkernels.kernels import kernel_dot_values
-from nnkernels.quadrature import mean_1d
+
+from oracle import mean_1d
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -602,8 +603,7 @@ class TestErrorContract:
         obj = json.loads(line)
         assert obj["error"] == "ValueError"
         assert "strictly positive squared norms; row " in obj["message"]
-        if command == "benchmark":  # the dataset's own row order
-            assert "row 7 has 0.0" in obj["message"]
+        assert "row 7 has 0.0" in obj["message"]  # the dataset's own row order
         code, _, err = run_cli(args + ["--sigma-b2", "0.1"], capsys)
         assert code == 0, err
 

@@ -10,7 +10,7 @@ from nnkernels.deep import (_PAIR_ENTRIES, LayerState, NetworkHyper, NtkState, _
 from nnkernels.fixed_point import sigma_star
 from nnkernels.kernels import diag_mean, kernel_dot_values, pair_mean, pair_moments
 
-from fd_oracle import kernel_grad_fd
+from oracle import kernel_grad_fd
 
 ALL_ACTS = [GELU, ELU, RELU, ERF, lrelu(0.2)]
 SIX_ACTS = [GELU, ERF, ELU, selu(1.0507, 1.6733), RELU, lrelu(0.2)]

@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -18,8 +20,9 @@ from nnkernels.fixed_point import (eigenvalues, find_fixed_point, lambda3,
                                    lambda3_sweep_rows, sigma_star,
                                    _norm_fixed_point)
 from nnkernels import fixed_point
-from nnkernels.kernels import KernelArgs, kernel_dot_quadrature, kernel_values
-from nnkernels.quadrature import mean_1d
+from nnkernels.kernels import KernelArgs, kernel_values
+
+from oracle import kernel_dot_quadrature, mean_1d
 
 
 def g1_value(act, s1_sq, sw2, sb2):
@@ -324,7 +327,6 @@ class TestSigmaStar:
     def test_erf_root_beyond_elu_cap(self):
         # the root lies past 25 / norm, where only the ELU/SELU bracket is capped
         from scipy.special import erf
-        from nnkernels.quadrature import mean_1d
         sigma = sigma_star(ERF, 0.99)
         assert sigma == pytest.approx(32.3075, abs=1e-3)
         assert mean_1d(lambda z: erf(sigma * 0.99 * z) ** 2) == pytest.approx(
@@ -388,6 +390,20 @@ def test_import_leaves_scipy_optimize_out():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_package_holds_no_oracle():
+    # quadrature, Monte-Carlo and pdf oracles live in tests/oracle.py only
+    import nnkernels
+    oracles = {"kernel_quadrature", "kernel_dot_quadrature", "kernel_mc", "mean_1d",
+               "normal_panel_nodes", "bvn_cdf", "std_normal_pdf"}
+    modules = [nnkernels] + [importlib.import_module(f"nnkernels.{info.name}")
+                             for info in pkgutil.iter_modules(nnkernels.__path__)]
+    assert {"nnkernels.kernels", "nnkernels.quadrature", "nnkernels.special"} <= {
+        module.__name__ for module in modules}
+    for module in modules:
+        assert not oracles & set(vars(module)), module.__name__
+    assert not oracles & set(nnkernels.__all__)
 
 
 class TestFindFixedPoint:

@@ -7,10 +7,10 @@ from nnkernels import kernels as kernels_mod
 from nnkernels.activations import ELU, ERF, GELU, RELU, lrelu, selu
 from nnkernels.deep import NetworkHyper, state_trajectory
 from nnkernels.kernels import (_ELU_CHUNK, _TAIL_CHUNK, ELU_S_MAX, KernelArgs, _elu_moments,
-                               diag_mean, kernel, kernel_dot, kernel_dot_quadrature,
-                               kernel_dot_values, kernel_mc, kernel_quadrature, kernel_values,
-                               pair_dd_mean, pair_dot_mean, pair_mean,
-                               pair_moments)
+                               diag_mean, kernel, kernel_dot, kernel_dot_values, kernel_values,
+                               pair_dd_mean, pair_dot_mean, pair_mean, pair_moments)
+
+from oracle import kernel_dot_quadrature, kernel_mc, kernel_quadrature, mean_1d
 
 
 def layer_one_kernel(act, x1, x2, sigma_w2, sigma_b2):
@@ -37,7 +37,7 @@ def dd_oracle(act, s1, s2, rho, nodes=200):
     quadrature plus, for a kink of slope jump j at 0,
     j E[psi(s2 tau Z)] / (sqrt(2 pi) s1); with ``regular`` for the
     rho = +-1 limits."""
-    from nnkernels.quadrature import mean_1d, pair_mean_quad
+    from nnkernels.quadrature import pair_mean_quad
     from nnkernels import activations as am
     lam, alpha = ((act.selu_lambda, act.selu_alpha) if act.kind == "selu"
                   else (1.0, 1.0))
@@ -262,7 +262,6 @@ class TestOracleEquivalence:
 
     @pytest.mark.parametrize("act", CLOSED_FORM_ACTS, ids=lambda a: a.kind)
     def test_pair_dd_mean_grid(self, act):
-        from nnkernels.quadrature import mean_1d
         from nnkernels import activations as am
         f = lambda z: am.eval(act, z)
         s1, s2, rho = (v.ravel() for v in np.meshgrid(
@@ -359,6 +358,32 @@ class TestInvariants:
         a = kernel_values(selu(1.0, 1.0), s1, s2, rho, 1.0, 0.0)
         b = kernel_values(ELU, s1, s2, rho, 1.0, 0.0)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("act", [RELU, lrelu(0.2), lrelu(0.01)],
+                             ids=["relu", "lrelu0.2", "lrelu0.01"])
+    def test_arc_cosine_without_sin_cos(self, act):
+        # pair_mean takes sin theta = sqrt((1 - r)(1 + r)) and cos theta = r
+        # from r = rho, not np.sin / np.cos of theta = arccos r
+        a = 0.0 if act.kind == "relu" else act.lrelu_slope
+        s1, s2 = 1.7, 0.6
+        near = np.geomspace(1e-16, 1e-2, 60)
+        rho = np.concatenate([np.linspace(-1.0, 1.0, 4001), 1.0 - near, near - 1.0])
+
+        def sin_cos(r):
+            theta = np.arccos(r)
+            return s1 * s2 * ((1.0 - a) ** 2
+                              * (np.sin(theta) + (np.pi - theta) * np.cos(theta)) / (2 * np.pi)
+                              + a * r)
+
+        # within a few ulps of the rho = 1 value, (1 + a^2) s1 s2 / 2
+        eps = np.finfo(float).eps
+        assert np.abs(pair_mean(act, s1, s2, rho) - sin_cos(rho)).max() <= 2 * eps * s1 * s2
+        for r in (0.0, 1.0):
+            assert pair_mean(act, s1, s2, r) == sin_cos(r)
+        # at rho = -1 the sin/cos form keeps sin(fl(pi)) = 1.2e-16; this one
+        # gives the exact limit -a s1 s2
+        assert pair_mean(act, s1, s2, -1.0) == s1 * s2 * (a * -1.0)
+        assert abs(sin_cos(-1.0) - s1 * s2 * (a * -1.0)) <= eps * s1 * s2
 
     @pytest.mark.parametrize("act", CLOSED_FORM_ACTS, ids=lambda a: a.kind)
     def test_pair_moments_bit_for_bit(self, act):
@@ -480,7 +505,6 @@ class TestInvariants:
         # the whole guarded range: the rho = 1 limit needs no bvn, so ELU/SELU
         # hold here up to s = 25 (measured <= 1e-14 relative)
         from nnkernels import activations as am
-        from nnkernels.quadrature import mean_1d
         for s in np.geomspace(0.1, ELU_S_MAX, 13):
             oracle = mean_1d(lambda z: am.eval(act, s * z) ** 2, nodes=200)
             assert float(diag_mean(act, s)) == pytest.approx(oracle, rel=1e-13)

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import ndtr
 
-from nnkernels.special import (_BLOCK_COLS, GENZ_RHO_MAX, _blocked, _bvnu_genz, bvn_cdf,
-                               bvn_cdf_exp, expscaled_cdf, std_normal_pdf)
+from nnkernels.special import (_BLOCK_COLS, GENZ_RHO_MAX, _blocked, _bvnu_genz, bvn_cdf_exp,
+                               expscaled_cdf)
 
 
 def bvn_reference(h, k, rho):
@@ -23,19 +23,6 @@ def bvn_reference(h, k, rho):
 
 
 class TestUnivariate:
-    def test_pdf_at_zero(self):
-        assert std_normal_pdf(0.0) == pytest.approx(0.3989422804, abs=1e-10)
-
-    def test_pdf_at_one_vs_series(self):
-        # direct evaluation cross-checked against the exponential series
-        from math import factorial
-        series = sum((-0.5) ** n / factorial(n) for n in range(40))
-        assert std_normal_pdf(1.0) == pytest.approx(series / np.sqrt(2 * np.pi), abs=1e-14)
-        assert std_normal_pdf(1.0) == pytest.approx(0.2419707245, abs=1e-10)
-
-    def test_pdf_symmetry(self):
-        assert std_normal_pdf(-1.0) == std_normal_pdf(1.0)
-
     def test_expscaled_cdf(self):
         # e^{t^2/2} Phi(-t) against the direct product in the safe range
         for t in (-3.0, -1.0, 0.0, 0.5, 2.0, 10.0):
@@ -62,15 +49,15 @@ class TestUnivariate:
 
 class TestBvnCdf:
     def test_independent_quadrant(self):
-        assert bvn_cdf(0.0, 0.0, 0.0) == pytest.approx(0.25, abs=1e-14)
+        assert bvn_cdf_exp(0.0, 0.0, 0.0) == pytest.approx(0.25, abs=1e-14)
 
     def test_marginalization(self):
         for k in (-1.0, 0.3, 2.0):
             for rho in (-0.8, 0.0, 0.6):
-                assert bvn_cdf(8.0, k, rho) == pytest.approx(ndtr(k), abs=1e-12)
+                assert bvn_cdf_exp(8.0, k, rho) == pytest.approx(ndtr(k), abs=1e-12)
 
     def test_third_at_half_correlation(self):
-        got = bvn_cdf(0.0, 0.0, 0.5)
+        got = bvn_cdf_exp(0.0, 0.0, 0.5)
         assert got == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert got == pytest.approx(0.25 + np.arcsin(0.5) / (2 * np.pi), abs=1e-13)
 
@@ -82,9 +69,9 @@ class TestBvnCdf:
     def test_against_adaptive_oracle(self, h, k, rho):
         if abs(rho) >= GENZ_RHO_MAX:  # the refused band
             with pytest.raises(ValueError, match="0.925 <= \\|rho\\| < 1"):
-                bvn_cdf(h, k, rho)
+                bvn_cdf_exp(h, k, rho)
         else:
-            assert bvn_cdf(h, k, rho) == pytest.approx(bvn_reference(h, k, rho), abs=1e-10)
+            assert bvn_cdf_exp(h, k, rho) == pytest.approx(bvn_reference(h, k, rho), abs=1e-10)
 
     def test_infinite_arguments_clamped(self):
         # exact limits: a -inf argument gives 0 (clamped at 8.5, the first
@@ -92,7 +79,7 @@ class TestBvnCdf:
         inf = np.inf
         assert bvn_cdf_exp(-inf, 0.0, 0.3, 600.0) == 0.0
         assert bvn_cdf_exp(0.0, -inf, -0.5, 300.0) == 0.0
-        assert bvn_cdf(-inf, 0.7, 0.2) == 0.0 and bvn_cdf_exp(-inf, inf, 1.0, 5.0) == 0.0
+        assert bvn_cdf_exp(-inf, 0.7, 0.2) == 0.0 and bvn_cdf_exp(-inf, inf, 1.0, 5.0) == 0.0
         with mpmath.workdps(30):
             for h, k, r, q in [(inf, 0.0, 0.3, 600.0), (inf, -30.0, 0.3, 600.0),
                                (-1.3, inf, -0.5, 50.0), (inf, 0.7, 0.2, 0.0),
@@ -111,49 +98,49 @@ class TestBvnCdf:
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
-            bvn_cdf(np.nan, 0.0, 0.0)
+            bvn_cdf_exp(np.nan, 0.0, 0.0)
         with pytest.raises(ValueError):
-            bvn_cdf(0.0, np.nan, 0.0)
+            bvn_cdf_exp(0.0, np.nan, 0.0)
         with pytest.raises(ValueError):
-            bvn_cdf(0.0, 0.0, np.nan)
+            bvn_cdf_exp(0.0, 0.0, np.nan)
 
     def test_correlation_range_rejected(self):
         with pytest.raises(ValueError):
-            bvn_cdf(0.0, 0.0, 1.5)
+            bvn_cdf_exp(0.0, 0.0, 1.5)
 
     def test_tail_band_refused(self):
         # 0.925 <= |rho| < 1 has no rule; its edges and |rho| = 1 do
         for rho in (0.95, -0.95, GENZ_RHO_MAX, -GENZ_RHO_MAX, np.nextafter(1.0, 0.0)):
             with pytest.raises(ValueError, match="0.925 <= \\|rho\\| < 1"):
-                bvn_cdf(0.0, 0.0, rho)
+                bvn_cdf_exp(0.0, 0.0, rho)
         with pytest.raises(ValueError, match="refused"):
             bvn_cdf_exp([0.0, 0.0], [0.0, 0.0], [0.3, 0.95], 1.0)
         for rho in (np.nextafter(GENZ_RHO_MAX, 0.0), -np.nextafter(GENZ_RHO_MAX, 0.0), 1.0, -1.0):
-            assert np.isfinite(bvn_cdf(0.0, 0.0, rho))
+            assert np.isfinite(bvn_cdf_exp(0.0, 0.0, rho))
 
     @settings(max_examples=80, deadline=None)
     @given(h=st.floats(-4, 4), k=st.floats(-4, 4), rho=st.floats(-0.92, 0.92))
     def test_symmetry(self, h, k, rho):
-        assert bvn_cdf(h, k, rho) == pytest.approx(bvn_cdf(k, h, rho), abs=1e-14)
+        assert bvn_cdf_exp(h, k, rho) == pytest.approx(bvn_cdf_exp(k, h, rho), abs=1e-14)
 
     @settings(max_examples=60, deadline=None)
     @given(h=st.floats(-3, 3), k=st.floats(-3, 3))
     def test_zero_correlation_factorizes(self, h, k):
-        assert bvn_cdf(h, k, 0.0) == pytest.approx(
+        assert bvn_cdf_exp(h, k, 0.0) == pytest.approx(
             ndtr(h) * ndtr(k), abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(h=st.floats(-3, 3), k=st.floats(-3, 3), rho=st.floats(-0.92, 0.92),
            dh=st.floats(0.001, 1.0))
     def test_monotone_in_each_argument(self, h, k, rho, dh):
-        base = bvn_cdf(h, k, rho)
-        assert bvn_cdf(h + dh, k, rho) >= base - 1e-15
-        assert bvn_cdf(h, k + dh, rho) >= base - 1e-15
+        base = bvn_cdf_exp(h, k, rho)
+        assert bvn_cdf_exp(h + dh, k, rho) >= base - 1e-15
+        assert bvn_cdf_exp(h, k + dh, rho) >= base - 1e-15
 
     def test_exp_folding_matches_direct_product(self):
         for (h, k, rho, q) in [(-1, 2, -0.8, 3.0), (0.5, 0.5, 0.92, 10.0),
                                (-3, -3, 0.9, 5.5), (1.5, -2.5, -0.92, 2.0)]:
-            direct = np.exp(q) * bvn_cdf(h, k, rho)
+            direct = np.exp(q) * bvn_cdf_exp(h, k, rho)
             assert bvn_cdf_exp(h, k, rho, q) == pytest.approx(direct, rel=1e-13)
 
     def test_exp_folding_survives_overflow_scale(self):
@@ -245,7 +232,7 @@ def test_bvn_cdf_exp_against_mpmath():
 
     r >= 0 on the whole grid |h|, |k| <= 5; r < 0 only with h >= 0 and
     k >= -0.5. For r < 0 and both arguments in the lower tails the Genz
-    branch cancels (ROADMAP item 2): bvn_cdf(-2.5, -2.5, -0.9) returns
+    branch cancels (ROADMAP item 2): bvn_cdf_exp(-2.5, -2.5, -0.9) returns
     -1.2e-19, so that corner is left to item 2's test, as is the ELU/SELU
     range s <= 25. The prefactor q alternates between 0 and 12; it
     scales every term alike, so it does not change the relative error.
