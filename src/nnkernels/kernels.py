@@ -425,4 +425,3 @@ def kernel(act: Activation, args: KernelArgs) -> float:
 def kernel_dot(act: Activation, args: KernelArgs) -> float:
     """Derivative kernel ``sigma_w^2 E[psi'(s1 Z1) psi'(s2 Z2)]``."""
     return float(kernel_dot_values(act, args.s1, args.s2, args.rho, args.sigma_w2))
-

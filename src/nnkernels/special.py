@@ -169,4 +169,3 @@ def bvn_cdf_exp(h, k, rho, q=0.0):
     res[top] = np.exp(expo)
     res = res.reshape(shape)
     return res if res.shape else float(res)
-
