@@ -65,6 +65,8 @@ CLI_CASES = {
     "simplicity": ["simplicity"],
     "kernel-eval-elu": ["kernel-eval", "--activation", "elu"],
     "fixedpoint-elu": ["fixedpoint", "--activation", "elu"],
+    "fixedpoint-lrelu": ["fixedpoint", "--activation", "lrelu"],
+    "fixedpoint-norm0.5": ["fixedpoint", "--norm", "0.5"],
     "gp-fit-elu": ["gp-fit", "--activation", "elu", "--dataset", "{dataset}"],
 }
 

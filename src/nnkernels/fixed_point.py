@@ -26,12 +26,13 @@ bound" is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .activations import ELU, GELU, Activation, lrelu
-from .deep import LayerState, _layer_jacobian, iterate_state
+from .deep import _PAIR_ENTRIES, _RHO_OVERSHOOT, LayerState, _layer_jacobian, _layer_step
 from .kernels import ELU_S_MAX, diag_mean, kernel_dot_values, kernel_values
 from .quadrature import autocorr_mean_quad
 from . import activations as act_mod
@@ -236,30 +237,42 @@ def find_fixed_point(act: Activation, sigma_w2: float, sigma_b2: float,
     |lambda_3(rho)| <= lambda_3(|rho|), which grows with |rho|: the sup
     sits at an end angle, and only pi / 513 and pi - pi / 513 are
     evaluated (an even psi', as ERF's, ties the two).
+
+    The loop keeps (s1^2, s2^2, rho) as three floats, inside one
+    ``np.errstate(over="raise")``; each step is one ``deep._layer_step``
+    call on two reused buffers, and every check of ``iterate_state`` is
+    applied to the floats, so states, distances and stop equal those of
+    iterating ``iterate_state``, bit for bit.
     """
-    state = start
+    s1, s2, rho = float(start.s1_sq), float(start.s2_sq), float(start.rho)
+    norms, rhos = np.empty(2), np.ones(3)  # rhos[1:] stay 1: the rows' own diagonal
     distances = []
-    iterations = 0
     stopped = "max_iter"
-    for _ in range(max_iter):
-        try:
-            with np.errstate(over="raise"):
-                new = iterate_state(act, state, sigma_w2, sigma_b2)
-        except (ArithmeticError, ValueError):
-            stopped = "diverged"  # the norm map can be repelling
-            break
-        d = float(np.sqrt((new.s1_sq - state.s1_sq) ** 2
-                          + (new.s2_sq - state.s2_sq) ** 2
-                          + (new.rho - state.rho) ** 2))
-        if not np.isfinite(d):
-            stopped = "diverged"
-            break
-        state = new
-        iterations += 1
-        distances.append(d)
-        if d < tol:
-            stopped = "converged"
-            break
+    with np.errstate(over="raise"):
+        for _ in range(max_iter):
+            ok = 0.0 < s1 < math.inf and 0.0 < s2 < math.inf  # as _positive_norms
+            if ok:
+                norms[0], norms[1], rhos[0] = s1, s2, rho
+                try:
+                    k, t1, t2 = _layer_step(act, norms, _PAIR_ENTRIES, rhos, sigma_w2,
+                                            sigma_b2)[0].tolist()
+                    # the checks of _normalized, then of LayerState
+                    t = k / math.sqrt(t1 * t2) if t1 * t2 < math.inf else math.inf
+                    ok = (abs(t) - 1.0 <= _RHO_OVERSHOOT and math.isfinite(t1 + t2)
+                          and min(t1, t2) >= 0.0)
+                    t = min(max(t, -1.0), 1.0)
+                    d = math.sqrt((t1 - s1) ** 2 + (t2 - s2) ** 2 + (t - rho) ** 2)
+                except (ArithmeticError, ValueError):
+                    ok = False
+            if not (ok and math.isfinite(d)):
+                stopped = "diverged"  # the norm map can be repelling
+                break
+            s1, s2, rho = t1, t2, t
+            distances.append(d)
+            if d < tol:
+                stopped = "converged"
+                break
+    state = LayerState(s1, s2, rho) if distances else start
     converged = stopped == "converged"
     ratios = tuple(d1 / d0 for d0, d1 in zip(distances[:-1], distances[1:]) if d0 > 0.0)
 
@@ -277,7 +290,7 @@ def find_fixed_point(act: Activation, sigma_w2: float, sigma_b2: float,
         verdict = "not-contraction"
     else:
         verdict = "inconclusive"
-    return FixedPointReport(converged, state, iterations, ratios, verdict, sup, stopped)
+    return FixedPointReport(converged, state, len(distances), ratios, verdict, sup, stopped)
 
 
 def lambda3_sweep_rows(act: Activation, norm: float, sigma: float,

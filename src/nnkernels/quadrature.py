@@ -133,8 +133,13 @@ def autocorr_mean_quad(f, s, n: int):
     F[r, c] = f(s R_r cos phi_c), c running over the cells at one node
     position, the angular sum at theta_k is the circular autocorrelation
     of F along the cells at lag k, taken as ``irfft(|rfft(F)|^2)`` after
-    the weighted sum over the radii and node positions. f is evaluated
-    one (radial panel, sub-cell node) slab at a time, ~250 KB each.
+    the weighted sum over the radii and node positions. The reflection
+    phi -> 2 pi - phi takes node u of cell j, sub-cell s, to node -u of
+    cell 2M - 1 - j (one cell further when M is odd), sub-cell p - 1 - s,
+    where F takes the same values, as cos is even; a circular reversal and
+    shift leave |rfft|^2 unchanged. So only the two nodes u < 0 are taken,
+    at twice their weight: f is evaluated in 6 (radial panel, node) slabs
+    of ~250 KB, one at a time, where the whole circle would take 12.
     """
     m = n + 1
     p = -(-512 // m)
@@ -145,7 +150,8 @@ def autocorr_mean_quad(f, s, n: int):
     cells = np.arange(2 * m) + 0.5 * (m % 2)
     subcells = np.arange(p)
     power = np.zeros(m + 1)
-    for ui, wi in zip(u, wu):
+    # the nodes u < 0 stand for their reflections u > 0 too
+    for ui, wi in zip(u[:2], 2.0 * wu[:2]):
         cosines = np.cos(h * (cells[:, None] + (subcells + 0.5 * (ui + 1.0)) / p))
         for panel in range(3):
             rows = slice(30 * panel, 30 * panel + 30)

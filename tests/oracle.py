@@ -6,6 +6,9 @@ library computes the closed forms, and these only check them.
   normal by Gauss-Legendre panels split at the kinks.
 - ``kernel_quadrature`` / ``kernel_dot_quadrature``: the layer kernel and
   derivative kernel by the polar rule ``quadrature.pair_mean_quad``.
+- ``autocorr_mean_full``: ``quadrature.autocorr_mean_quad`` over the
+  whole circle, all four Gauss-Legendre nodes of each sub-cell; the
+  reference for its half-circle sweep.
 - ``kernel_mc``: a seeded Monte-Carlo estimate of either kernel.
 - ``kernel_grad_fd``: a central-difference hyperparameter gradient, the
   oracle for the reverse-mode ``deep.kernel_grad``.
@@ -18,7 +21,8 @@ from nnkernels import activations as act_mod
 from nnkernels.activations import Activation
 from nnkernels.deep import NetworkHyper, state_trajectory
 from nnkernels.kernels import KernelArgs
-from nnkernels.quadrature import ZMAX, _gauss_panels, pair_mean_quad
+from nnkernels.quadrature import (ZMAX, _gauss_panels, _legendre, _radial_rule,
+                                  pair_mean_quad)
 from nnkernels.special import SQRT_2PI
 
 
@@ -61,6 +65,28 @@ def kernel_dot_quadrature(act: Activation, args: KernelArgs, nodes: int = 80) ->
     f = lambda z: act_mod.deriv(act, z)
     e = pair_mean_quad(f, f, args.s1, args.s2, args.rho, nodes=nodes)
     return float(args.sigma_w2 * e)
+
+
+def autocorr_mean_full(f, s, n: int):
+    """``E[f(s Z1) f(s Z2)]`` at rho_k = cos(k pi / M), M = n + 1, k = 1..n,
+    by the cells, sub-cells and radial rule of
+    ``quadrature.autocorr_mean_quad``, with f evaluated at all four
+    Gauss-Legendre nodes of every sub-cell, around the whole circle."""
+    m = n + 1
+    p = -(-512 // m)
+    u, wu = _legendre(4)
+    h = np.pi / m
+    r, wr = _radial_rule(30)
+    cells = np.arange(2 * m) + 0.5 * (m % 2)
+    subcells = np.arange(p)
+    power = np.zeros(m + 1)
+    for ui, wi in zip(u, wu):
+        cosines = np.cos(h * (cells[:, None] + (subcells + 0.5 * (ui + 1.0)) / p))
+        for panel in range(3):
+            rows = slice(30 * panel, 30 * panel + 30)
+            spec = np.fft.rfft(f(s * r[rows, None, None] * cosines), axis=1)
+            power += (0.5 * wi * h / p) * (wr[rows] @ (spec.real ** 2 + spec.imag ** 2).sum(-1))
+    return np.fft.irfft(power, 2 * m)[1:m]
 
 
 def kernel_mc(act: Activation, args: KernelArgs, samples: int, seed: int,

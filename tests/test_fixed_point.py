@@ -92,14 +92,16 @@ class TestEigenvalues:
                 assert lam == pytest.approx(quad, rel=1e-12)
 
     def test_no_quadrature_on_the_jacobian_path(self, monkeypatch):
-        from nnkernels import fixed_point, kernels, quadrature
+        from nnkernels import fixed_point, quadrature
 
         def boom(*args, **kwargs):
             raise AssertionError("quadrature called")
 
-        for mod in (quadrature, kernels, fixed_point):
-            for name in ("pair_mean_quad", "autocorr_mean_quad", "normal_panel_nodes"):
-                monkeypatch.setattr(mod, name, boom, raising=False)
+        # every quadrature name a package module holds; raising=True, so a
+        # renamed one fails here instead of leaving the guard patching nothing
+        for mod, name in ((quadrature, "pair_mean_quad"), (quadrature, "autocorr_mean_quad"),
+                          (fixed_point, "autocorr_mean_quad")):
+            monkeypatch.setattr(mod, name, boom, raising=True)
         hyper = NetworkHyper.shared(2, 1.5, 0.1)
         for act in (GELU, ERF, ELU, RELU):
             tri = eigenvalues(act, 1.3, 0.8, 0.4, 1.5, 0.1)
@@ -466,6 +468,75 @@ class TestFindFixedPoint:
         assert report.stopped == "diverged"
         assert not report.converged
         assert np.isfinite(report.final_state.s1_sq) and report.final_state.s1_sq > 1e70
+
+
+def _iterate_state_loop(act, sw2, sb2, start, tol=1e-10, max_iter=10_000):
+    """The loop of ``find_fixed_point`` written over ``iterate_state``: a
+    LayerState per step, each step in its own errstate, the distance on
+    the states' numpy scalars. Returns (final state, iterations, stopped,
+    per-step ratios)."""
+    state, distances, stopped = start, [], "max_iter"
+    for _ in range(max_iter):
+        try:
+            with np.errstate(over="raise"):
+                new = iterate_state(act, state, sw2, sb2)
+        except (ArithmeticError, ValueError):
+            stopped = "diverged"
+            break
+        d = float(np.sqrt((new.s1_sq - state.s1_sq) ** 2 + (new.s2_sq - state.s2_sq) ** 2
+                          + (new.rho - state.rho) ** 2))
+        if not np.isfinite(d):
+            stopped = "diverged"
+            break
+        state = new
+        distances.append(d)
+        if d < tol:
+            stopped = "converged"
+            break
+    ratios = tuple(d1 / d0 for d0, d1 in zip(distances[:-1], distances[1:]) if d0 > 0.0)
+    return state, len(distances), stopped, ratios
+
+
+def _assert_loop_is_iterate_state(act, sw2, sb2, start, max_iter):
+    report = find_fixed_point(act, sw2, sb2, start, max_iter=max_iter)
+    state, iterations, stopped, ratios = _iterate_state_loop(act, sw2, sb2, start,
+                                                             max_iter=max_iter)
+    assert (report.iterations, report.stopped, report.converged) == (
+        iterations, stopped, stopped == "converged")
+    for field in ("s1_sq", "s2_sq", "rho"):
+        assert float(getattr(report.final_state, field)).hex() == float(
+            getattr(state, field)).hex(), field
+    assert [r.hex() for r in report.per_step_ratio] == [r.hex() for r in ratios]
+    return report
+
+
+@pytest.mark.parametrize("norm", [0.5, 1.0, 5.0])
+@pytest.mark.parametrize("act", [lrelu(0.2), GELU, ELU, selu(1.0507, 1.6733), RELU, ERF],
+                         ids=lambda a: a.kind)
+def test_loop_equals_iterate_state_bit_for_bit(act, norm):
+    # the float-state loop against the same loop over iterate_state: the
+    # contraction (LReLU, ReLU), the repelling norm map (GELU) and the ELU
+    # bands, out to 512 steps
+    sigma = 1.2 if act is ERF and norm >= 1.0 else sigma_star(act, norm)
+    _assert_loop_is_iterate_state(act, sigma ** 2, 0.0, input_state(2.0, norm, sigma ** 2, 0.0),
+                                  512)
+
+
+def test_loop_diverges_where_iterate_state_does():
+    # a zero squared norm, refused before the first step
+    report = _assert_loop_is_iterate_state(GELU, 2.0, 0.0, LayerState(1.0, 0.0, 0.5), 512)
+    assert (report.stopped, report.iterations) == ("diverged", 0)
+    # GELU at sigma*(0.5) from theta0 = 1: the norm grows until a step overflows
+    sigma = sigma_star(GELU, 0.5)
+    report = _assert_loop_is_iterate_state(GELU, sigma ** 2, 0.0,
+                                           input_state(1.0, 0.5, sigma ** 2, 0.0), 10_000)
+    assert report.stopped == "diverged" and report.iterations > 512
+    # ELU at sigma_w^2 = 4 from s = 10: s passes ELU_S_MAX = 25 within three
+    # steps, and the next step's kernel call refuses it
+    report = _assert_loop_is_iterate_state(ELU, 4.0, 0.0, LayerState(100.0, 100.0, 0.3), 512)
+    assert (report.stopped, report.iterations) == ("diverged", 3)
+    with pytest.raises(OverflowError, match="s <= 25"):
+        iterate_state(ELU, report.final_state, 4.0, 0.0)
 
 
 @pytest.mark.parametrize("norm", [0.5, 1.0, 5.0])

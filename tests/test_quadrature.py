@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from nnkernels import activations as am
-from nnkernels.activations import ELU, GELU, RELU, lrelu
+from nnkernels.activations import ELU, ERF, GELU, RELU, lrelu, selu
 from nnkernels.fixed_point import lambda3_quad_grid, sigma_star
 from nnkernels.kernels import pair_mean
 from nnkernels.quadrature import autocorr_mean_quad, pair_mean_quad
+
+from oracle import autocorr_mean_full
 
 # a kinked integrand (the LReLU step derivative) and a smooth one
 INTEGRANDS = {"lrelu-deriv": lambda z: am.deriv(lrelu(0.2), z),
@@ -152,11 +154,40 @@ def test_elu_dot_oracle_against_mpmath_at_s7():
     assert abs(autocorr_mean_quad(f, s, 512)[336] - float(ref)) <= 1e-13
 
 
+@pytest.mark.parametrize("act", [RELU, lrelu(0.2), GELU, ERF, ELU, selu(1.0507, 1.6733)],
+                         ids=lambda a: a.kind)
+def test_half_circle_sweep_matches_the_full_circle(act):
+    # the nodes u < 0 at double weight against all four nodes: equal in
+    # exact arithmetic; measured at most 3.5e-14 relative (ReLU), 3.3e-15
+    # for the others
+    f = lambda z: am.deriv(act, z)
+    for n in (7, 31, 100, 512):
+        for s in (0.3, 1.3, 7.0):
+            got, want = autocorr_mean_quad(f, s, n), autocorr_mean_full(f, s, n)
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13, (n, s)
+
+
+def test_lambda3_grid_evaluates_psi_prime_on_half_the_circle(monkeypatch):
+    # 2 nodes x 90 radii x 1026 cells of one sub-cell each at 512 angles;
+    # the whole circle takes 4 nodes, 369,360 points
+    sizes, deriv = [], am.deriv
+
+    def counted(act, z):
+        sizes.append(z.size)
+        return deriv(act, z)
+
+    monkeypatch.setattr(am, "deriv", counted)
+    s = sigma_star(GELU, 1.0)
+    lambda3_quad_grid(GELU, s, np.pi * (np.arange(512) + 1.0) / 513.0, s * s, 0.0)
+    assert sum(sizes) == 184_680 and len(sizes) == 6
+
+
 def test_lambda3_grid_peak_memory_is_tile_sized():
     # the 512-angle sweep of `nnk fixedpoint`: psi' is evaluated once on a
-    # (90, 4104) grid, one (30, 1026) slab of ~250 KB at a time (its
-    # spectrum and the integrand's temporaries add a few more), where the
-    # whole grid would be 3 MB and one (90, 240) grid per angle 88 MB
+    # (90, 2052) grid, the two nodes u < 0 of every sub-cell, one (30, 1026)
+    # slab of ~250 KB at a time (its spectrum and the integrand's
+    # temporaries add a few more), where that grid whole would be 1.5 MB
+    # and one (90, 240) grid per angle 88 MB
     s = sigma_star(GELU, 1.0)
     thetas = np.pi * (np.arange(512) + 1.0) / 513.0
     tracemalloc.start()
