@@ -470,11 +470,11 @@ class TestFindFixedPoint:
         assert np.isfinite(report.final_state.s1_sq) and report.final_state.s1_sq > 1e70
 
 
-def _iterate_state_loop(act, sw2, sb2, start, tol=1e-10, max_iter=10_000):
-    """The loop of ``find_fixed_point`` written over ``iterate_state``: a
-    LayerState per step, each step in its own errstate, the distance on
-    the states' numpy scalars. Returns (final state, iterations, stopped,
-    per-step ratios)."""
+def _iterate_state_loop(act, sw2, sb2, start, max_iter):
+    """The loop of ``find_fixed_point`` at its default tol, written over
+    ``iterate_state``: a LayerState per step, each step in its own
+    errstate, the distance on the states' numpy scalars. Returns (final
+    state, iterations, stopped, per-step ratios)."""
     state, distances, stopped = start, [], "max_iter"
     for _ in range(max_iter):
         try:
@@ -490,7 +490,7 @@ def _iterate_state_loop(act, sw2, sb2, start, tol=1e-10, max_iter=10_000):
             break
         state = new
         distances.append(d)
-        if d < tol:
+        if d < 1e-10:
             stopped = "converged"
             break
     ratios = tuple(d1 / d0 for d0, d1 in zip(distances[:-1], distances[1:]) if d0 > 0.0)
@@ -499,8 +499,7 @@ def _iterate_state_loop(act, sw2, sb2, start, tol=1e-10, max_iter=10_000):
 
 def _assert_loop_is_iterate_state(act, sw2, sb2, start, max_iter):
     report = find_fixed_point(act, sw2, sb2, start, max_iter=max_iter)
-    state, iterations, stopped, ratios = _iterate_state_loop(act, sw2, sb2, start,
-                                                             max_iter=max_iter)
+    state, iterations, stopped, ratios = _iterate_state_loop(act, sw2, sb2, start, max_iter)
     assert (report.iterations, report.stopped, report.converged) == (
         iterations, stopped, stopped == "converged")
     for field in ("s1_sq", "s2_sq", "rho"):
