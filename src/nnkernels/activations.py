@@ -68,12 +68,6 @@ def from_name(name: str, lrelu_slope: float = 0.2, selu_lambda: float = 1.050700
     return Activation(name)
 
 
-def _selu_params(act: Activation):
-    if act.kind == "elu":
-        return 1.0, 1.0
-    return act.selu_lambda, act.selu_alpha
-
-
 def eval(act: Activation, z):
     """psi(z), vectorized."""
     z = np.asarray(z, dtype=float)
@@ -81,8 +75,7 @@ def eval(act: Activation, z):
     if kind == "gelu":
         out = z * ndtr(z)
     elif kind in ("elu", "selu"):
-        lam, alpha = _selu_params(act)
-        out = lam * np.where(z > 0, z, alpha * np.expm1(np.minimum(z, 0.0)))
+        out = act.selu_lambda * np.where(z > 0, z, act.selu_alpha * np.expm1(np.minimum(z, 0.0)))
     elif kind == "relu":
         out = np.maximum(z, 0.0)
     elif kind == "lrelu":
@@ -99,8 +92,7 @@ def deriv(act: Activation, z):
     if kind == "gelu":
         out = ndtr(z) + z * np.exp(-0.5 * z * z) / SQRT_2PI
     elif kind in ("elu", "selu"):
-        lam, alpha = _selu_params(act)
-        out = lam * np.where(z >= 0, 1.0, alpha * np.exp(np.minimum(z, 0.0)))
+        out = act.selu_lambda * np.where(z >= 0, 1.0, act.selu_alpha * np.exp(np.minimum(z, 0.0)))
     elif kind == "relu":
         out = (z >= 0).astype(float)
     elif kind == "lrelu":

@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import astuple
 
 import numpy as np
 
@@ -198,7 +197,7 @@ def cmd_benchmark(args):
                                       metric=args.metric, n_splits=args.splits,
                                       train_frac=args.train_frac, seed=args.seed,
                                       sigma_b2=args.sigma_b2)
-    return gp_mod.GRID_CSV_COLUMNS, [astuple(r) for r in rows], {"best": ranked[:5]}
+    return gp_mod.GRID_CSV_COLUMNS, rows, {"best": ranked[:5]}
 
 
 def cmd_simplicity(args):

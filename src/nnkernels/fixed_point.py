@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import ELU, GELU, Activation, lrelu
-from .deep import _PAIR_ENTRIES, _RHO_OVERSHOOT, LayerState, _layer_jacobian, _layer_step
+from .deep import (_PAIR_ENTRIES, _RHO_OVERSHOOT, LayerState, _layer_jacobian, _layer_step,
+                   _positive_norms)
 from .kernels import ELU_S_MAX, diag_mean, kernel_dot_values, kernel_values
 from .quadrature import autocorr_mean_quad
 from . import activations as act_mod
@@ -70,10 +71,10 @@ def eigenvalues(act: Activation, s1_sq: float, s2_sq: float, rho: float,
     """Jacobian eigenvalues of the layer map at the given state.
 
     lambda_1/lambda_2 are the diagonal of the closed-form layer
-    Jacobian, lambda_3 comes from ``lambda3``.
+    Jacobian, lambda_3 comes from ``lambda3``; the squared norms are
+    checked as in ``iterate_state``.
     """
-    if s1_sq <= 0.0 or s2_sq <= 0.0:
-        raise ValueError("eigenvalues requires positive squared norms")
+    _positive_norms(np.array([s1_sq, s2_sq]), "eigenvalues")
     if np.isnan(rho) or abs(rho) > 1.0:
         raise ValueError("rho must lie in [-1, 1]")
     jac = _layer_jacobian(act, s1_sq, s2_sq, rho * np.sqrt(s1_sq * s2_sq), sigma_w2)
@@ -229,14 +230,15 @@ def find_fixed_point(act: Activation, sigma_w2: float, sigma_b2: float,
     Non-convergence is reported, not raised: ``stopped`` says whether
     the iteration converged, ran out of ``max_iter`` steps or diverged
     (a step that overflows, fails or moves by a non-finite distance ends
-    the loop at the last finite state). The verdict derives from the sup
-    of |lambda_3| over the 512 angles theta = k pi / 513 at the norm
-    fixed point: below 1 is "unique-contraction", above 1
-    "not-contraction", else "inconclusive". At equal scales Mehler's
-    expansion gives E[psi'(s Z1) psi'(s Z2)] = sum_n b_n(s)^2 rho^n, so
-    |lambda_3(rho)| <= lambda_3(|rho|), which grows with |rho|: the sup
-    sits at an end angle, and only pi / 513 and pi - pi / 513 are
-    evaluated (an even psi', as ERF's, ties the two).
+    the loop at the last finite state); a start whose squared norms are not
+    finite and positive raises ``ValueError``, as in ``iterate_state``.
+    The verdict derives from the sup of |lambda_3| over the 512 angles
+    theta = k pi / 513 at the norm fixed point: below 1 is
+    "unique-contraction", above 1 "not-contraction", else "inconclusive".
+    At equal scales Mehler's expansion gives E[psi'(s Z1) psi'(s Z2)] =
+    sum_n b_n(s)^2 rho^n, so |lambda_3(rho)| <= lambda_3(|rho|), which
+    grows with |rho|: the sup sits at an end angle, and only pi / 513 and
+    pi - pi / 513 are evaluated (an even psi', as ERF's, ties the two).
 
     The loop keeps (s1^2, s2^2, rho) as three floats, inside one
     ``np.errstate(over="raise")``; each step is one ``deep._layer_step``
@@ -244,6 +246,7 @@ def find_fixed_point(act: Activation, sigma_w2: float, sigma_b2: float,
     applied to the floats, so states, distances and stop equal those of
     iterating ``iterate_state``, bit for bit.
     """
+    _positive_norms(np.array([start.s1_sq, start.s2_sq]), "find_fixed_point")
     s1, s2, rho = float(start.s1_sq), float(start.s2_sq), float(start.rho)
     norms, rhos = np.empty(2), np.ones(3)  # rhos[1:] stay 1: the rows' own diagonal
     distances = []

@@ -14,7 +14,8 @@ a fit at N = 30. ``fit`` is the one factorization of a kernel matrix;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
@@ -120,8 +121,7 @@ def rmse(predicted, target) -> float:
     return float(np.sqrt(np.mean((predicted - target) ** 2)))
 
 
-@dataclass(frozen=True)
-class GridResult:
+class GridResult(NamedTuple):
     activation: str
     depth: int
     sigma_w2: float
@@ -133,7 +133,7 @@ class GridResult:
     nll: float
 
 
-GRID_CSV_COLUMNS = tuple(f.name for f in fields(GridResult))
+GRID_CSV_COLUMNS = GridResult._fields
 
 
 def _grid_one_sigma(act, X, y, sigma_w2, sigma_b2, depths, noise_var, splits):

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfcx, ndtr, roots_legendre
 
-from .activations import Activation, _selu_params
+from .activations import Activation
 from .quadrature import ZMAX
 from . import special
 from .special import GENZ_RHO_MAX, SQRT_2PI, TWO_PI, _check_correlation, expscaled_cdf
@@ -128,8 +128,7 @@ def _elu_moments(act, s1, s2, rho, want=("mean", "dot", "dd")):
                             "factors overflow the double range beyond that")
     shape = rho.shape
     s1, s2, rho = (a.reshape(-1) for a in (s1, s2, rho))
-    lam, alpha = _selu_params(act)
-    l2 = lam * lam
+    l2, alpha = act.selu_lambda * act.selu_lambda, act.selu_alpha
     theta = _arccos_theta(rho)
     limit = np.abs(rho) >= 1.0
     interior = np.abs(np.cos(theta)) < GENZ_RHO_MAX  # never at |rho| = 1

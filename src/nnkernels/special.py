@@ -1,19 +1,17 @@
 """Scalar special functions used by the closed-form kernels.
 
 An overflow-safe ``exp(t^2/2) * Phi(-t)`` and the bivariate normal CDF
-(Genz's rewrite of the Drezner-Wesolowsky algorithm, with optional
-exponential prefactor folded into the quadrature so that products like
-``exp(q) * Phi2`` stay finite) for |rho| < 0.925 and |rho| = 1; the
-band between is refused. The Genz rule ``_bvnu_genz`` also gives the
-other half ``Z1 > h`` of a row from the same integral; the ELU/SELU
-moments call it directly.
+``bvn_cdf_exp``, with a prefactor ``exp(q)`` folded in so that products
+like ``exp(q) * Phi2`` stay finite: Genz's rewrite of the
+Drezner-Wesolowsky algorithm for |rho| < 0.925, exact limits at |rho| = 1
+and at infinite arguments; the band between is refused. The Genz rule
+``_bvnu_genz`` also gives the other half ``Z1 > h`` of a row from the
+same integral; the ELU/SELU moments call it directly.
 
 Everything here is pure, reentrant and vectorized over ndarray inputs.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 import numpy as np
 from scipy.special import erfcx, log_ndtr, ndtr, roots_legendre
@@ -79,9 +77,9 @@ def _bvnu_genz(h, k, r, q, up=slice(0, 0)):
     at (-h, k, -r). For r < 0 the integral cancels against the product
     term, so the result loses relative accuracy where it is small next to
     it, and can come out negative: ``bvn_cdf_exp(-2.5, -2.5, -0.9)`` is below
-    0, and the ELU/SELU kernels fail at s >~ 10 (ROADMAP item 2). The
-    exponent never exceeds q, so only where q > 700 can it pass 700 and be
-    refused rather than overflow.
+    0, and the ELU/SELU kernels' error grows from max(s1, s2) ~ 5 on (the
+    table of ROADMAP item 2). The exponent never exceeds q, so only where
+    q > 700 can it pass 700 and be refused rather than overflow.
     """
     asr = np.arcsin(r)
     sn = np.sin(asr[:, None] * ((_GL_NODES + 1.0) / 2.0))
@@ -100,13 +98,6 @@ def _bvnu_genz(h, k, r, q, up=slice(0, 0)):
                            np.exp(log_ndtr(h[up]) + lk[up] + q[up]) - g[up]])
 
 
-def _bvnu_edge(h, k, r, q):
-    """The |r| = 1 branch of ``_bvnu_exp``: the degenerate limits."""
-    pos = np.exp(q + log_ndtr(-np.maximum(h, k)))
-    neg = np.maximum(0.0, np.exp(q + log_ndtr(-h)) - np.exp(q + log_ndtr(k)))
-    return np.where(r > 0, pos, neg)
-
-
 def _blocked(rule, size, *args, **kwargs):
     """``rule(*args, **kwargs)`` over consecutive blocks of ``size`` along
     the last axis of ``args``.
@@ -122,29 +113,16 @@ def _blocked(rule, size, *args, **kwargs):
                            for i in range(0, n, size)], axis=-1)
 
 
-def _bvnu_exp(h, k, r, q):
-    """``exp(q) P(X > h, Y > k)`` for standard bivariate normals at
-    correlation r, on finite 1-D arrays: the Genz rule ``_bvnu_genz`` over
-    blocks of ``_BLOCK_COLS`` entries where |r| < ``GENZ_RHO_MAX``, the
-    exact limits where |r| = 1; the band between is refused before this
-    runs. The branch masks, gathers and scatters run once per call.
-    """
-    out = np.empty(h.shape)
-    genz = np.abs(r) < GENZ_RHO_MAX
-    for m, rule in ((genz, partial(_blocked, _bvnu_genz, _BLOCK_COLS)), (~genz, _bvnu_edge)):
-        if m.any():
-            out[m] = rule(h[m], k[m], r[m], q[m])
-    return out
-
-
 def bvn_cdf_exp(h, k, rho, q=0.0):
     """``exp(q) * P(Z1 <= h, Z2 <= k)`` for correlation rho, overflow-safe.
 
     The prefactor is folded into the quadrature, so arguments where
     ``exp(q)`` overflows or ``Phi2`` underflows still give the correct
-    finite product. Infinite arguments take their limits exactly: a -inf
-    argument gives 0, and a +inf one drops its variable, so h = +inf gives
-    ``exp(q) Phi(k)``. NaN arguments and correlations outside [-1, 1] or
+    finite product. Each entry's rule is decided once: 0 at a -inf
+    argument, else ``exp(q) Phi(min(h, k))`` at a +inf argument or rho = 1,
+    ``exp(q) max(0, Phi(h) - Phi(-k))`` at rho = -1 and the Genz rule at
+    |rho| < ``GENZ_RHO_MAX``. In the limits an exponent above 700 raises
+    ``OverflowError``. NaN arguments and correlations outside [-1, 1] or
     with ``GENZ_RHO_MAX`` <= |rho| < 1 raise ``ValueError``.
     """
     h, k, rho, q = np.broadcast_arrays(
@@ -161,11 +139,20 @@ def bvn_cdf_exp(h, k, rho, q=0.0):
                          "the Genz rule is not accurate there")
     res = np.zeros(h.shape)
     fin = np.isfinite(h) & np.isfinite(k)
-    res[fin] = _bvnu_exp(-h[fin], -k[fin], rho[fin], q[fin])
-    top = ~fin & (h > -np.inf) & (k > -np.inf)  # a +inf argument and no -inf one
-    expo = q[top] + log_ndtr(np.minimum(h[top], k[top]))
+    genz = fin & (absr < GENZ_RHO_MAX)
+    if genz.any():
+        res[genz] = _blocked(_bvnu_genz, _BLOCK_COLS, -h[genz], -k[genz], rho[genz], q[genz])
+    top = (h > -np.inf) & (k > -np.inf) & (~fin | (rho == 1.0))
+    neg = fin & (rho == -1.0)
+    n = np.count_nonzero(top)
+    # the exponents of exp(q) Phi(min(h, k)) on top, of Phi(h) and Phi(-k) on neg
+    expo = (np.concatenate([q[top], q[neg], q[neg]])
+            + log_ndtr(np.concatenate([np.minimum(h[top], k[top]), h[neg], -k[neg]])))
     if (expo > 700.0).any():
         raise OverflowError(f"bvn: exponent {float(expo.max())} > 700 would overflow")
-    res[top] = np.exp(expo)
+    np.exp(expo, out=expo)
+    res[top] = expo[:n]
+    phi_h, phi_k = expo[n:].reshape(2, -1)
+    res[neg] = np.maximum(0.0, phi_h - phi_k)
     res = res.reshape(shape)
     return res if res.shape else float(res)

@@ -343,6 +343,23 @@ class TestGpCommands:
         assert rows[0][:2] == ["activation", "depth"] and len(rows) == 1 + 2
         assert len(json.loads(lines[-1])["best"]) == 1
 
+    def test_benchmark_json_rows_are_the_csv_rows(self, tmp_path, dataset_csv, capsys):
+        # the grid rows are written as they are: each JSON value prints as
+        # its CSV cell, floats by repr, so both formats hold the same bits
+        args = ["benchmark", "--dataset", str(dataset_csv), "--activation", "relu",
+                "--depth-max", "2", "--sw2-min", "0.5", "--sw2-max", "1.0",
+                "--sw2-step", "0.5", "--splits", "2"]
+        for fmt in ("csv", "json"):
+            code, _, err = run_cli(args + ["--format", fmt, "--out", str(tmp_path / fmt)],
+                                   capsys)
+            assert code == 0, err
+        header, *rows = read_csv(tmp_path / "csv")
+        obj = json.loads((tmp_path / "json").read_text())
+        assert obj["columns"] == header == list(gp_mod.GRID_CSV_COLUMNS)
+        assert len(rows) == 2 * 2 * 2
+        assert [[repr(v) if isinstance(v, float) else str(v) for v in r]
+                for r in obj["rows"]] == rows
+
     def test_benchmark_elu_past_the_guard(self, tmp_path, dataset_csv, capsys):
         # at sigma_w^2 = 5 the signal passes s = 25 within six layers on
         # this data; the cells before that are kept, the rest are nan rows

@@ -66,6 +66,13 @@ class TestEigenvalues:
             eigenvalues(GELU, 0.0, 1.0, 0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             eigenvalues(GELU, 1.0, 1.0, 1.5, 1.0, 0.0)
+        # the norms take the rule of iterate_state; an infinite one used to
+        # warn, and a NaN one to raise an ArithmeticError that did not name it
+        for s1_sq, s2_sq, row in ((np.inf, 1.0, 0), (1.0, np.nan, 1), (0.0, 1.0, 0),
+                                  (1.0, -2.0, 1)):
+            with pytest.raises(ValueError, match="eigenvalues requires finite, strictly "
+                                                 f"positive squared norms; row {row}"):
+                eigenvalues(GELU, s1_sq, s2_sq, 0.3, 1.0, 0.0)
 
     @pytest.mark.parametrize("act", [GELU, ELU, lrelu(0.2)], ids=lambda a: a.kind)
     def test_lambda3_matches_fd_of_g3(self, act):
@@ -522,9 +529,14 @@ def test_loop_equals_iterate_state_bit_for_bit(act, norm):
 
 
 def test_loop_diverges_where_iterate_state_does():
-    # a zero squared norm, refused before the first step
-    report = _assert_loop_is_iterate_state(GELU, 2.0, 0.0, LayerState(1.0, 0.0, 0.5), 512)
-    assert (report.stopped, report.iterations) == ("diverged", 0)
+    # a zero squared norm, refused before the first step by both; a zero
+    # first norm used to end in a NaN sup_lambda3 and the verdict
+    # "inconclusive"
+    for row, start in enumerate((LayerState(0.0, 1.0, 0.5), LayerState(1.0, 0.0, 0.5))):
+        with pytest.raises(ValueError, match=f"find_fixed_point .* row {row} has 0.0"):
+            find_fixed_point(GELU, 2.0, 0.0, start, max_iter=512)
+        with pytest.raises(ValueError, match=f"iterate_state .* row {row} has 0.0"):
+            iterate_state(GELU, start, 2.0, 0.0)
     # GELU at sigma*(0.5) from theta0 = 1: the norm grows until a step overflows
     sigma = sigma_star(GELU, 0.5)
     report = _assert_loop_is_iterate_state(GELU, sigma ** 2, 0.0,

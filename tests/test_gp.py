@@ -243,7 +243,7 @@ class TestGridSearch:
         ranked, rows = grid_search(self._toy(), RELU, [2], [1.0], 0.1, n_splits=2)
         assert len(ranked) == 1
         assert len(rows) == 2
-        assert set(GRID_CSV_COLUMNS) == set(rows[0].__dataclass_fields__)
+        assert set(GRID_CSV_COLUMNS) == set(rows[0]._fields)
 
     def test_linear_data_prefers_shallow(self):
         ranked, _ = grid_search(self._toy(), RELU, [1, 32], [1.0], 0.1,

@@ -157,6 +157,25 @@ class TestBvnCdf:
             bvn_cdf_exp([-40.0, 0.0], [-40.0, 0.0], 0.3, [800.0, 800.0])
         with pytest.raises(OverflowError):
             bvn_cdf_exp(np.inf, 0.0, 0.3, 800.0)
+        # at rho = +-1 the limits' exponents q + log Phi pass 700 at q = 800
+        # and are refused as at a +inf argument; np.exp used to overflow
+        # there with a RuntimeWarning
+        for rho in (1.0, -1.0):
+            with pytest.raises(OverflowError, match="> 700 would overflow"):
+                bvn_cdf_exp(1.0, 2.0, rho, 800.0)
+            with pytest.raises(OverflowError, match="> 700 would overflow"):
+                bvn_cdf_exp([0.0, 1.0], [0.0, 2.0], [0.3, rho], [1.0, 800.0])
+            assert np.isfinite(bvn_cdf_exp(1.0, 2.0, rho, 700.0))
+
+    def test_upper_limit_is_the_infinite_argument_limit(self):
+        # rho = +1 and a +inf argument take the one form exp(q) Phi(min(h, k))
+        rng = np.random.default_rng(7)
+        h, k = rng.uniform(-30, 30, (2, 500))
+        q = rng.uniform(0, 600, 500)
+        got = bvn_cdf_exp(h, k, 1.0, q)
+        r = _branch_columns(rng, 500)  # at a +inf argument the correlation drops out
+        assert np.array_equal(got, bvn_cdf_exp(np.minimum(h, k), np.inf, r, q))
+        assert got[0] == bvn_cdf_exp(np.inf, min(h[0], k[0]), -1.0, q[0])
 
 
 def _branch_columns(rng, m):
@@ -173,9 +192,12 @@ class TestBlockedBatches:
     @pytest.mark.parametrize("n", [1, _BLOCK_COLS - 1, _BLOCK_COLS, _BLOCK_COLS + 1,
                                    3 * _BLOCK_COLS + 7])
     def test_batch_equals_one_by_one(self, n):
+        # every branch: the Genz rule, rho = +-1, and a +-inf argument
         rng = np.random.default_rng(n)
         r = _branch_columns(rng, n)
         h, k = rng.uniform(-4, 4, (2, n))
+        h[2::5] = rng.choice([-np.inf, np.inf], h[2::5].size)
+        k[3::7] = rng.choice([-np.inf, np.inf], k[3::7].size)
         q = rng.uniform(0, 12, n)
         batch = bvn_cdf_exp(h, k, r, q)
         one_by_one = np.array([bvn_cdf_exp(*args) for args in zip(h, k, r, q)])
