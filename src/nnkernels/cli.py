@@ -131,8 +131,8 @@ def cmd_fixedpoint(args):
     return columns, rows, {
         "activation": act.kind, "norm": args.norm, "sigma_star": sigma,
         "verdict": report.verdict, "sup_lambda3": report.sup_lambda3,
-        "converged": report.converged, "iterations": report.iterations,
-        "final_rho": report.final_state.rho, "input_s_sq": s_sq,
+        "input_s_sq": s_sq, "s_sq_star": report.state.s1_sq, "rho_star": report.state.rho,
+        "lambda1": report.lambda1, "lambda3_at_rho_star": report.lambda3_at_rho_star,
     }
 
 
@@ -188,11 +188,21 @@ def cmd_gp_fit(args):
     return columns, rows, dict(sorted(metrics.items()))
 
 
+def _decimals(v):
+    """The fewest decimals (at most 15) that ``round`` keeps v with."""
+    return next((d for d in range(16) if round(v, d) == v), 15)
+
+
 def cmd_benchmark(args):
     act = _activation(args)
     ds = _load_standardized(args)
     depths = range(1, args.depth_max + 1)
-    sigmas = np.arange(args.sw2_min, args.sw2_max + 1e-9, args.sw2_step)
+    # min + step * i, each written with the decimals of min and step: an
+    # accumulated 1.2000000000000002 would label and evaluate the grid
+    lo, step = args.sw2_min, args.sw2_step
+    decimals = max(_decimals(lo), _decimals(step))
+    n = int(np.floor((args.sw2_max - lo) / step + 1e-9)) + 1
+    sigmas = [round(lo + step * i, decimals) for i in range(n)]
     ranked, rows = gp_mod.grid_search(ds, act, depths, sigmas, args.noise_var,
                                       metric=args.metric, n_splits=args.splits,
                                       train_frac=args.train_frac, seed=args.seed,

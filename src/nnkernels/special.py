@@ -120,7 +120,8 @@ def bvn_cdf_exp(h, k, rho, q=0.0):
     ``exp(q)`` overflows or ``Phi2`` underflows still give the correct
     finite product. Each entry's rule is decided once: 0 at a -inf
     argument, else ``exp(q) Phi(min(h, k))`` at a +inf argument or rho = 1,
-    ``exp(q) max(0, Phi(h) - Phi(-k))`` at rho = -1 and the Genz rule at
+    ``exp(q) max(0, Phi(h) - Phi(-k))`` at rho = -1 (as ``Phi(k) - Phi(-h)``
+    where both terms of the first exceed 1/2) and the Genz rule at
     |rho| < ``GENZ_RHO_MAX``. In the limits an exponent above 700 raises
     ``OverflowError``. NaN arguments and correlations outside [-1, 1] or
     with ``GENZ_RHO_MAX`` <= |rho| < 1 raise ``ValueError``.
@@ -145,9 +146,14 @@ def bvn_cdf_exp(h, k, rho, q=0.0):
     top = (h > -np.inf) & (k > -np.inf) & (~fin | (rho == 1.0))
     neg = fin & (rho == -1.0)
     n = np.count_nonzero(top)
-    # the exponents of exp(q) Phi(min(h, k)) on top, of Phi(h) and Phi(-k) on neg
+    # on neg, Phi(h) - Phi(-k) = Phi(k) - Phi(-h); the second where the
+    # first's terms both exceed 1/2, and so cancel in the upper tails
+    hn, kn = h[neg], k[neg]
+    up = (hn > 0.0) & (kn < 0.0)
+    # the exponents of exp(q) Phi(min(h, k)) on top, of the two terms on neg
     expo = (np.concatenate([q[top], q[neg], q[neg]])
-            + log_ndtr(np.concatenate([np.minimum(h[top], k[top]), h[neg], -k[neg]])))
+            + log_ndtr(np.concatenate([np.minimum(h[top], k[top]), np.where(up, kn, hn),
+                                       np.where(up, -hn, -kn)])))
     if (expo > 700.0).any():
         raise OverflowError(f"bvn: exponent {float(expo.max())} > 700 would overflow")
     np.exp(expo, out=expo)

@@ -23,7 +23,7 @@ from nnkernels.deep import NetworkHyper, deep_normalized_kernel, input_state, it
 from nnkernels.fixed_point import lambda3, sigma_star
 from nnkernels.kernels import kernel_dot_values
 
-from oracle import mean_1d
+from oracle import mean_1d, rho_star_quadrature
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -231,6 +231,20 @@ class TestFixedpoint:
         assert verdict["verdict"] == "not-contraction"
         assert verdict["sigma_star"] == pytest.approx(1.468, abs=0.01)
 
+    def test_default_rho_star_is_the_oracle_root(self, capsys):
+        # GELU at sigma*(1): the iteration used to report its collapsed
+        # state, rho 0.7535 at s^2 = 6.0e-11
+        code, stdout, err = run_cli(["fixedpoint", "--theta-points", "4"], capsys)
+        assert code == 0, err
+        summary = json.loads(stdout.splitlines()[-1])
+        assert {"converged", "iterations", "final_rho"}.isdisjoint(summary)
+        sw2 = summary["sigma_star"] ** 2
+        assert summary["s_sq_star"] == pytest.approx(summary["input_s_sq"], rel=1e-6)
+        want = rho_star_quadrature(GELU, summary["s_sq_star"], sw2, 0.0, nodes=80)
+        assert abs(summary["rho_star"] - want) <= 1e-9
+        assert summary["rho_star"] == pytest.approx(0.8531917, abs=1e-7)
+        assert summary["lambda1"] > 1.0 > summary["lambda3_at_rho_star"]
+
     def test_elu_norm_five_stays_inside_guard(self, tmp_path, capsys):
         # the norm fixed-point search grid must stop at s = 25
         code, stdout, err = run_cli([
@@ -331,6 +345,23 @@ class TestGpCommands:
         assert len(rows) == 1 + 2 * 2 * 2  # depths x sigmas x splits
         best = json.loads(stdout.strip().splitlines()[0])["best"]
         assert len(best) <= 5
+
+    def test_benchmark_sigma_w2_labels_are_the_grid_decimals(self, dataset_csv, capsys):
+        # np.arange(0.1, 5.0 + 1e-9, 0.1) wrote 1.2000000000000002 and
+        # 3.0000000000000004 and evaluated the grid there
+        code, stdout, err = run_cli([
+            "benchmark", "--dataset", str(dataset_csv), "--activation", "relu",
+            "--depth-max", "1", "--splits", "1"], capsys)
+        assert code == 0, err
+        labels = [r[2] for r in csv.reader(stdout.splitlines()[1:-1])]
+        assert labels == [repr(k / 10.0) for k in range(1, 51)]
+        code, stdout, err = run_cli([
+            "benchmark", "--dataset", str(dataset_csv), "--activation", "relu",
+            "--depth-max", "1", "--splits", "1", "--sw2-min", "0.15", "--sw2-max", "0.45",
+            "--sw2-step", "0.1"], capsys)
+        assert code == 0, err
+        assert [r[2] for r in csv.reader(stdout.splitlines()[1:-1])] == [
+            "0.15", "0.25", "0.35", "0.45"]
 
     def test_benchmark_stdout_table_then_best_line(self, dataset_csv, capsys):
         code, stdout, err = run_cli([

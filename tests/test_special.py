@@ -249,6 +249,18 @@ def _mp_bvn_exp(h, k, rho, q):
     return float(mpmath.exp(q) * mpmath.quad(f, [-mpmath.inf, *kink, h]))
 
 
+def test_minus_one_limit_in_the_upper_tails_against_mpmath():
+    # at rho = -1, P(-k <= Z1 <= h) as Phi(h) - Phi(-k) cancelled where both
+    # terms near 1: 4.6e-9 relative off at (5, -4.99) and 6.1e-3 at (8, -7.9)
+    pts = [(5.0, -4.99, 0.0), (8.0, -7.9, 0.0), (8.0, -7.9, 30.0), (3.0, -1.0, 2.0),
+           (0.5, -0.2, 0.0), (-0.2, 0.5, 0.0), (1.0, 2.0, 5.0), (6.0, 6.5, 0.0)]
+    with mpmath.workdps(40):
+        for h, k, q in pts:
+            want = float(mpmath.exp(q) * (mpmath.ncdf(h) - mpmath.ncdf(-k)))
+            assert bvn_cdf_exp(h, k, -1.0, q) == pytest.approx(want, rel=1e-14), (h, k, q)
+    assert bvn_cdf_exp(5.0, -5.0, -1.0) == 0.0 and bvn_cdf_exp(2.0, -3.0, -1.0) == 0.0
+
+
 def test_bvn_cdf_exp_against_mpmath():
     """Relative error against a 20-digit reference, on the Genz branch.
 
