@@ -131,8 +131,8 @@ def cmd_fixedpoint(args):
     return columns, rows, {
         "activation": act.kind, "norm": args.norm, "sigma_star": sigma,
         "verdict": report.verdict, "sup_lambda3": report.sup_lambda3,
-        "input_s_sq": s_sq, "s_sq_star": report.state.s1_sq, "rho_star": report.state.rho,
-        "lambda1": report.lambda1, "lambda3_at_rho_star": report.lambda3_at_rho_star,
+        "converged": report.converged, "iterations": report.iterations,
+        "final_rho": report.final_state.rho, "input_s_sq": s_sq,
     }
 
 

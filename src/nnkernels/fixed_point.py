@@ -14,9 +14,6 @@ A sup of |lambda_3| below 1 over the angle interval certifies a unique
 fixed point of the normalized kernel at rho = 1 (degenerate deep
 prior); LReLU satisfies this for every slope in [0, 1), while GELU and
 ELU at their norm-preserving weight variance exceed 1 near theta = 0.
-``find_fixed_point`` does not iterate g: it takes the fixed point as the
-roots of the two reduced maps, the norm map u -> g1(u) and the
-correlation map rho -> k(s, s, rho) / k(s, s, 1) at the norm's root.
 
 ``lambda3`` is the one implementation of lambda_3, on the closed-form
 derivative kernel; ``lambda3_quad_grid`` is its quadrature oracle (the
@@ -29,12 +26,14 @@ bound" is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .activations import ELU, GELU, Activation, lrelu
-from .deep import LayerState, _layer_jacobian, _positive_norms
+from .deep import (_PAIR_ENTRIES, _RHO_OVERSHOOT, LayerState, _layer_jacobian, _layer_step,
+                   _positive_norms)
 from .kernels import ELU_S_MAX, diag_mean, kernel_dot_values, kernel_values
 from .quadrature import autocorr_mean_quad
 from . import activations as act_mod
@@ -49,12 +48,13 @@ class EigenTriple:
 
 @dataclass(frozen=True)
 class FixedPointReport:
-    state: LayerState  # (u*, u*, rho*)
-    iterations: int  # bisection steps of the rho* search
+    converged: bool
+    final_state: LayerState
+    iterations: int
+    per_step_ratio: tuple
     verdict: str  # unique-contraction | not-contraction | inconclusive
     sup_lambda3: float
-    lambda1: float
-    lambda3_at_rho_star: float
+    stopped: str  # converged | max_iter | diverged
 
 
 def lambda3(act: Activation, s1, s2, rho, sigma_w2, sigma_b2):
@@ -122,14 +122,13 @@ def lambda3_elu(norm: float, sigma: float, theta) -> float:
     return kernel_dot_values(ELU, sigma * norm, sigma * norm, np.cos(theta), sigma * sigma)
 
 
-def _bisect(f, a: float, b: float, xtol: float, maxiter: int = 100) -> tuple:
-    """(root of f in [a, b], steps) by the steps of ``scipy.optimize.bisect``
+def _bisect(f, a: float, b: float, xtol: float) -> float:
+    """Root of f in [a, b] by the steps of ``scipy.optimize.bisect``
     (scipy 1.17, rtol = 4 eps), bit for bit: halve the step from a, move
     a to the midpoint when f there has the sign of f(a), and stop at the
     first zero or when the step falls below xtol + rtol |x|. Signs are
     compared, not products, which could underflow. A NaN from f raises
-    ``ValueError``, and no stop within ``maxiter`` steps ``RuntimeError``,
-    as scipy's do. A root at an end takes 0 steps."""
+    ``ValueError``, as scipy's does."""
     rtol = 4.0 * np.finfo(float).eps
 
     def value(x):
@@ -141,21 +140,21 @@ def _bisect(f, a: float, b: float, xtol: float, maxiter: int = 100) -> tuple:
     a, b = float(a), float(b)
     fa, fb = value(a), value(b)
     if fa == 0.0:
-        return a, 0
+        return a
     if fb == 0.0:
-        return b, 0
+        return b
     if (fa < 0.0) == (fb < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
     dm = b - a
-    for step in range(1, maxiter + 1):
+    for _ in range(100):
         dm *= 0.5
         xm = a + dm
         fm = value(xm)
         if (fm < 0.0) == (fa < 0.0):
             a = xm
         if fm == 0.0 or abs(dm) < xtol + rtol * abs(xm):
-            return xm, step
-    raise RuntimeError(f"bisection did not converge in {maxiter} steps, last x={a}")
+            return xm
+    raise RuntimeError(f"bisection did not converge in 100 steps, last x={a}")
 
 
 _ANALYTIC_SIGMA_STAR = {"relu": lambda a: np.sqrt(2.0),
@@ -188,7 +187,7 @@ def sigma_star(act: Activation, norm: float) -> float:
     lo, hi = 0.5, min(3.0, cap)
     for _ in range(8):
         if f(lo) * f(hi) < 0.0:
-            return _bisect(f, lo, hi, 1e-8)[0]
+            return _bisect(f, lo, hi, 1e-8)
         lo, hi = lo / 2.0, min(hi * 2.0, cap)
     raise ValueError(
         f"no sign change for sigma in [{lo:.3g}, {hi:.3g}]: norm preservation "
@@ -197,15 +196,15 @@ def sigma_star(act: Activation, norm: float) -> float:
 
 
 def _norm_fixed_point(act: Activation, u0: float, sigma_w2: float,
-                      sigma_b2: float, max_iter: int = 100) -> float:
-    """Fixed point of the squared-norm map g1 near u0, as a root of
-    g1(u) - u: the sign change on a geometric grid around u0 nearest to
-    it, bisected in at most ``max_iter`` steps. A root is found whether it
-    attracts or repels (GELU at its norm-preserving variance: lambda_1 > 1;
-    ELU: < 1). Absolutely homogeneous activations make g1(u) - u vanish
-    identically at the preserving variance, in which case u0 is returned
-    as-is, as it is where no grid cell changes sign. For ELU/SELU the
-    search stays within s <= ELU_S_MAX.
+                      sigma_b2: float) -> float:
+    """Fixed point of the squared-norm map g1 near u0.
+
+    The iterated value cannot be trusted directly: for GELU at its
+    norm-preserving variance the fixed point is repelling (lambda_1 > 1;
+    for ELU it attracts), so long iterations drift off it. Refine by root
+    finding; absolutely homogeneous activations make g1(u) - u vanish
+    identically at the preserving variance, in which case u0 is
+    returned as-is. For ELU/SELU the search stays within s <= ELU_S_MAX.
     """
     def h(u):
         return kernel_values(act, np.sqrt(u), np.sqrt(u), 1.0, sigma_w2, sigma_b2) - u
@@ -220,61 +219,81 @@ def _norm_fixed_point(act: Activation, u0: float, sigma_w2: float,
     if sign_change.size == 0:
         return u0
     i = sign_change[np.argmin(np.abs(np.log(grid[sign_change] / u0)))]
-    return _bisect(h, grid[i], grid[i + 1], 1e-12, max_iter)[0]
+    return _bisect(h, grid[i], grid[i + 1], 1e-12)
 
 
 def find_fixed_point(act: Activation, sigma_w2: float, sigma_b2: float,
-                     start: LayerState, max_iter: int = 100) -> FixedPointReport:
-    """The fixed point (u*, u*, rho*) of the layer map, as roots of its
-    reduced maps, with its stability and a contraction verdict.
+                     start: LayerState, tol: float = 1e-10,
+                     max_iter: int = 10_000) -> FixedPointReport:
+    """Iterate the layer map and classify the fixed point.
 
-    u* is the root of the norm map g1 next to ``start.s1_sq``
-    (``_norm_fixed_point``; where g1(u) - u keeps its sign around the
-    start, as for ReLU with sigma_b^2 > 0 at sigma*, it is the start's
-    squared norm), and rho* the root in [0, 1) of the correlation
-    map c(rho) = k(s, s, rho) / k(s, s, 1) - rho at s^2 = u*. By Mehler's
-    expansion k(s, s, rho) = sigma_w^2 sum_n a_n^2 rho^n + sigma_b^2 is
-    convex on [0, 1], with c(0) >= 0 and c(1) = 0, so that root is unique:
-    it is bisected on [0, cos(pi / 513)] when c is negative there, else
-    rho* = 1. For odd psi (and sigma_b^2 = 0) the roots come in pairs
-    +-rho*; the report gives the one in [0, 1). ``max_iter`` caps the
-    steps of each root search; ``iterations`` counts those of rho*'s.
-    lambda_1 and lambda_3(rho*) are the ``eigenvalues`` there. A start
-    whose squared norms are not finite and positive raises ``ValueError``,
-    as in ``iterate_state``.
-
+    Non-convergence is reported, not raised: ``stopped`` says whether
+    the iteration converged, ran out of ``max_iter`` steps or diverged
+    (a step that overflows, fails or moves by a non-finite distance ends
+    the loop at the last finite state); a start whose squared norms are not
+    finite and positive raises ``ValueError``, as in ``iterate_state``.
     The verdict derives from the sup of |lambda_3| over the 512 angles
-    theta = k pi / 513 at s^2 = u*: below 1 is "unique-contraction",
-    above 1 "not-contraction", else "inconclusive". At equal scales
-    Mehler's expansion gives E[psi'(s Z1) psi'(s Z2)] = sum_n b_n(s)^2
-    rho^n, so |lambda_3(rho)| <= lambda_3(|rho|), which grows with |rho|:
-    the sup sits at an end angle, and only pi / 513 and pi - pi / 513 are
-    evaluated (an even psi', as ERF's, ties the two).
+    theta = k pi / 513 at the norm fixed point: below 1 is
+    "unique-contraction", above 1 "not-contraction", else "inconclusive".
+    At equal scales Mehler's expansion gives E[psi'(s Z1) psi'(s Z2)] =
+    sum_n b_n(s)^2 rho^n, so |lambda_3(rho)| <= lambda_3(|rho|), which
+    grows with |rho|: the sup sits at an end angle, and only pi / 513 and
+    pi - pi / 513 are evaluated (an even psi', as ERF's, ties the two).
+
+    The loop keeps (s1^2, s2^2, rho) as three floats, inside one
+    ``np.errstate(over="raise")``; each step is one ``deep._layer_step``
+    call on two reused buffers, and every check of ``iterate_state`` is
+    applied to the floats, so states, distances and stop equal those of
+    iterating ``iterate_state``, bit for bit.
     """
     _positive_norms(np.array([start.s1_sq, start.s2_sq]), "find_fixed_point")
-    u = _norm_fixed_point(act, start.s1_sq, sigma_w2, sigma_b2, max_iter)
-    s = float(np.sqrt(u))
-    ends = np.cos(np.pi * np.array([1.0, 512.0]) / 513.0)
-    sup = float(np.max(np.abs(lambda3(act, s, s, ends, sigma_w2, sigma_b2))))
+    s1, s2, rho = float(start.s1_sq), float(start.s2_sq), float(start.rho)
+    norms, rhos = np.empty(2), np.ones(3)  # rhos[1:] stay 1: the rows' own diagonal
+    distances = []
+    stopped = "max_iter"
+    with np.errstate(over="raise"):
+        for _ in range(max_iter):
+            ok = 0.0 < s1 < math.inf and 0.0 < s2 < math.inf  # as _positive_norms
+            if ok:
+                norms[0], norms[1], rhos[0] = s1, s2, rho
+                try:
+                    k, t1, t2 = _layer_step(act, norms, _PAIR_ENTRIES, rhos, sigma_w2,
+                                            sigma_b2)[0].tolist()
+                    # the checks of _normalized, then of LayerState
+                    t = k / math.sqrt(t1 * t2) if t1 * t2 < math.inf else math.inf
+                    ok = (abs(t) - 1.0 <= _RHO_OVERSHOOT and math.isfinite(t1 + t2)
+                          and min(t1, t2) >= 0.0)
+                    t = min(max(t, -1.0), 1.0)
+                    d = math.sqrt((t1 - s1) ** 2 + (t2 - s2) ** 2 + (t - rho) ** 2)
+                except (ArithmeticError, ValueError):
+                    ok = False
+            if not (ok and math.isfinite(d)):
+                stopped = "diverged"  # the norm map can be repelling
+                break
+            s1, s2, rho = t1, t2, t
+            distances.append(d)
+            if d < tol:
+                stopped = "converged"
+                break
+    state = LayerState(s1, s2, rho) if distances else start
+    converged = stopped == "converged"
+    ratios = tuple(d1 / d0 for d0, d1 in zip(distances[:-1], distances[1:]) if d0 > 0.0)
+
+    # The verdict's lambda_3 is taken at the norm fixed point on the
+    # *starting* sphere: the iterated norm cannot be used directly
+    # because a repelling fixed point (lambda_1 > 1, as for GELU at
+    # sigma*) lets rounding noise drift it to another attractor.
+    thetas = np.pi * np.array([1.0, 512.0]) / 513.0
+    s_fp = float(np.sqrt(_norm_fixed_point(act, start.s1_sq, sigma_w2, sigma_b2)))
+    lam3 = lambda3(act, s_fp, s_fp, np.cos(thetas), sigma_w2, sigma_b2)
+    sup = float(np.max(np.abs(lam3)))
     if sup < 1.0 - 1e-9:
         verdict = "unique-contraction"
     elif sup > 1.0 + 1e-9:
         verdict = "not-contraction"
     else:
         verdict = "inconclusive"
-
-    g = kernel_values(act, s, s, 1.0, sigma_w2, sigma_b2)
-
-    def c(rho):
-        return kernel_values(act, s, s, rho, sigma_w2, sigma_b2) / g - rho
-
-    # an absolute xtol: rho* is ~1e-14 for SELU at sigma*(1) and 0 for ERF
-    rho, steps = 1.0, 0
-    if c(ends[0]) < 0.0:
-        rho, steps = _bisect(c, 0.0, ends[0], 4.0 * np.finfo(float).eps, max_iter)
-    tri = eigenvalues(act, u, u, rho, sigma_w2, sigma_b2)
-    return FixedPointReport(LayerState(u, u, rho), steps, verdict, sup, tri.lambda1,
-                            tri.lambda3)
+    return FixedPointReport(converged, state, len(distances), ratios, verdict, sup, stopped)
 
 
 def lambda3_sweep_rows(act: Activation, norm: float, sigma: float,

@@ -6,9 +6,6 @@ library computes the closed forms, and these only check them.
   normal by Gauss-Legendre panels split at the kinks.
 - ``kernel_quadrature`` / ``kernel_dot_quadrature``: the layer kernel and
   derivative kernel by the polar rule ``quadrature.pair_mean_quad``.
-- ``rho_star_quadrature``: the root of the correlation map
-  ``k(s, s, rho) / k(s, s, 1) - rho`` of ``kernel_quadrature``, by scipy's
-  ``brentq``.
 - ``autocorr_mean_full``: ``quadrature.autocorr_mean_quad`` over the
   whole circle, all four Gauss-Legendre nodes of each sub-cell; the
   reference for its half-circle sweep.
@@ -68,23 +65,6 @@ def kernel_dot_quadrature(act: Activation, args: KernelArgs, nodes: int = 80) ->
     f = lambda z: act_mod.deriv(act, z)
     e = pair_mean_quad(f, f, args.s1, args.s2, args.rho, nodes=nodes)
     return float(args.sigma_w2 * e)
-
-
-def rho_star_quadrature(act: Activation, s_sq: float, sigma_w2: float, sigma_b2: float,
-                        nodes: int = 80) -> float:
-    """Root of ``c(rho) = k(s, s, rho) / k(s, s, 1) - rho`` at s^2 = s_sq,
-    with k from ``kernel_quadrature`` at ``nodes`` nodes, by scipy's
-    ``brentq`` on [-0.1, cos(pi / 513)]. The bracket reaches below 0
-    because a root at 0 (SELU's at sigma*(1) is 1.2e-14) sits within the
-    quadrature's rounding of it."""
-    from scipy.optimize import brentq
-    s = float(np.sqrt(s_sq))
-    g = kernel_quadrature(act, KernelArgs(s, s, 1.0, sigma_w2, sigma_b2), nodes)
-
-    def c(rho):
-        return kernel_quadrature(act, KernelArgs(s, s, rho, sigma_w2, sigma_b2), nodes) / g - rho
-
-    return float(brentq(c, -0.1, np.cos(np.pi / 513.0), xtol=1e-15))
 
 
 def autocorr_mean_full(f, s, n: int):

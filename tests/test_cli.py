@@ -23,7 +23,7 @@ from nnkernels.deep import NetworkHyper, deep_normalized_kernel, input_state, it
 from nnkernels.fixed_point import lambda3, sigma_star
 from nnkernels.kernels import kernel_dot_values
 
-from oracle import mean_1d, rho_star_quadrature
+from oracle import mean_1d
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -230,20 +230,6 @@ class TestFixedpoint:
         verdict = json.loads(stdout.strip().splitlines()[-1])
         assert verdict["verdict"] == "not-contraction"
         assert verdict["sigma_star"] == pytest.approx(1.468, abs=0.01)
-
-    def test_default_rho_star_is_the_oracle_root(self, capsys):
-        # GELU at sigma*(1): the iteration used to report its collapsed
-        # state, rho 0.7535 at s^2 = 6.0e-11
-        code, stdout, err = run_cli(["fixedpoint", "--theta-points", "4"], capsys)
-        assert code == 0, err
-        summary = json.loads(stdout.splitlines()[-1])
-        assert {"converged", "iterations", "final_rho"}.isdisjoint(summary)
-        sw2 = summary["sigma_star"] ** 2
-        assert summary["s_sq_star"] == pytest.approx(summary["input_s_sq"], rel=1e-6)
-        want = rho_star_quadrature(GELU, summary["s_sq_star"], sw2, 0.0, nodes=80)
-        assert abs(summary["rho_star"] - want) <= 1e-9
-        assert summary["rho_star"] == pytest.approx(0.8531917, abs=1e-7)
-        assert summary["lambda1"] > 1.0 > summary["lambda3_at_rho_star"]
 
     def test_elu_norm_five_stays_inside_guard(self, tmp_path, capsys):
         # the norm fixed-point search grid must stop at s = 25

@@ -3,17 +3,17 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nnkernels import activations as am
-from nnkernels import deep
-from nnkernels.activations import ELU, ERF, GELU, RELU, from_name, lrelu, selu
+from nnkernels.activations import ELU, ERF, GELU, RELU, lrelu, selu
 from nnkernels.deep import (LayerState, NetworkHyper, _layer_jacobian,
-                            deep_normalized_kernel, input_state, iterate_state,
-                            kernel_grad, state_trajectory)
+                            input_state, iterate_state, kernel_grad,
+                            state_trajectory)
 from nnkernels.fixed_point import (eigenvalues, find_fixed_point, lambda3,
                                    lambda3_elu, lambda3_gelu_lower,
                                    lambda3_lrelu, lambda3_quad_grid,
@@ -22,9 +22,7 @@ from nnkernels.fixed_point import (eigenvalues, find_fixed_point, lambda3,
 from nnkernels import fixed_point
 from nnkernels.kernels import KernelArgs, kernel_values
 
-from oracle import kernel_dot_quadrature, mean_1d, rho_star_quadrature
-
-SELU = from_name("selu")
+from oracle import kernel_dot_quadrature, mean_1d
 
 
 def g1_value(act, s1_sq, sw2, sb2):
@@ -352,15 +350,14 @@ class TestSigmaStar:
             sigma_star(GELU, 0.0)
 
 
-def _scipy_bisect(f, a, b, xtol, maxiter=100):
+def _scipy_bisect(f, a, b, xtol):
     from scipy.optimize import bisect
-    x, result = bisect(f, a, b, xtol=xtol, maxiter=maxiter, full_output=True)
-    return float(x), result.iterations
+    return float(bisect(f, a, b, xtol=xtol))
 
 
 def test_roots_match_scipy_bisect_bit_for_bit(monkeypatch):
     # the in-module bisection takes scipy.optimize.bisect's steps and stop
-    # rule; every root finder of this module returns the same doubles
+    # rule; both root finders of this module return the same doubles
     def roots():
         out = [sigma_star(act, norm) for act in (GELU, ELU, selu(1.0507, 1.6733))
                for norm in (0.5, 1.0, 5.0)]
@@ -370,11 +367,6 @@ def test_roots_match_scipy_bisect_bit_for_bit(monkeypatch):
                 sigma = 1.2 if act is ERF else sigma_star(act, norm)
                 for sw2, sb2 in ((sigma ** 2, 0.0), (2.0, 0.1)):
                     out.append(_norm_fixed_point(act, sw2 * norm * norm + sb2, sw2, sb2))
-        for act in (GELU, ELU, SELU):
-            for norm in (0.5, 1.0, 5.0):
-                sw2 = sigma_star(act, norm) ** 2
-                out.append(find_fixed_point(act, sw2, 0.0, input_state(2.0, norm, sw2, 0.0),
-                                            max_iter=512).state.rho)
         return out
 
     ours = roots()
@@ -389,7 +381,7 @@ def test_roots_match_scipy_bisect_bit_for_bit(monkeypatch):
                                      (lambda x: np.exp(x) - 1e-300, -800.0, 0.0)])
 @pytest.mark.parametrize("xtol", [1e-300, 1e-12, 1e-3])
 def test_bisect_matches_scipy(f, a, b, xtol):
-    assert fixed_point._bisect(f, a, b, xtol)[0] == _scipy_bisect(f, a, b, xtol)[0]
+    assert fixed_point._bisect(f, a, b, xtol) == _scipy_bisect(f, a, b, xtol)
 
 
 def test_bisect_refuses_nan_and_an_unbracketed_root():
@@ -397,17 +389,6 @@ def test_bisect_refuses_nan_and_an_unbracketed_root():
         fixed_point._bisect(lambda x: np.nan if x > 0.4 else -1.0, 0.0, 1.0, 1e-8)
     with pytest.raises(ValueError, match="different signs"):
         fixed_point._bisect(lambda x: x + 2.0, 0.0, 1.0, 1e-8)
-
-
-def test_bisect_counts_its_steps_and_stops_at_maxiter():
-    # the steps are scipy's iteration count; past maxiter both raise
-    # RuntimeError
-    f = lambda x: x * x - 2.0
-    root, steps = fixed_point._bisect(f, 0.0, 2.0, 1e-12)
-    assert (root, steps) == _scipy_bisect(f, 0.0, 2.0, 1e-12)
-    assert fixed_point._bisect(f, 0.0, 2.0, 1e-12, steps) == (root, steps)
-    with pytest.raises(RuntimeError, match=f"in {steps - 1} steps"):
-        fixed_point._bisect(f, 0.0, 2.0, 1e-12, steps - 1)
 
 
 def test_import_leaves_scipy_optimize_out():
@@ -436,24 +417,26 @@ def test_package_holds_no_oracle():
 
 class TestFindFixedPoint:
     def test_lrelu_contracts_to_one(self):
-        # the norm map is the identity at sigma*, so u* is the start's norm
         a = 0.2
         sw2 = 2.0 / (1.0 + a * a)
-        report = find_fixed_point(lrelu(a), sw2, 0.0, LayerState(1.0, 1.0, -0.9))
-        assert report.state == LayerState(1.0, 1.0, 1.0)
-        assert report.iterations == 0
+        # tol keeps the trajectory's smallest angle above the grid's
+        # finest angle pi/513, so the grid sup bounds every local ratio
+        report = find_fixed_point(lrelu(a), sw2, 0.0, LayerState(1.0, 1.0, -0.9),
+                                  tol=1e-6, max_iter=30000)
+        assert report.converged
+        assert report.final_state.rho == pytest.approx(1.0, abs=5e-3)
         assert report.verdict == "unique-contraction"
-        assert report.lambda1 == pytest.approx(1.0, abs=1e-12)
-        assert report.lambda3_at_rho_star == pytest.approx(1.0, abs=1e-12)
+        thetas = np.pi * (np.arange(512) + 1.0) / 513.0
+        sup = lambda3_lrelu(a, thetas).max()
+        assert all(r <= sup + 1e-6 for r in report.per_step_ratio)
 
     def test_start_at_fixed_point(self):
-        # the report depends on the start's norm only through its root
         sigma = sigma_star(GELU, 1.0)
         u = _norm_fixed_point(GELU, sigma ** 2, sigma ** 2, 0.0)
         report = find_fixed_point(GELU, sigma ** 2, 0.0, LayerState(u, u, 1.0))
-        assert report.state.s1_sq == report.state.s2_sq == u
-        assert report == find_fixed_point(GELU, sigma ** 2, 0.0,
-                                          input_state(2.0, 1.0, sigma ** 2, 0.0))
+        assert report.converged and report.stopped == "converged"
+        assert report.iterations <= 2
+        assert report.final_state.rho == 1.0
 
     def test_gelu_not_contraction_at_sigma_star(self):
         sigma = sigma_star(GELU, 1.0)
@@ -463,14 +446,10 @@ class TestFindFixedPoint:
         assert report.sup_lambda3 > 1.0
 
     def test_max_iter_stop(self):
-        # max_iter caps each root search: rho* takes 46 bisection steps here
         sigma = sigma_star(GELU, 1.0)
-        start = input_state(2.0, 1.0, sigma ** 2, 0.0)
-        report = find_fixed_point(GELU, sigma ** 2, 0.0, start)
-        assert report.iterations == 46
-        assert find_fixed_point(GELU, sigma ** 2, 0.0, start, max_iter=46) == report
-        with pytest.raises(RuntimeError, match="did not converge in 8 steps"):
-            find_fixed_point(GELU, sigma ** 2, 0.0, start, max_iter=8)
+        report = find_fixed_point(GELU, sigma ** 2, 0.0, input_state(2.0, 1.0, sigma ** 2, 0.0),
+                                  max_iter=8)
+        assert (report.stopped, report.iterations, report.converged) == ("max_iter", 8, False)
 
     def test_elu_step_is_one_bvn_call(self, bvn_work):
         # the pair's three rows go in one call of the Genz rule in the Genz
@@ -485,26 +464,72 @@ class TestFindFixedPoint:
             assert [shape for shape, _ in calls] == shapes
             assert work == {"genz": genz, "tail": tail}
 
-    def test_takes_no_layer_step(self, monkeypatch):
-        calls = []
-        step = deep._layer_step
+    def test_overflowing_norm_stops_as_diverged(self):
+        # at sigma*(0.5) the GELU norm fixed point repels, and from
+        # theta0 = 1 the squared norm grows past 1e78 until a step overflows
+        sigma = sigma_star(GELU, 0.5)
+        start = input_state(1.0, 0.5, sigma ** 2, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = find_fixed_point(GELU, sigma ** 2, 0.0, start)
+        assert report.stopped == "diverged"
+        assert not report.converged
+        assert np.isfinite(report.final_state.s1_sq) and report.final_state.s1_sq > 1e70
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return step(*args, **kwargs)
 
-        monkeypatch.setattr(deep, "_layer_step", counted)
-        assert not hasattr(fixed_point, "_layer_step")
-        for act in (GELU, ELU, SELU, RELU, lrelu(0.2), ERF):
-            sw2 = sigma_star(act, 0.5) ** 2
-            find_fixed_point(act, sw2, 0.0, input_state(2.0, 0.5, sw2, 0.0))
-        assert len(calls) == 0
-        iterate_state(GELU, LayerState(1.0, 1.0, 0.5), 2.0, 0.0)
-        assert len(calls) == 1
+def _iterate_state_loop(act, sw2, sb2, start, max_iter):
+    """The loop of ``find_fixed_point`` at its default tol, written over
+    ``iterate_state``: a LayerState per step, each step in its own
+    errstate, the distance on the states' numpy scalars. Returns (final
+    state, iterations, stopped, per-step ratios)."""
+    state, distances, stopped = start, [], "max_iter"
+    for _ in range(max_iter):
+        try:
+            with np.errstate(over="raise"):
+                new = iterate_state(act, state, sw2, sb2)
+        except (ArithmeticError, ValueError):
+            stopped = "diverged"
+            break
+        d = float(np.sqrt((new.s1_sq - state.s1_sq) ** 2 + (new.s2_sq - state.s2_sq) ** 2
+                          + (new.rho - state.rho) ** 2))
+        if not np.isfinite(d):
+            stopped = "diverged"
+            break
+        state = new
+        distances.append(d)
+        if d < 1e-10:
+            stopped = "converged"
+            break
+    ratios = tuple(d1 / d0 for d0, d1 in zip(distances[:-1], distances[1:]) if d0 > 0.0)
+    return state, len(distances), stopped, ratios
+
+
+def _assert_loop_is_iterate_state(act, sw2, sb2, start, max_iter):
+    report = find_fixed_point(act, sw2, sb2, start, max_iter=max_iter)
+    state, iterations, stopped, ratios = _iterate_state_loop(act, sw2, sb2, start, max_iter)
+    assert (report.iterations, report.stopped, report.converged) == (
+        iterations, stopped, stopped == "converged")
+    for field in ("s1_sq", "s2_sq", "rho"):
+        assert float(getattr(report.final_state, field)).hex() == float(
+            getattr(state, field)).hex(), field
+    assert [r.hex() for r in report.per_step_ratio] == [r.hex() for r in ratios]
+    return report
+
+
+@pytest.mark.parametrize("norm", [0.5, 1.0, 5.0])
+@pytest.mark.parametrize("act", [lrelu(0.2), GELU, ELU, selu(1.0507, 1.6733), RELU, ERF],
+                         ids=lambda a: a.kind)
+def test_loop_equals_iterate_state_bit_for_bit(act, norm):
+    # the float-state loop against the same loop over iterate_state: the
+    # contraction (LReLU, ReLU), the repelling norm map (GELU) and the ELU
+    # bands, out to 512 steps
+    sigma = 1.2 if act is ERF and norm >= 1.0 else sigma_star(act, norm)
+    _assert_loop_is_iterate_state(act, sigma ** 2, 0.0, input_state(2.0, norm, sigma ** 2, 0.0),
+                                  512)
 
 
 def test_loop_diverges_where_iterate_state_does():
-    # a zero squared norm is refused, as iterate_state refuses it; a zero
+    # a zero squared norm, refused before the first step by both; a zero
     # first norm used to end in a NaN sup_lambda3 and the verdict
     # "inconclusive"
     for row, start in enumerate((LayerState(0.0, 1.0, 0.5), LayerState(1.0, 0.0, 0.5))):
@@ -512,48 +537,17 @@ def test_loop_diverges_where_iterate_state_does():
             find_fixed_point(GELU, 2.0, 0.0, start, max_iter=512)
         with pytest.raises(ValueError, match=f"iterate_state .* row {row} has 0.0"):
             iterate_state(GELU, start, 2.0, 0.0)
-
-
-@pytest.mark.parametrize("norm", [0.5, 1.0, 5.0])
-@pytest.mark.parametrize("act", [GELU, ELU, SELU], ids=lambda a: a.kind)
-def test_rho_star_is_the_oracle_root(act, norm):
-    sw2 = sigma_star(act, norm) ** 2
-    report = find_fixed_point(act, sw2, 0.0, input_state(2.0, norm, sw2, 0.0), max_iter=512)
-    u, rho = report.state.s1_sq, report.state.rho
-    # the 80-node oracle root is within 1.6e-12 of the library's
-    assert abs(rho - rho_star_quadrature(act, u, sw2, 0.0, nodes=80)) <= 1e-9
-    assert 0.0 <= rho < 1.0 and report.lambda3_at_rho_star < 1.0
-    tri = eigenvalues(act, u, u, rho, sw2, 0.0)
-    assert (report.lambda1, report.lambda3_at_rho_star) == (tri.lambda1, tri.lambda3)
-
-
-@pytest.mark.parametrize("act, norm, rho_star", [(RELU, 1.0, 1.0), (lrelu(0.2), 0.5, 1.0),
-                                                 (lrelu(0.2), 5.0, 1.0), (ERF, 0.5, 0.0)],
-                         ids=["relu", "lrelu-0.5", "lrelu-5", "erf"])
-def test_rho_star_at_the_ends(act, norm, rho_star):
-    # ReLU and LReLU at sigma* keep c > 0 on [0, 1); ERF is odd, so c(0) = 0
-    sw2 = sigma_star(act, norm) ** 2
-    report = find_fixed_point(act, sw2, 0.0, input_state(2.0, norm, sw2, 0.0))
-    assert (report.state.rho, report.iterations) == (rho_star, 0)
-
-
-@pytest.mark.parametrize("norm", [1.0, 5.0])
-@pytest.mark.parametrize("act", [ELU, SELU], ids=lambda a: a.kind)
-def test_deep_kernel_reaches_rho_star(act, norm):
-    # Along the correlation map, |rho_L - rho*| is |rho_0 - rho*| times the
-    # product of the secant slopes m_l between rho_l and rho*, so it tends
-    # to K lambda_3(rho*)^L. K exceeds |rho_0 - rho*| <= 1 where the
-    # trajectory starts above rho*: lambda_3 grows with rho, so m_l >
-    # lambda_3(rho*) there. Measured at depth 400 (the start's norm is u*'s
-    # to ~1e-8): K <= 5.2, from theta0 = 0.3 for SELU at norm 1 (2.0 for
-    # ELU at norm 1, below 1 elsewhere); c = 10 doubles that
-    depth = 400
-    sw2 = sigma_star(act, norm) ** 2
-    report = find_fixed_point(act, sw2, 0.0, input_state(2.0, norm, sw2, 0.0))
-    traj = deep_normalized_kernel(act, np.array([0.3, 1.5, 2.8]), norm,
-                                  NetworkHyper.shared(depth, sw2, 0.0))
-    err = np.abs(traj[:, -1] - report.state.rho)
-    assert err.max() <= 10.0 * report.lambda3_at_rho_star ** depth, err
+    # GELU at sigma*(0.5) from theta0 = 1: the norm grows until a step overflows
+    sigma = sigma_star(GELU, 0.5)
+    report = _assert_loop_is_iterate_state(GELU, sigma ** 2, 0.0,
+                                           input_state(1.0, 0.5, sigma ** 2, 0.0), 10_000)
+    assert report.stopped == "diverged" and report.iterations > 512
+    # ELU at sigma_w^2 = 4 from s = 10: s passes ELU_S_MAX = 25 within three
+    # steps, and the next step's kernel call refuses it
+    report = _assert_loop_is_iterate_state(ELU, 4.0, 0.0, LayerState(100.0, 100.0, 0.3), 512)
+    assert (report.stopped, report.iterations) == ("diverged", 3)
+    with pytest.raises(OverflowError, match="s <= 25"):
+        iterate_state(ELU, report.final_state, 4.0, 0.0)
 
 
 @pytest.mark.parametrize("norm", [0.5, 1.0, 5.0])
@@ -579,7 +573,8 @@ def test_verdict_sup_is_the_max_over_all_512_angles(act, norm, sw2_sb2):
         sw2_sb2 = (sigma * sigma, 0.0)
     sw2, sb2 = sw2_sb2
     start = input_state(2.0, norm, sw2, sb2)
-    report = find_fixed_point(act, sw2, sb2, start)
+    # the sup depends on the start alone, not on how far the iteration ran
+    report = find_fixed_point(act, sw2, sb2, start, max_iter=1)
     s = np.sqrt(_norm_fixed_point(act, start.s1_sq, sw2, sb2))
     thetas = np.pi * (np.arange(512) + 1.0) / 513.0
     assert report.sup_lambda3 == np.abs(lambda3(act, s, s, np.cos(thetas), sw2, sb2)).max()
