@@ -133,6 +133,8 @@ def cmd_fixedpoint(args):
         "verdict": report.verdict, "sup_lambda3": report.sup_lambda3,
         "converged": report.converged, "iterations": report.iterations,
         "final_rho": report.final_state.rho, "input_s_sq": s_sq,
+        "s_sq_star": report.s_sq_star, "rho_star": report.rho_star,
+        "lambda1": report.lambda1, "lambda3_at_rho_star": report.lambda3_at_rho_star,
     }
 
 

@@ -16,12 +16,14 @@ prior); LReLU satisfies this for every slope in [0, 1), while GELU and
 ELU at their norm-preserving weight variance exceed 1 near theta = 0.
 
 ``lambda3`` is the one implementation of lambda_3, on the closed-form
-derivative kernel; ``lambda3_quad_grid`` is its quadrature oracle (the
-"quadrature" CSV rows), on the sweep's grid pi (k + 1) / (n + 1) only,
-where one evaluation of psi' serves every angle. The paper's ``lambda3_lrelu``,
-``lambda3_gelu_lower`` and ``lambda3_elu`` are the scale-free form
-sigma^2 E[psi' psi'], which equals lambda_3 at sigma*; the GELU "lower
-bound" is exact.
+derivative kernel, behind the verdict and the sweep rows of
+``nnk fixedpoint``. ``lambda3_quad_grid`` is its quadrature oracle on
+the sweep's grid pi (k + 1) / (n + 1), where one evaluation of psi'
+serves every angle; it stays in the package for the tests and for
+``perfbench/spans.py``, and no production path calls it. The paper's
+``lambda3_lrelu``, ``lambda3_gelu_lower`` and ``lambda3_elu`` are the
+scale-free form sigma^2 E[psi' psi'], which equals lambda_3 at sigma*;
+the GELU "lower bound" is exact.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from .activations import ELU, GELU, Activation, lrelu
 from .deep import (_PAIR_ENTRIES, _RHO_OVERSHOOT, LayerState, _layer_jacobian, _layer_step,
                    _positive_norms)
-from .kernels import ELU_S_MAX, diag_mean, kernel_dot_values, kernel_values
+from .kernels import ELU_S_MAX, diag_mean, kernel_dot_values, kernel_values, pair_moments
 from .quadrature import autocorr_mean_quad
 from . import activations as act_mod
 
@@ -55,6 +57,11 @@ class FixedPointReport:
     verdict: str  # unique-contraction | not-contraction | inconclusive
     sup_lambda3: float
     stopped: str  # converged | max_iter | diverged
+    # the fixed point as roots, None where the norm map has no root
+    s_sq_star: float | None
+    rho_star: float | None
+    lambda1: float | None
+    lambda3_at_rho_star: float | None
 
 
 def lambda3(act: Activation, s1, s2, rho, sigma_w2, sigma_b2):
@@ -92,7 +99,9 @@ def lambda3_quad_grid(act: Activation, s: float, thetas, sigma_w2: float,
     s1 = s2 = s: ``E[psi' psi']`` by ``autocorr_mean_quad``, which
     evaluates psi' once for the whole grid, on cells whose edges hold
     every kink, over the closed-form g. Angles off that grid (checked to
-    a few ulps) raise ``ValueError``."""
+    a few ulps) raise ``ValueError``. The tests check the sweep rows
+    against it; no production path calls it (``perfbench/spans.py``
+    traces it by this name)."""
     thetas = np.asarray(thetas, dtype=float)
     n = thetas.size
     grid = np.pi * (np.arange(n) + 1.0) / (n + 1.0)
@@ -196,20 +205,25 @@ def sigma_star(act: Activation, norm: float) -> float:
 
 
 def _norm_fixed_point(act: Activation, u0: float, sigma_w2: float,
-                      sigma_b2: float) -> float:
-    """Fixed point of the squared-norm map g1 near u0.
+                      sigma_b2: float) -> float | None:
+    """Fixed point of the squared-norm map g1 near u0, as a root of
+    g1(u) - u, or None where there is none near u0.
 
-    The iterated value cannot be trusted directly: for GELU at its
-    norm-preserving variance the fixed point is repelling (lambda_1 > 1;
-    for ELU it attracts), so long iterations drift off it. Refine by root
-    finding; absolutely homogeneous activations make g1(u) - u vanish
-    identically at the preserving variance, in which case u0 is
-    returned as-is. For ELU/SELU the search stays within s <= ELU_S_MAX.
+    A root is found whether it attracts or repels (GELU at its
+    norm-preserving variance: lambda_1 > 1; ELU: < 1): the sign change
+    on a geometric grid around u0 nearest to it is bisected. u0 is
+    returned as-is only when g1(u0) - u0 is within 4 ulps of u0: the
+    absolutely homogeneous activations (ReLU, LReLU) at the preserving
+    variance, where g1(u) - u vanishes identically (2 ulps of rounding
+    at most, measured over norms 0.3 to 100). None where no grid cell
+    changes sign, as for ReLU with sigma_b^2 > 0 at sigma*, whose norm
+    grows without bound. For ELU/SELU the search stays within
+    s <= ELU_S_MAX.
     """
     def h(u):
         return kernel_values(act, np.sqrt(u), np.sqrt(u), 1.0, sigma_w2, sigma_b2) - u
 
-    if abs(h(u0)) <= 1e-9 * max(1.0, u0):
+    if abs(h(u0)) <= 4.0 * np.spacing(u0):
         return u0
     grid = u0 * np.geomspace(0.01, 100.0, 80)
     if act.kind in ("elu", "selu"):
@@ -217,21 +231,66 @@ def _norm_fixed_point(act: Activation, u0: float, sigma_w2: float,
     vals = h(grid)
     sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
     if sign_change.size == 0:
-        return u0
+        return None
     i = sign_change[np.argmin(np.abs(np.log(grid[sign_change] / u0)))]
     return _bisect(h, grid[i], grid[i + 1], 1e-12)
+
+
+def _correlation_fixed_point(act: Activation, u: float, rho_max: float, sigma_w2: float,
+                             sigma_b2: float) -> float:
+    """The root rho* in [0, 1] of c(rho) = k(s, s, rho) / k(s, s, 1) - rho
+    at s^2 = u.
+
+    By Mehler's expansion k(s, s, rho) = sigma_w^2 sum_n a_n^2 rho^n +
+    sigma_b^2 is convex on [0, 1], with c(0) >= 0 and c(1) = 0. So where
+    c(rho_max) < 0 the root below rho_max is unique and c decreases to
+    it; Newton's method from rho = 0, with c'(rho) = lambda_3(rho) - 1
+    from the same ``pair_moments`` call as c, then rises monotonically
+    to it, each tangent staying below the convex c. It stops at a step
+    below 4 eps or a value c <= 0 (the root, to rounding). Where
+    c(rho_max) >= 0, rho* = 1. For odd psi (and sigma_b^2 = 0) the roots
+    come in pairs +-rho*; this is the one in [0, 1].
+    """
+    s = math.sqrt(u)
+    g = float(kernel_values(act, s, s, 1.0, sigma_w2, sigma_b2))
+    if float(kernel_values(act, s, s, rho_max, sigma_w2, sigma_b2)) / g >= rho_max:
+        return 1.0
+    rho = 0.0
+    for _ in range(100):
+        mean, dot = pair_moments(act, s, s, rho)
+        c = (sigma_w2 * float(mean) + sigma_b2) / g - rho
+        if c <= 0.0:
+            return rho
+        step = c / (1.0 - sigma_w2 * u * float(dot) / g)
+        rho += step
+        if step < 4.0 * np.finfo(float).eps:
+            return rho
+    raise RuntimeError(f"Newton's method for rho* did not converge in 100 steps, last {rho}")
 
 
 def find_fixed_point(act: Activation, sigma_w2: float, sigma_b2: float,
                      start: LayerState, tol: float = 1e-10,
                      max_iter: int = 10_000) -> FixedPointReport:
-    """Iterate the layer map and classify the fixed point.
+    """Iterate the layer map, report its fixed point as roots, and
+    classify it.
 
     Non-convergence is reported, not raised: ``stopped`` says whether
     the iteration converged, ran out of ``max_iter`` steps or diverged
     (a step that overflows, fails or moves by a non-finite distance ends
     the loop at the last finite state); a start whose squared norms are not
     finite and positive raises ``ValueError``, as in ``iterate_state``.
+    ``converged`` holds only where the loop stopped on a step below
+    ``tol`` with both squared norms within 1e-6 relative of u*: a loop
+    whose norm has collapsed off a repelling norm fixed point also ends
+    in steps below ``tol``.
+
+    The fixed point does not rest on the iteration: u* (``s_sq_star``) is
+    the root of the norm map next to ``start.s1_sq``
+    (``_norm_fixed_point``), rho* (``rho_star``) the root in [0, 1] of
+    the correlation map at s^2 = u* (``_correlation_fixed_point``), and
+    ``lambda1`` and ``lambda3_at_rho_star`` the ``eigenvalues`` at
+    (u*, u*, rho*). Where the norm map has no root near the start, these
+    four are None and ``converged`` is False.
     The verdict derives from the sup of |lambda_3| over the 512 angles
     theta = k pi / 513 at the norm fixed point: below 1 is
     "unique-contraction", above 1 "not-contraction", else "inconclusive".
@@ -276,40 +335,47 @@ def find_fixed_point(act: Activation, sigma_w2: float, sigma_b2: float,
                 stopped = "converged"
                 break
     state = LayerState(s1, s2, rho) if distances else start
-    converged = stopped == "converged"
     ratios = tuple(d1 / d0 for d0, d1 in zip(distances[:-1], distances[1:]) if d0 > 0.0)
 
     # The verdict's lambda_3 is taken at the norm fixed point on the
-    # *starting* sphere: the iterated norm cannot be used directly
-    # because a repelling fixed point (lambda_1 > 1, as for GELU at
-    # sigma*) lets rounding noise drift it to another attractor.
-    thetas = np.pi * np.array([1.0, 512.0]) / 513.0
-    s_fp = float(np.sqrt(_norm_fixed_point(act, start.s1_sq, sigma_w2, sigma_b2)))
-    lam3 = lambda3(act, s_fp, s_fp, np.cos(thetas), sigma_w2, sigma_b2)
-    sup = float(np.max(np.abs(lam3)))
+    # *starting* sphere (at the start's norm where the norm map has no
+    # root): the iterated norm cannot be used directly because a
+    # repelling fixed point (lambda_1 > 1, as for GELU at sigma*) lets
+    # rounding noise drift it to another attractor.
+    u = _norm_fixed_point(act, start.s1_sq, sigma_w2, sigma_b2)
+    s_fp = math.sqrt(start.s1_sq if u is None else u)
+    ends = np.cos(np.pi * np.array([1.0, 512.0]) / 513.0)
+    sup = float(np.max(np.abs(lambda3(act, s_fp, s_fp, ends, sigma_w2, sigma_b2))))
     if sup < 1.0 - 1e-9:
         verdict = "unique-contraction"
     elif sup > 1.0 + 1e-9:
         verdict = "not-contraction"
     else:
         verdict = "inconclusive"
-    return FixedPointReport(converged, state, len(distances), ratios, verdict, sup, stopped)
+    if u is None:
+        return FixedPointReport(False, state, len(distances), ratios, verdict, sup, stopped,
+                                None, None, None, None)
+    rho_star = _correlation_fixed_point(act, u, ends[0], sigma_w2, sigma_b2)
+    tri = eigenvalues(act, u, u, rho_star, sigma_w2, sigma_b2)
+    # A step below tol next to an attracting norm fixed point leaves the
+    # norms within ~tol / (1 - lambda_1) of u* (1e-9 for ELU at sigma*(1),
+    # lambda_1 = 0.898), and sigma_star's 1e-8 bisection starts them
+    # ~1e-8 relative off it; a repelling norm map (GELU) multiplies that
+    # by lambda_1 per step and leaves 1e-6 within ~60 steps, long before
+    # a collapsed state's steps fall below tol.
+    converged = stopped == "converged" and all(abs(v - u) <= 1e-6 * u for v in (s1, s2))
+    return FixedPointReport(converged, state, len(distances), ratios, verdict, sup, stopped,
+                            u, rho_star, tri.lambda1, tri.lambda3)
 
 
 def lambda3_sweep_rows(act: Activation, norm: float, sigma: float,
                        thetas, sigma_b2: float = 0.0) -> list:
-    """Rows (theta, lambda3, activation, norm, sigma, method) for CSV dumps.
-
-    Every activation gets closed-form ``lambda3`` rows (method
-    "lower-bound" for GELU, after the paper's name for that expression,
-    else "closed-form"), then quadrature rows.
-    Both kinds are taken at the input signal s1 = s2 =
-    sqrt(sigma^2 norm^2 + sigma_b^2), with sigma_b^2 in g.
-    """
+    """Rows (theta, lambda3, activation, norm, sigma, "closed-form") for
+    CSV dumps: ``lambda3`` at the input signal s1 = s2 =
+    sqrt(sigma^2 norm^2 + sigma_b^2), with sigma_b^2 in g, one row per
+    angle."""
     thetas = np.asarray(thetas, dtype=float)
     s = np.hypot(sigma * norm, np.sqrt(sigma_b2))
-    series = [("lower-bound" if act.kind == "gelu" else "closed-form",
-               lambda3(act, s, s, np.cos(thetas), sigma * sigma, sigma_b2)),
-              ("quadrature", lambda3_quad_grid(act, s, thetas, sigma * sigma, sigma_b2))]
-    return [(float(t), float(v), act.kind, norm, sigma, method)
-            for method, vals in series for t, v in zip(thetas, vals)]
+    vals = lambda3(act, s, s, np.cos(thetas), sigma * sigma, sigma_b2)
+    return [(float(t), float(v), act.kind, norm, sigma, "closed-form")
+            for t, v in zip(thetas, vals)]

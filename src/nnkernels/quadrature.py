@@ -1,6 +1,10 @@
-"""Gaussian-expectation quadrature over two correlated standard normals:
-``autocorr_mean_quad`` gives the quadrature rows of ``nnk fixedpoint``,
-and the test oracles build on the polar rule ``pair_mean_quad``.
+"""Gaussian-expectation quadrature over two correlated standard normals,
+the independent oracle of the closed forms: the test oracles build on
+the polar rule ``pair_mean_quad``, and ``fixed_point.lambda3_quad_grid``
+on ``autocorr_mean_quad``. No production path calls either; they stay
+in the package because ``perfbench/spans.py`` traces ``pair_mean_quad``
+and ``lambda3_quad_grid`` by name.
+``ZMAX`` also sets the last panel edge of ``kernels._elu_tail``.
 
 For smooth integrands plain Gauss-Hermite converges spectrally, but the
 piecewise activations (ReLU/LReLU/ELU/SELU) have kinks or jumps at 0,

@@ -6,6 +6,8 @@ library computes the closed forms, and these only check them.
   normal by Gauss-Legendre panels split at the kinks.
 - ``kernel_quadrature`` / ``kernel_dot_quadrature``: the layer kernel and
   derivative kernel by the polar rule ``quadrature.pair_mean_quad``.
+- ``rho_star_quadrature``: the correlation fixed point at a given norm,
+  by ``scipy.optimize.brentq`` on ``kernel_quadrature``.
 - ``autocorr_mean_full``: ``quadrature.autocorr_mean_quad`` over the
   whole circle, all four Gauss-Legendre nodes of each sub-cell; the
   reference for its half-circle sweep.
@@ -65,6 +67,26 @@ def kernel_dot_quadrature(act: Activation, args: KernelArgs, nodes: int = 80) ->
     f = lambda z: act_mod.deriv(act, z)
     e = pair_mean_quad(f, f, args.s1, args.s2, args.rho, nodes=nodes)
     return float(args.sigma_w2 * e)
+
+
+def rho_star_quadrature(act: Activation, s_sq: float, sigma_w2: float, sigma_b2: float,
+                        nodes: int = 80) -> float:
+    """The root of c(rho) = k(s, s, rho) / k(s, s, 1) - rho, s^2 = s_sq, with
+    k from ``kernel_quadrature`` at ``nodes`` nodes, by ``brentq`` on
+    [-0.5, cos(pi / 513)]; 1.0 where c >= 0 at that upper end. The lower
+    end is below 0, so that a root at 0 (odd psi), where the quadrature's
+    c(0) can round either way, stays bracketed."""
+    from scipy.optimize import brentq
+
+    s = float(np.sqrt(s_sq))
+
+    def k(rho):
+        return kernel_quadrature(act, KernelArgs(s, s, rho, sigma_w2, sigma_b2), nodes=nodes)
+
+    g, end = k(1.0), np.cos(np.pi / 513.0)
+    if k(end) / g >= end:
+        return 1.0
+    return float(brentq(lambda rho: k(rho) / g - rho, -0.5, end, xtol=1e-15))
 
 
 def autocorr_mean_full(f, s, n: int):

@@ -20,10 +20,10 @@ from nnkernels import gp as gp_mod
 from nnkernels.activations import ELU, GELU, from_name
 from nnkernels.cli import main
 from nnkernels.deep import NetworkHyper, deep_normalized_kernel, input_state, iterate_state
-from nnkernels.fixed_point import lambda3, sigma_star
+from nnkernels.fixed_point import lambda3, lambda3_quad_grid, sigma_star
 from nnkernels.kernels import kernel_dot_values
 
-from oracle import mean_1d
+from oracle import mean_1d, rho_star_quadrature
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -220,8 +220,37 @@ class TestFixedpoint:
         lines = stdout.splitlines()
         rows = list(csv.reader(lines[:-1]))
         assert rows[0] == ["theta", "lambda3", "activation", "norm", "sigma", "method"]
-        assert len(rows) == 1 + 2 * 4  # closed-form and quadrature rows
+        assert len(rows) == 1 + 4  # one closed-form row per angle
+        assert {r[5] for r in rows[1:]} == {"closed-form"}
         assert json.loads(lines[-1])["verdict"] == "unique-contraction"
+
+    def test_default_summary_reports_the_fixed_point(self, tmp_path, capsys):
+        # GELU at sigma*(1): the iteration stops on a collapsed norm at
+        # rho 0.7535, which is not converged; rho* comes from the roots
+        out = tmp_path / "fp.csv"
+        code, stdout, err = run_cli(["fixedpoint", "--out", str(out)], capsys)
+        assert code == 0, err
+        assert len(read_csv(out)) == 1 + 512
+        summary = json.loads(stdout.strip().splitlines()[-1])
+        assert (summary["converged"], summary["iterations"]) == (False, 239)
+        assert summary["final_rho"] == pytest.approx(0.7535, abs=1e-4)
+        u = summary["s_sq_star"]
+        assert u == pytest.approx(2.15506, abs=1e-5)
+        sw2 = summary["sigma_star"] ** 2
+        assert abs(summary["rho_star"] - rho_star_quadrature(GELU, u, sw2, 0.0)) <= 1e-9
+        assert summary["rho_star"] == pytest.approx(0.85319173, abs=1e-8)
+        assert summary["lambda1"] > 1.0 > summary["lambda3_at_rho_star"]
+
+    @pytest.mark.parametrize("act, sb2", [("gelu", "0.5"), ("relu", "0.3")])
+    def test_no_norm_root_gives_null(self, act, sb2, tmp_path, capsys):
+        code, stdout, err = run_cli(["fixedpoint", "--activation", act, "--sigma-b2", sb2,
+                                     "--theta-points", "4", "--out", str(tmp_path / "fp.csv")],
+                                    capsys)
+        assert code == 0, err
+        summary = json.loads(stdout.strip().splitlines()[-1])
+        assert summary["converged"] is False
+        for key in ("s_sq_star", "rho_star", "lambda1", "lambda3_at_rho_star"):
+            assert summary[key] is None, key
 
     def test_gelu_not_contraction(self, tmp_path, capsys):
         out = tmp_path / "fp.csv"
@@ -249,14 +278,14 @@ class TestFixedpoint:
             assert code == 0, err
             rows[b] = read_csv(out)[1:]
         assert rows["0.0"] != rows["0.5"]
-        closed = [float(r[1]) for r in rows["0.5"] if r[5] == "lower-bound"]
-        quad = [float(r[1]) for r in rows["0.5"] if r[5] == "quadrature"]
-        assert len(closed) == len(quad) == 8
-        assert np.abs(np.subtract(closed, quad)).max() <= 1e-6
-        # both at the input signal s^2 = sigma^2 norm^2 + sigma_b^2
+        closed = [float(r[1]) for r in rows["0.5"] if r[5] == "closed-form"]
+        assert len(closed) == len(rows["0.5"]) == 8
+        # at the input signal s^2 = sigma^2 norm^2 + sigma_b^2
         sigma = sigma_star(GELU, 1.0)
         s = np.sqrt(sigma ** 2 + 0.5)
         thetas = np.pi * np.arange(1, 9) / 9.0
+        quad = lambda3_quad_grid(GELU, s, thetas, sigma ** 2, 0.5)
+        assert np.abs(np.subtract(closed, quad)).max() <= 1e-6
         expected = lambda3(GELU, s, s, np.cos(thetas), sigma ** 2, 0.5)
         assert np.abs(np.subtract(closed, expected)).max() <= 1e-12
 
@@ -601,6 +630,28 @@ class TestFlagOwnership:
         assert outputs[0] == outputs[1]
         assert {int(r[1] if command == "benchmark" else r[2])
                 for r in read_csv(tmp_path / "--depth.csv")[1:]} == {1, 2}
+
+
+def test_no_subcommand_integrates(monkeypatch, tmp_path, dataset_csv, capsys):
+    # the package's quadrature stays a test oracle: every subcommand, and
+    # fixedpoint for each activation, runs with all of it raising.
+    # raising=True, so a renamed name fails here instead of patching nothing
+    from nnkernels import fixed_point, quadrature
+
+    def boom(*args, **kwargs):
+        raise AssertionError("quadrature called")
+
+    for mod, name in ((quadrature, "pair_mean_quad"), (quadrature, "autocorr_mean_quad"),
+                      (fixed_point, "autocorr_mean_quad"), (fixed_point, "lambda3_quad_grid")):
+        monkeypatch.setattr(mod, name, boom, raising=True)
+    runs = [[command, *SMALL_RUNS[command]] for command in SUBCOMMANDS]
+    runs += [["fixedpoint", "--theta-points", "4", "--activation", name,
+              *cli_act_and_sw2(name, sw2)[2]] for name, sw2 in SIX_CLI_ACTS]
+    for argv in runs:
+        if argv[0] in ("gp-fit", "benchmark"):
+            argv += ["--dataset", str(dataset_csv)]
+        code, _, err = run_cli(argv + ["--out", str(tmp_path / "o.csv")], capsys)
+        assert code == 0, (argv, err)
 
 
 class TestErrorContract:

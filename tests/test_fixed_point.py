@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from nnkernels import activations as am
-from nnkernels.activations import ELU, ERF, GELU, RELU, lrelu, selu
+from nnkernels.activations import ELU, ERF, GELU, RELU, from_name, lrelu, selu
 from nnkernels.deep import (LayerState, NetworkHyper, _layer_jacobian,
                             input_state, iterate_state, kernel_grad,
                             state_trajectory)
@@ -22,7 +22,7 @@ from nnkernels.fixed_point import (eigenvalues, find_fixed_point, lambda3,
 from nnkernels import fixed_point
 from nnkernels.kernels import KernelArgs, kernel_values
 
-from oracle import kernel_dot_quadrature, mean_1d
+from oracle import kernel_dot_quadrature, mean_1d, rho_star_quadrature
 
 
 def g1_value(act, s1_sq, sw2, sb2):
@@ -369,9 +369,12 @@ def test_roots_match_scipy_bisect_bit_for_bit(monkeypatch):
                     out.append(_norm_fixed_point(act, sw2 * norm * norm + sb2, sw2, sb2))
         return out
 
+    def hexes(xs):  # ReLU at (2.0, 0.1) has no norm root: g1(u) = u + 0.1
+        return [None if x is None else x.hex() for x in xs]
+
     ours = roots()
     monkeypatch.setattr(fixed_point, "_bisect", _scipy_bisect)
-    assert [x.hex() for x in ours] == [x.hex() for x in roots()]
+    assert hexes(ours) == hexes(roots())
 
 
 @pytest.mark.parametrize("f, a, b", [(lambda x: x * x - 2.0, 0.0, 2.0),
@@ -477,6 +480,72 @@ class TestFindFixedPoint:
         assert np.isfinite(report.final_state.s1_sq) and report.final_state.s1_sq > 1e70
 
 
+# the CLI's SELU (scale 1.0507009873554805, alpha 1.6732632423543772): at
+# sigma*(1) its mean is ~0, so rho* is ~0
+SELU = from_name("selu")
+EXPECTED_RHO_STAR = {("gelu", 0.5): 0.70153103, ("gelu", 1.0): 0.85319173,
+                     ("gelu", 5.0): 0.99152028, ("elu", 0.5): 0.51714725,
+                     ("elu", 1.0): 0.64371112, ("elu", 5.0): 0.94086160,
+                     ("selu", 0.5): 0.75154045, ("selu", 1.0): 0.0,
+                     ("selu", 5.0): 0.77876010}
+
+
+@pytest.mark.parametrize("norm", [0.5, 1.0, 5.0])
+@pytest.mark.parametrize("act", [GELU, ELU, SELU], ids=lambda a: a.kind)
+def test_fixed_point_roots_at_sigma_star(act, norm):
+    # u* is a root of the norm map, rho* a root of the correlation map at
+    # u* (against an independent 80-node quadrature brentq root), and the
+    # stability is the eigenvalues there; lambda_3(rho*) < 1, so rho*
+    # attracts along rho
+    sw2 = sigma_star(act, norm) ** 2
+    report = find_fixed_point(act, sw2, 0.0, input_state(2.0, norm, sw2, 0.0), max_iter=1)
+    u = report.s_sq_star
+    assert abs(g1_value(act, u, sw2, 0.0) - u) <= 1e-12 * max(1.0, u)
+    assert abs(report.rho_star - rho_star_quadrature(act, u, sw2, 0.0, nodes=80)) <= 1e-9
+    assert report.rho_star == pytest.approx(EXPECTED_RHO_STAR[act.kind, norm], abs=1e-8)
+    tri = eigenvalues(act, u, u, report.rho_star, sw2, 0.0)
+    assert (report.lambda1, report.lambda3_at_rho_star) == (tri.lambda1, tri.lambda3)
+    assert report.lambda3_at_rho_star < 1.0
+
+
+def test_homogeneous_norm_map_keeps_the_start():
+    # ReLU and LReLU at sigma*: g1(u) = u to rounding, so u* is the start
+    # and rho* = 1, where lambda_3 = 1
+    for act in (RELU, lrelu(0.2)):
+        for norm in (0.5, 1.0, 5.0):
+            sw2 = sigma_star(act, norm) ** 2
+            start = input_state(2.0, norm, sw2, 0.0)
+            report = find_fixed_point(act, sw2, 0.0, start, max_iter=1)
+            assert report.s_sq_star == start.s1_sq
+            assert report.rho_star == 1.0
+            assert report.lambda3_at_rho_star == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("act, sb2", [(GELU, 0.5), (RELU, 0.3)], ids=["gelu", "relu"])
+def test_no_norm_root_reports_none(act, sb2):
+    # with sigma_b^2 > 0 at sigma*(1), g1(u) - u keeps its sign around the
+    # start: no fixed point is reported, and nothing converged to one
+    sw2 = sigma_star(act, 1.0) ** 2
+    start = input_state(2.0, 1.0, sw2, sb2)
+    assert _norm_fixed_point(act, start.s1_sq, sw2, sb2) is None
+    report = find_fixed_point(act, sw2, sb2, start, max_iter=512)
+    assert (report.s_sq_star, report.rho_star, report.lambda1,
+            report.lambda3_at_rho_star) == (None, None, None, None)
+    assert not report.converged
+
+
+@pytest.mark.parametrize("act, converged, iterations", [(GELU, False, 239), (ELU, True, 505)],
+                         ids=["gelu", "elu"])
+def test_converged_needs_the_norm_fixed_point(act, converged, iterations):
+    # both loops stop on a step below tol; GELU's norm has collapsed off its
+    # repelling fixed point by then (s1^2 ~ 6e-11 against u* = 2.155)
+    sw2 = sigma_star(act, 1.0) ** 2
+    report = find_fixed_point(act, sw2, 0.0, input_state(2.0, 1.0, sw2, 0.0), max_iter=512)
+    assert (report.stopped, report.iterations) == ("converged", iterations)
+    assert report.converged is converged
+    assert report.verdict == "not-contraction"
+
+
 def _iterate_state_loop(act, sw2, sb2, start, max_iter):
     """The loop of ``find_fixed_point`` at its default tol, written over
     ``iterate_state``: a LayerState per step, each step in its own
@@ -507,8 +576,10 @@ def _iterate_state_loop(act, sw2, sb2, start, max_iter):
 def _assert_loop_is_iterate_state(act, sw2, sb2, start, max_iter):
     report = find_fixed_point(act, sw2, sb2, start, max_iter=max_iter)
     state, iterations, stopped, ratios = _iterate_state_loop(act, sw2, sb2, start, max_iter)
-    assert (report.iterations, report.stopped, report.converged) == (
-        iterations, stopped, stopped == "converged")
+    assert (report.iterations, report.stopped) == (iterations, stopped)
+    u = report.s_sq_star
+    assert report.converged == (stopped == "converged" and u is not None and all(
+        abs(v - u) <= 1e-6 * u for v in (state.s1_sq, state.s2_sq)))
     for field in ("s1_sq", "s2_sq", "rho"):
         assert float(getattr(report.final_state, field)).hex() == float(
             getattr(state, field)).hex(), field
@@ -575,22 +646,46 @@ def test_verdict_sup_is_the_max_over_all_512_angles(act, norm, sw2_sb2):
     start = input_state(2.0, norm, sw2, sb2)
     # the sup depends on the start alone, not on how far the iteration ran
     report = find_fixed_point(act, sw2, sb2, start, max_iter=1)
-    s = np.sqrt(_norm_fixed_point(act, start.s1_sq, sw2, sb2))
+    # at the start's norm where the norm map has no root (all but GELU and
+    # ERF at (2.0, 0.1))
+    u = _norm_fixed_point(act, start.s1_sq, sw2, sb2)
+    s = np.sqrt(start.s1_sq if u is None else u)
     thetas = np.pi * (np.arange(512) + 1.0) / 513.0
     assert report.sup_lambda3 == np.abs(lambda3(act, s, s, np.cos(thetas), sw2, sb2)).max()
 
 
+SIX_ACTS = [GELU, ERF, ELU, selu(1.0507, 1.6733), RELU, lrelu(0.2)]
+
+
 def test_sweep_rows_schema():
+    # one closed-form row per angle, for every activation; no quadrature rows
     thetas = np.pi * (np.arange(9) + 1.0) / 10.0
-    rows = lambda3_sweep_rows(GELU, 1.0, 1.47, thetas)
-    assert {r[5] for r in rows} == {"lower-bound", "quadrature"}
-    rows = lambda3_sweep_rows(ERF, 0.5, sigma_star(ERF, 0.5), thetas)
-    assert {r[5] for r in rows} == {"closed-form", "quadrature"}
-    rows = lambda3_sweep_rows(ELU, 1.0, sigma_star(ELU, 1.0), thetas)
-    assert {r[5] for r in rows} == {"closed-form", "quadrature"}
-    closed = {r[0]: r[1] for r in rows if r[5] == "closed-form"}
-    quad = {r[0]: r[1] for r in rows if r[5] == "quadrature"}
-    assert all(abs(closed[t] - quad[t]) < 1e-6 for t in closed)
+    for act in SIX_ACTS:
+        sigma = 1.47 if act is GELU else sigma_star(act, 0.5)
+        rows = lambda3_sweep_rows(act, 1.0, sigma, thetas)
+        assert len(rows) == thetas.size, act.kind
+        assert [r[0] for r in rows] == list(thetas)
+        assert {r[2:] for r in rows} == {(act.kind, 1.0, sigma, "closed-form")}
+
+
+@pytest.mark.parametrize("norm", [0.5, 1.0, 5.0])
+@pytest.mark.parametrize("act", SIX_ACTS, ids=lambda a: a.kind)
+def test_sweep_rows_are_the_quadrature_oracle(act, norm):
+    # the 512 angles of `nnk fixedpoint` at sigma* (ERF at sigma = 1.2 from
+    # norm 1, where it has no sigma*). Two closed forms are off by more than
+    # rounding at norm 5, as measured against this oracle: ERF at s = 6 by
+    # 1.7e-14, and ELU and SELU at s ~ 7 by 3.2e-11 and 2.2e-11, the open
+    # fault of their Genz integrals (ROADMAP item 2)
+    thetas = np.pi * (np.arange(512) + 1.0) / 513.0
+    sigma = 1.2 if act is ERF and norm >= 1.0 else sigma_star(act, norm)
+    tol = 1e-14
+    if norm == 5.0 and act.kind in ("erf", "elu", "selu"):
+        tol = 3e-14 if act is ERF else 5e-11
+    rows = lambda3_sweep_rows(act, norm, sigma, thetas)
+    assert len(rows) == thetas.size
+    got = np.array([r[1] for r in rows])
+    want = lambda3_quad_grid(act, sigma * norm, thetas, sigma ** 2, 0.0)
+    assert np.abs(got - want).max() <= tol
 
 
 @pytest.mark.parametrize("act, sigma", [(ELU, np.sqrt(2.0)),
@@ -602,7 +697,7 @@ def test_sweep_closed_rows_match_quadrature_off_sigma_star(act, sigma):
     sigma = sigma or sigma_star(act, 1.0)
     thetas = np.pi * (np.arange(63) + 1.0) / 64.0
     rows = lambda3_sweep_rows(act, 1.0, sigma, thetas)
-    closed = np.array([r[1] for r in rows if r[5] == "closed-form"])
-    quad = np.array([r[1] for r in rows if r[5] == "quadrature"])
+    closed = np.array([r[1] for r in rows])
+    quad = lambda3_quad_grid(act, sigma, thetas, sigma ** 2, 0.0)
     assert closed.size == quad.size == thetas.size
     assert np.abs(closed - quad).max() <= 1e-6
