@@ -2,7 +2,7 @@
 """Record the benchmark of one or more checkouts as BENCH_<label>.json.
 
     python3 scripts/bench_record.py --checkout LABEL=DIR [--checkout LABEL=DIR ...]
-        [--workloads W ...] [--seeds K] [--seconds T] [--cli]
+        [--workloads W ...] [--seeds K] [--seconds T] [--cli] [--micro]
         [--no-tier1] [--out-dir DIR]
 
 For each seed 1..K and each workload, runs the benchmark command of
@@ -33,6 +33,16 @@ times ``python -c "import nnkernels"`` once per checkout, in the same
 order and environment; ``import_s`` (null without ``--cli``) holds the
 median, the quartiles and every run, to read beside the benchmark's
 ``setup_s``, which is mostly this import.
+
+With ``--micro``, after the seeds, each checkout runs ``MICRO_SCRIPT``
+once, in a fresh process: the ns per entry of ELU ``pair_moments`` for
+each case of ``MICRO_CASES`` (a band and a batch size: the Genz-band
+interior at batch 1, as in one fixed-point step, and at 5,050, the pairs
+of one ``elu_gp`` layer; the 0.925 <= |rho| < 1 tail band at batch 1 and
+at 128), the min over 5 runs of ``MICRO_CALLS / batch`` calls (at least
+3). The file's ``micro`` entry (null without ``--micro``) holds them and,
+in each file after the first, the log ratio of each case to the first
+checkout's.
 
 The default checkout is this repository, labelled by its short SHA.
 """
@@ -69,6 +79,30 @@ CLI_CASES = {
     "fixedpoint-norm0.5": ["fixedpoint", "--norm", "0.5"],
     "gp-fit-elu": ["gp-fit", "--activation", "elu", "--dataset", "{dataset}"],
 }
+# name -> (band, batch) of the --micro cases
+MICRO_CASES = {"interior-1": ("interior", 1), "interior-5050": ("interior", 5050),
+               "tail-1": ("tail", 1), "tail-128": ("tail", 128)}
+MICRO_CALLS = 2000
+# argv[1]: JSON [[name, band, batch], ...], argv[2]: MICRO_CALLS. s1 is
+# log-uniform on [0.25, 25], s2 = s1 U(0.7, 1); |rho| is U(0, 0.9) in the
+# interior and U(0.93, 0.999) in the tail band, of either sign.
+MICRO_SCRIPT = """
+import json, sys, timeit
+import numpy as np
+from nnkernels.activations import ELU
+from nnkernels.kernels import pair_moments
+out = {}
+for name, band, n in json.loads(sys.argv[1]):
+    rng = np.random.default_rng(0)
+    s1 = np.exp(rng.uniform(np.log(0.25), np.log(25.0), n))
+    s2 = s1 * rng.uniform(0.7, 1.0, n)
+    lo, hi = (0.0, 0.9) if band == "interior" else (0.93, 0.999)
+    rho = rng.choice([-1.0, 1.0], n) * rng.uniform(lo, hi, n)
+    number = max(3, int(sys.argv[2]) // n)
+    best = min(timeit.repeat(lambda: pair_moments(ELU, s1, s2, rho), number=number, repeat=5))
+    out[name] = best / number / n * 1e9
+print(json.dumps(out))
+"""
 
 
 def _git(checkout, *args):
@@ -153,6 +187,17 @@ def run_import(checkout, workdir):
     return wall
 
 
+def run_micro(checkout, workdir):
+    """ns per entry of each ``MICRO_CASES`` case, from one fresh process."""
+    cases = json.dumps([[name, band, n] for name, (band, n) in MICRO_CASES.items()])
+    proc = subprocess.run([sys.executable, "-c", MICRO_SCRIPT, cases, str(MICRO_CALLS)],
+                          cwd=workdir, env=_env(checkout), capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: micro exited {proc.returncode}: "
+                           f"{proc.stderr.strip()[-2000:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def _quartiles(values):
     q1, med, q3 = np.percentile(values, [25, 50, 75])
     return {"median": med, "q1": q1, "q3": q3}
@@ -215,6 +260,7 @@ def parse_args(argv):
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--seconds", type=float)
     p.add_argument("--cli", action="store_true")
+    p.add_argument("--micro", action="store_true")
     p.add_argument("--no-tier1", action="store_true")
     p.add_argument("--out-dir", type=Path, default=REPO)
     args = p.parse_args(argv)
@@ -261,6 +307,10 @@ def main(argv=None):
                     cli_runs[label][case].append(run)
                     print(f"{label} nnk {case} seed {seed}: {run['wall_s']:.3f} s, "
                           f"exit {run['exit_code']}", flush=True)
+        micro = {label: run_micro(checkouts[label], workdir) for label in labels} \
+            if args.micro else None
+        for label in labels if args.micro else ():
+            print(f"{label} micro: {json.dumps(micro[label])}", flush=True)
 
     for label in labels:
         checkout = checkouts[label]
@@ -275,6 +325,7 @@ def main(argv=None):
             "workloads": {},
             "cli": None,
             "import_s": None,
+            "micro": None,
         }
         for w in workloads:
             entry = summarize(runs[label][w], spec["end_to_end"])
@@ -296,6 +347,12 @@ def main(argv=None):
                     entry["same_bytes_as_" + labels[0]] = all(
                         len({r[k] for r in both}) == 1 for k in ("stdout_sha256", "out_sha256"))
                 record["cli"][case] = entry
+        if args.micro:
+            record["micro"] = {"ns_per_entry": micro[label]}
+            if label != labels[0]:
+                record["micro"]["log_ratio_vs_" + labels[0]] = {
+                    case: float(np.log(ns / micro[labels[0]][case]))
+                    for case, ns in micro[label].items()}
         args.out_dir.mkdir(parents=True, exist_ok=True)
         out = args.out_dir / f"BENCH_{label}.json"
         out.write_text(json.dumps(record, indent=1) + "\n")

@@ -290,9 +290,10 @@ def find_fixed_point(act: Activation, sigma_w2: float, sigma_b2: float,
     the correlation map at s^2 = u* (``_correlation_fixed_point``), and
     ``lambda1`` and ``lambda3_at_rho_star`` the ``eigenvalues`` at
     (u*, u*, rho*). Where the norm map has no root near the start, these
-    four are None and ``converged`` is False.
-    The verdict derives from the sup of |lambda_3| over the 512 angles
-    theta = k pi / 513 at the norm fixed point: below 1 is
+    four are None, ``converged`` is False, the verdict is "inconclusive"
+    and ``sup_lambda3`` is taken at the start's squared norm instead.
+    Otherwise the verdict derives from the sup of |lambda_3| over the 512
+    angles theta = k pi / 513 at the norm fixed point: below 1 is
     "unique-contraction", above 1 "not-contraction", else "inconclusive".
     At equal scales Mehler's expansion gives E[psi'(s Z1) psi'(s Z2)] =
     sum_n b_n(s)^2 rho^n, so |lambda_3(rho)| <= lambda_3(|rho|), which
@@ -338,23 +339,23 @@ def find_fixed_point(act: Activation, sigma_w2: float, sigma_b2: float,
     ratios = tuple(d1 / d0 for d0, d1 in zip(distances[:-1], distances[1:]) if d0 > 0.0)
 
     # The verdict's lambda_3 is taken at the norm fixed point on the
-    # *starting* sphere (at the start's norm where the norm map has no
-    # root): the iterated norm cannot be used directly because a
-    # repelling fixed point (lambda_1 > 1, as for GELU at sigma*) lets
-    # rounding noise drift it to another attractor.
+    # *starting* sphere: the iterated norm cannot be used directly because
+    # a repelling fixed point (lambda_1 > 1, as for GELU at sigma*) lets
+    # rounding noise drift it to another attractor. Where the norm map has
+    # no root, the sup is taken at the start's norm and no verdict is drawn.
     u = _norm_fixed_point(act, start.s1_sq, sigma_w2, sigma_b2)
     s_fp = math.sqrt(start.s1_sq if u is None else u)
     ends = np.cos(np.pi * np.array([1.0, 512.0]) / 513.0)
     sup = float(np.max(np.abs(lambda3(act, s_fp, s_fp, ends, sigma_w2, sigma_b2))))
+    if u is None:
+        return FixedPointReport(False, state, len(distances), ratios, "inconclusive", sup,
+                                stopped, None, None, None, None)
     if sup < 1.0 - 1e-9:
         verdict = "unique-contraction"
     elif sup > 1.0 + 1e-9:
         verdict = "not-contraction"
     else:
         verdict = "inconclusive"
-    if u is None:
-        return FixedPointReport(False, state, len(distances), ratios, verdict, sup, stopped,
-                                None, None, None, None)
     rho_star = _correlation_fixed_point(act, u, ends[0], sigma_w2, sigma_b2)
     tri = eigenvalues(act, u, u, rho_star, sigma_w2, sigma_b2)
     # A step below tol next to an attracting norm fixed point leaves the

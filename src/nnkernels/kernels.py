@@ -16,8 +16,8 @@ Closed forms:
   GELU          rational/arctan expression in s1, s2, cos(theta);
   ELU / SELU    the arc-cosine term of the linear parts plus
                 exponential cross terms, each a bivariate normal CDF
-                kept finite by the exponent-folding Genz rule and
-                expscaled_cdf.
+                kept finite by Genz's rule in a tilted form, whose node
+                exponents carry no exp(q) to cancel, and expscaled_cdf.
 
 The derivative kernel k-dot = sigma_w^2 E[psi'(s1 Z1) psi'(s2 Z2)] is
 closed-form for every activation as well:
@@ -26,7 +26,7 @@ closed-form for every activation as well:
   GELU          an arcsine quadrant term plus two algebraic terms, from
                 psi'(z) = Phi(z) + z phi(z);
   ELU / SELU    the quadrant term plus exponential cross terms, through
-                the Genz rule of ``special``.
+                the same tilted Genz rule.
 
 So is ``pair_dd_mean``, D = E[psi''(s1 Z1) psi(s2 Z2)] (a kink adds a
 delta to psi''): by Price's theorem, 2 dE[psi psi]/ds1^2, the entry the
@@ -34,7 +34,7 @@ layer Jacobian in ``deep`` is built from. ``pair_moments`` gives
 E[psi psi] and E[psi' psi'] together, for the tangent-kernel step. For
 ELU/SELU all three come from one evaluator, ``_elu_moments``, which
 computes only the ones its caller returns: five bvn terms per entry from
-three Genz integrals, in one call of the Genz rule per chunk of entries;
+three tilted Genz integrals, in one call of the rule per chunk of entries;
 for 0.925 <= |rho| < 1 a 1-D Gauss-Legendre rule over Z1 of closed-form
 conditional moments; at rho = +-1 the limits. ``diag_mean`` is
 ``pair_mean`` at rho = 1.
@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx, ndtr, roots_legendre
+from scipy.special import erfcx, log_ndtr, ndtr, roots_legendre
 
 from .activations import Activation
 from .quadrature import ZMAX
@@ -53,13 +53,13 @@ from . import special
 from .special import GENZ_RHO_MAX, SQRT_2PI, TWO_PI, _check_correlation, expscaled_cdf
 
 # e^(s^2)-type factors in the ELU/SELU closed forms leave double range
-# (even with exponent folding on the bvn side) beyond this.
+# (even with exponent folding on the Genz side) beyond this.
 ELU_S_MAX = 25.0
 
-# Interior ELU/SELU entries per call of the Genz rule, of three rows
-# each: each batch-sized array of its front end is at most 24 KB and the
-# peak memory stays bounded whatever the batch size. CHANGES.md records
-# the sweep behind it.
+# Interior ELU/SELU entries per call of ``_elu_interior``, of three Genz
+# rows each: each batch-sized array of its front end is at most 32 KB and
+# the peak memory stays bounded whatever the batch size. CHANGES.md
+# records the sweep behind it.
 _ELU_CHUNK = 1024
 
 # The tail-band rule: 16-node Gauss-Legendre panels on each side of the
@@ -71,6 +71,12 @@ _TAIL_NODES, _TAIL_WEIGHTS = roots_legendre(16)
 _TAIL_SCALES = 2.0 ** np.arange(-4, 4)
 _TAIL_EDGES = np.array([0.0, 1.0, 2.0, 4.0, ZMAX])
 _TAIL_CHUNK = 32
+
+# The interior's Genz rule: the 24 Gauss-Legendre nodes of ``special`` on
+# [0, 1], scaled to [0, arcsin(cos theta)] per column, and their weights
+# over 4 pi (half the interval, over 2 pi).
+_TILT_NODES = (special._GL_NODES + 1.0) / 2.0
+_TILT_WEIGHTS = special._GL_WEIGHTS / (2.0 * TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -177,39 +183,77 @@ def _elu_interior(l2, alpha, s1, s2, theta, want):
     """``_elu_moments`` at |cos theta| < ``GENZ_RHO_MAX``, on 1-D arrays:
     E(s1, s2), E(s1, 0), E(0, s2) with E(a, b) = E[e^(a Z1 + b Z2); Z1 < 0,
     Z2 < 0], and B(s1), B(s2) with B(b) = E[e^(b Z2); Z1 > 0, Z2 < 0]. Each
-    B is the other half of the E with the same exponent, so the Genz rule,
-    called on the three E rows (finite and in its band), gives all five.
+    B is the other half of the E with the same exponent: Genz's (2004)
+    rule writes E(s, 0) as c(s) Phi(-s cos theta) plus an integral G and
+    B(s) as c(s) Phi(s cos theta) - G, c = ``expscaled_cdf``, so the three
+    tilted integrals of ``_tilted_genz`` give all five. Only E(s1, s2)
+    keeps its product exp(q + log Phi(-h) + log Phi(-k)), with
+    h = s1 + s2 cos theta, k = s1 cos theta + s2 and
+    q = (s1^2 + 2 s1 s2 cos theta + s2^2) / 2.
     """
     a2 = alpha * alpha
     sn, cs = np.sin(theta), np.cos(theta)
-    # the E rows as upper orthants at (-h, -k); E(s1, 0) enters with its
-    # arguments swapped, so that B(s1) is its upper half as B(s2) is that
-    # of E(0, s2)
-    e12, e10, e01, b1, b2 = special._blocked(
-        special._bvnu_genz, special._BLOCK_COLS,
-        np.array([s1 + s2 * cs, s1 * cs, s2 * cs]),
-        np.array([s1 * cs + s2, s1, s2]),
-        cs,
-        np.array([(s1 * s1 + 2.0 * s1 * s2 * cs + s2 * s2) / 2.0, s1 * s1 / 2.0, s2 * s2 / 2.0]),
-        up=slice(1, None))
+    s1c, s2c, s12 = s1 * cs, s2 * cs, s1 * s2
+    s1s, s2s = s1 * s1, s2 * s2
+    coef = np.array([s1s, s2s, s1s + 2.0 * s12 * cs + s2s])
+    coef *= -0.5  # -s1^2/2, -s2^2/2 and -q
+    g = special._blocked(_tilted_genz, special._BLOCK_COLS, coef, -s12 * sn * sn, cs,
+                         np.pi / 2.0 - theta)  # arcsin(cos theta)
+    cx = expscaled_cdf(np.array([s1, s2, s1 * sn, s2 * sn]))
+    # c(s1), c(s2) times Phi(-s1 cos theta), Phi(-s2 cos theta) and then
+    # times Phi(s1 cos theta), Phi(s2 cos theta)
+    halves = ndtr(np.array([-s1c, -s2c, s1c, s2c])).reshape(2, 2, -1) * cx[:2]
+    e10, e01 = halves[0] + g[:2]
+    b1, b2 = halves[1] - g[:2]
+    lh, lk = log_ndtr(-np.array([s1 + s2c, s1c + s2]))
+    e12 = g[2] + np.exp(lh + lk - coef[2])
     quadrant = (np.pi - theta) / TWO_PI  # P(Z1 < 0, Z2 < 0)
+    x1, x2 = cx[2:]
     outs = {}
     if "dot" in want:
         outs["dot"] = l2 * (quadrant + alpha * (b2 + b1) + a2 * e12)
-    if "mean" in want or "dd" in want:
-        c1, x1, x2 = expscaled_cdf(np.array([s1, s1 * sn, s2 * sn]))
     if "mean" in want:
         # E[Theta(Z1) Z1 Theta(-Z2)(e^{s2 Z2} - 1)] and its mirror, the
         # linear side's scale factored out by homogeneity
-        cross = (s1 * ((x2 - 0.5) / SQRT_2PI + s2 * cs * b2)
-                 + s2 * ((x1 - 0.5) / SQRT_2PI + s1 * cs * b1))
-        outs["mean"] = l2 * (s1 * s2 * (sn + (np.pi - theta) * cs) / TWO_PI + alpha * cross
+        cross = (s1 * ((x2 - 0.5) / SQRT_2PI + s2c * b2)
+                 + s2 * ((x1 - 0.5) / SQRT_2PI + s1c * b1))
+        outs["mean"] = l2 * (s12 * (sn + (np.pi - theta) * cs) / TWO_PI + alpha * cross
                              + a2 * (e12 - e10 - e01 + quadrant))
     if "dd" in want:
-        lin = s2 * ((x1 - cs / 2.0) / SQRT_2PI + s1 * cs * (c1 - e10))
+        lin = s2 * ((x1 - cs / 2.0) / SQRT_2PI + s1c * b1)  # c(s1) - E(s1, 0) = B(s1)
         jump = (s2 * sn / SQRT_2PI + alpha * (x2 - 0.5)) / (SQRT_2PI * s1)
         outs["dd"] = l2 * (alpha * (lin + alpha * (e12 - e10)) + (1.0 - alpha) * jump)
     return [outs[w] for w in want]
+
+
+def _tilted_genz(coef, p, cs, width):
+    """The Genz integrals G of E(s1, 0), E(0, s2) and E(s1, s2), one row
+    each, for the columns of ``_elu_interior``: G = (1 / 2 pi) times the
+    integral over phi in [0, width], width = arcsin(cos theta), of e^x
+    with x the node exponent, by the 24 Gauss-Legendre nodes phi_i.
+
+    The exponent q - (h^2 - 2 h k sin phi + k^2) / (2 cos^2 phi) of Genz's
+    rule adds q and then cancels it. Per column, in d_i = cos theta -
+    sin phi_i and r_i = d_i / cos^2 phi_i, it is -s1^2 d_i r_i / 2 and
+    -s2^2 d_i r_i / 2 for the single rows and -(q d_i + s1 s2 sin^2 theta)
+    r_i for the joint one (``coef`` holds -s1^2 / 2, -s2^2 / 2 and -q,
+    ``p`` -s1 s2 sin^2 theta). For rho >= 0, d_i, r_i >= 0, so no term is
+    positive and none cancels. The node sum is an ``einsum``, whose sums
+    do not depend on the batch (a BLAS product's do).
+    """
+    sphi = np.sin(width[:, None] * _TILT_NODES)
+    d = cs[:, None] - sphi
+    r = sphi * sphi
+    np.subtract(1.0, r, out=r)
+    np.divide(d, r, out=r)
+    expo = np.empty((3,) + d.shape)
+    np.multiply(d, coef[2][:, None], out=expo[2])
+    expo[2] += p[:, None]
+    expo[2] *= r
+    d *= r
+    np.multiply(coef[:2, :, None], d, out=expo[:2])
+    np.exp(expo, out=expo)
+    return width * np.einsum("tmn,n->tm", expo, _TILT_WEIGHTS)
 
 
 def _elu_tail(l2, alpha, s1, s2, rho, want):
@@ -366,7 +410,7 @@ def pair_dot_mean(act: Activation, s1, s2, rho):
 def pair_moments(act: Activation, s1, s2, rho):
     """``(E[psi psi], E[psi' psi'])``: ``pair_mean`` and ``pair_dot_mean``
     in one call; ELU/SELU take both from one ``_elu_moments`` call, three
-    bvn rows per pair."""
+    Genz rows per pair."""
     if act.kind not in ("elu", "selu"):
         return pair_mean(act, s1, s2, rho), pair_dot_mean(act, s1, s2, rho)
     return tuple(_elu_moments(act, s1, s2, rho, ("mean", "dot")))

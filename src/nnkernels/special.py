@@ -4,9 +4,9 @@ An overflow-safe ``exp(t^2/2) * Phi(-t)`` and the bivariate normal CDF
 ``bvn_cdf_exp``, with a prefactor ``exp(q)`` folded in so that products
 like ``exp(q) * Phi2`` stay finite: Genz's rewrite of the
 Drezner-Wesolowsky algorithm for |rho| < 0.925, exact limits at |rho| = 1
-and at infinite arguments; the band between is refused. The Genz rule
-``_bvnu_genz`` also gives the other half ``Z1 > h`` of a row from the
-same integral; the ELU/SELU moments call it directly.
+and at infinite arguments; the band between is refused. The ELU/SELU
+moments take the same rule in a form of their own
+(``kernels._tilted_genz``); ``bvn_cdf_exp`` checks them in the tests.
 
 Everything here is pure, reentrant and vectorized over ndarray inputs.
 """
@@ -64,52 +64,45 @@ def _check_correlation(rho):
     return rho
 
 
-def _bvnu_genz(h, k, r, q, up=slice(0, 0)):
-    """``exp(q) P(X > h, Y > k)`` at |r| < ``GENZ_RHO_MAX`` and, for the
-    rows ``up``, ``exp(q) P(X > -h, Y > k)`` at correlation -r: h, k, q are
-    (T, m) or (m,), r is (m,); returned as one (T + U, m) array, the U upper
-    rows last. The arguments are not checked: callers pass finite rows.
+def _bvnu_genz(h, k, r, q):
+    """``exp(q) P(X > h, Y > k)`` at |r| < ``GENZ_RHO_MAX``: h, k, q and r
+    are (m,). The arguments are not checked: callers pass finite rows.
 
     Genz's (2004) correlation integral, with the ``exp(q)`` prefactor folded
-    into every exponential, one integral per row. At (-h, k, -r) hk,
-    sin(theta) and the arcsine in front all change sign, so the upper half
-    is the integral negated plus its own product term, bit for bit the row
-    at (-h, k, -r). For r < 0 the integral cancels against the product
-    term, so the result loses relative accuracy where it is small next to
-    it, and can come out negative: ``bvn_cdf_exp(-2.5, -2.5, -0.9)`` is below
-    0, and the ELU/SELU kernels' error grows from max(s1, s2) ~ 5 on (the
-    table of ROADMAP item 2). The exponent never exceeds q, so only where
-    q > 700 can it pass 700 and be refused rather than overflow.
+    into every exponential. For r < 0 the integral cancels against the
+    product term, so the result loses relative accuracy where it is small
+    next to it, and can come out negative: ``bvn_cdf_exp(-2.5, -2.5, -0.9)``
+    is below 0 (the table of ROADMAP item 2). The exponent never exceeds
+    q, so only where q > 700 can it pass 700 and be refused rather than
+    overflow.
     """
     asr = np.arcsin(r)
     sn = np.sin(asr[:, None] * ((_GL_NODES + 1.0) / 2.0))
-    expo = sn * (h * k)[..., None]
-    expo -= ((h * h + k * k) / 2.0)[..., None]
+    expo = sn * (h * k)[:, None]
+    expo -= ((h * h + k * k) / 2.0)[:, None]
     expo /= 1.0 - sn * sn
-    expo += q[..., None]
+    expo += q[:, None]
     if q.max() > 700.0 and expo.max() > 700.0:
         raise OverflowError(f"bvn: exponent {float(expo.max())} > 700 in the correlation "
                             "integral would overflow")
     np.exp(expo, out=expo)
     expo *= _GL_WEIGHTS
     g = (asr / 2.0) * expo.sum(axis=-1) / TWO_PI
-    lk = log_ndtr(-k)
-    return np.concatenate([g + np.exp(log_ndtr(-h) + lk + q),
-                           np.exp(log_ndtr(h[up]) + lk[up] + q[up]) - g[up]])
+    return g + np.exp(log_ndtr(-h) + log_ndtr(-k) + q)
 
 
-def _blocked(rule, size, *args, **kwargs):
-    """``rule(*args, **kwargs)`` over consecutive blocks of ``size`` along
-    the last axis of ``args``.
+def _blocked(rule, size, *args):
+    """``rule(*args)`` over consecutive blocks of ``size`` along the last
+    axis of ``args``.
 
-    The Genz rule is independent along it, so the result equals
+    The Genz rules are independent along it, so the result equals
     one call on the whole batch bit for bit; the blocks keep their
     (block, nodes) temporaries in the per-core cache.
     """
     n = args[0].shape[-1]
     if n <= size:
-        return rule(*args, **kwargs)
-    return np.concatenate([rule(*(a[..., i:i + size] for a in args), **kwargs)
+        return rule(*args)
+    return np.concatenate([rule(*(a[..., i:i + size] for a in args))
                            for i in range(0, n, size)], axis=-1)
 
 

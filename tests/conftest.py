@@ -4,24 +4,24 @@ import pytest
 
 @pytest.fixture
 def bvn_work(monkeypatch):
-    """Counts the ELU/SELU work per band: ``calls`` gets (shape of h, r) of
-    each call of the Genz rule ``special._bvnu_genz``, and ``work`` the rows
-    that it takes ("genz") and the entries that the tail-band rule
+    """Counts the ELU/SELU work per band: ``calls`` gets (shape of the
+    exponent coefficients, cos theta) of each call of the interior's Genz
+    rule ``kernels._tilted_genz``, and ``work`` the columns (entries) that
+    it takes ("genz") and the entries that the tail-band rule
     ``kernels._elu_tail`` takes ("tail")."""
-    from nnkernels import kernels, special
+    from nnkernels import kernels
     calls, work = [], {"genz": 0, "tail": 0}
 
     def counting(rule, key, arg):
         def wrapped(*args, **kwargs):
             if key == "genz":
-                calls.append((args[0].shape, np.array(args[2])))
+                calls.append((args[0].shape, np.array(args[arg])))
             work[key] += args[arg].size
             return rule(*args, **kwargs)
         return wrapped
 
-    for module, name, key, arg in ((special, "_bvnu_genz", "genz", 0),
-                                   (kernels, "_elu_tail", "tail", 2)):
-        monkeypatch.setattr(module, name, counting(getattr(module, name), key, arg))
+    for name, key, arg in (("_tilted_genz", "genz", 2), ("_elu_tail", "tail", 2)):
+        monkeypatch.setattr(kernels, name, counting(getattr(kernels, name), key, arg))
     return calls, work
 
 

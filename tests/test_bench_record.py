@@ -21,6 +21,7 @@ def test_bench_record_schema(tmp_path):
     record = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     assert len(record["git_sha"]) == 40 and isinstance(record["dirty"], bool)
     assert record["tier1"] is None and record["cli"] is None and record["import_s"] is None
+    assert record["micro"] is None
     # the north star's line count, as `wc -l src/nnkernels/*.py` totals it
     wc = subprocess.run(["wc", "-l", *sorted((REPO / "src" / "nnkernels").glob("*.py"))],
                         capture_output=True, text=True, check=True)
@@ -117,3 +118,39 @@ def test_paired_log_ratios():
     q1, med, q3 = np.percentile(np.log([1.1, 1.1, 1.2]), [25, 50, 75])
     assert out["ops_per_s"] == {"median": med, "q1": q1, "q3": q3}
     assert out["failed_share"] is None
+
+
+def test_micro_recorded_with_flag(tmp_path, monkeypatch):
+    # the workloads faked, no nnk case and two small micro cases: ns per
+    # entry per checkout with --micro, and the log ratio to the first
+    # checkout in the second file; null without the flag
+    bench_record = _bench_record()
+    names = [m["name"] for m in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]]
+    fake = lambda checkout, command, workload, seed, seconds: {
+        "seed": seed, "correct": True, "attempted": 1, "failed": 0,
+        "metrics": {name: 1.0 for name in names}}
+    monkeypatch.setattr(bench_record, "run_benchmark", fake)
+    monkeypatch.setattr(bench_record, "CLI_CASES", {})
+    monkeypatch.setattr(bench_record, "MICRO_CASES", {"interior-2": ("interior", 2),
+                                                      "tail-1": ("tail", 1)})
+    monkeypatch.setattr(bench_record, "MICRO_CALLS", 3)
+    argv = ["--checkout", f"a={REPO}", "--checkout", f"b={REPO}", "--workloads", "finite_width",
+            "--seeds", "1", "--no-tier1", "--out-dir", str(tmp_path)]
+    assert bench_record.main(argv + ["--micro"]) == 0
+    first, second = (json.loads((tmp_path / f"BENCH_{label}.json").read_text())["micro"]
+                     for label in "ab")
+    assert sorted(first) == ["ns_per_entry"]
+    for record in (first, second):
+        ns = record["ns_per_entry"]
+        assert sorted(ns) == ["interior-2", "tail-1"]
+        assert all(0.0 < v < 1e9 for v in ns.values())
+    assert second["log_ratio_vs_a"] == {
+        case: float(np.log(second["ns_per_entry"][case] / first["ns_per_entry"][case]))
+        for case in ("interior-2", "tail-1")}
+    assert bench_record.main(argv) == 0
+    for label in "ab":
+        assert json.loads((tmp_path / f"BENCH_{label}.json").read_text())["micro"] is None
+    # a failing script names the checkout
+    monkeypatch.setattr(bench_record, "MICRO_SCRIPT", "raise SystemExit(3)")
+    with pytest.raises(RuntimeError, match="micro exited 3"):
+        bench_record.run_micro(REPO, tmp_path)

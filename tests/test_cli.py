@@ -251,6 +251,7 @@ class TestFixedpoint:
         assert summary["converged"] is False
         for key in ("s_sq_star", "rho_star", "lambda1", "lambda3_at_rho_star"):
             assert summary[key] is None, key
+        assert summary["verdict"] == "inconclusive"
 
     def test_gelu_not_contraction(self, tmp_path, capsys):
         out = tmp_path / "fp.csv"

@@ -357,8 +357,8 @@ class TestKernelMatrix:
     def test_elu_ntk_bvn_work(self, bvn_work):
         # k and kdot share each pair's work, and the rho = 1 diagonal, whose
         # limits are closed forms, takes none: one Genz-rule call per layer,
-        # of three rows per Genz-band pair, and one tail-rule entry per
-        # tail-band pair
+        # of one column (three rows) per Genz-band pair, and one tail-rule
+        # entry per tail-band pair
         calls, work = bvn_work
         n, depth = 9, 3
         pairs = n * (n - 1) // 2
@@ -368,7 +368,7 @@ class TestKernelMatrix:
         assert len(calls) == depth and all(shape[0] == 3 for shape, _ in calls)
         r = np.abs(np.concatenate([r for _, r in calls]))
         assert r.max() < 0.925
-        assert work == {"genz": 3 * r.size, "tail": depth * pairs - r.size}
+        assert work == {"genz": r.size, "tail": depth * pairs - r.size}
         assert r.size > 0 and work["tail"] > 0
 
 

@@ -455,12 +455,12 @@ class TestFindFixedPoint:
         assert (report.stopped, report.iterations, report.converged) == ("max_iter", 8, False)
 
     def test_elu_step_is_one_bvn_call(self, bvn_work):
-        # the pair's three rows go in one call of the Genz rule in the Genz
-        # band; in the tail band the pair is one entry of the tail rule and
-        # makes no Genz call. The rho = 1 norm updates take closed-form
-        # limits
+        # the pair's three rows go in one call of the Genz rule, as one
+        # column, in the Genz band; in the tail band the pair is one entry
+        # of the tail rule and makes no Genz call. The rho = 1 norm updates
+        # take closed-form limits
         calls, work = bvn_work
-        for rho, shapes, genz, tail in ((0.4, [(3, 1)], 3, 0), (0.97, [], 0, 1)):
+        for rho, shapes, genz, tail in ((0.4, [(3, 1)], 1, 0), (0.97, [], 0, 1)):
             calls.clear()
             work.update(genz=0, tail=0)
             iterate_state(ELU, LayerState(1.3, 0.8, rho), 1.5, 0.1)
@@ -524,7 +524,8 @@ def test_homogeneous_norm_map_keeps_the_start():
 @pytest.mark.parametrize("act, sb2", [(GELU, 0.5), (RELU, 0.3)], ids=["gelu", "relu"])
 def test_no_norm_root_reports_none(act, sb2):
     # with sigma_b^2 > 0 at sigma*(1), g1(u) - u keeps its sign around the
-    # start: no fixed point is reported, and nothing converged to one
+    # start: no fixed point is reported, nothing converged to one, and with
+    # no sphere to take lambda_3 on the verdict is "inconclusive"
     sw2 = sigma_star(act, 1.0) ** 2
     start = input_state(2.0, 1.0, sw2, sb2)
     assert _norm_fixed_point(act, start.s1_sq, sw2, sb2) is None
@@ -532,6 +533,7 @@ def test_no_norm_root_reports_none(act, sb2):
     assert (report.s_sq_star, report.rho_star, report.lambda1,
             report.lambda3_at_rho_star) == (None, None, None, None)
     assert not report.converged
+    assert report.verdict == "inconclusive"
 
 
 @pytest.mark.parametrize("act, converged, iterations", [(GELU, False, 239), (ELU, True, 505)],

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import ndtr
 
-from nnkernels.special import (_BLOCK_COLS, GENZ_RHO_MAX, _blocked, _bvnu_genz, bvn_cdf_exp,
-                               expscaled_cdf)
+from nnkernels.special import _BLOCK_COLS, GENZ_RHO_MAX, _blocked, bvn_cdf_exp, expscaled_cdf
 
 
 def bvn_reference(h, k, rho):
@@ -204,39 +203,61 @@ class TestBlockedBatches:
         assert np.array_equal(batch, one_by_one)
 
 
+def _interior_terms(s1, s2, cs):
+    """E(s1, s2), E(s1, 0), E(0, s2), B(s1), B(s2) of the ELU/SELU interior
+    at correlation cs, from the three tilted Genz integrals
+    (``kernels._tilted_genz``) over blocks of ``_BLOCK_COLS`` columns, with
+    the arguments its docstring names; c(s) = ``expscaled_cdf``."""
+    from nnkernels.kernels import _tilted_genz
+    sn_sq = (1.0 - cs) * (1.0 + cs)
+    coef = -0.5 * np.array([s1 * s1, s2 * s2, s1 * s1 + 2.0 * s1 * s2 * cs + s2 * s2])
+    g10, g01, g12 = _blocked(_tilted_genz, _BLOCK_COLS, coef, -s1 * s2 * sn_sq, cs,
+                             np.arcsin(cs))
+    c1, c2 = expscaled_cdf(np.array([s1, s2]))
+    e12 = g12 + np.exp(-coef[2]) * ndtr(-(s1 + s2 * cs)) * ndtr(-(s1 * cs + s2))
+    return (e12, c1 * ndtr(-s1 * cs) + g10, c2 * ndtr(-s2 * cs) + g01,
+            c1 * ndtr(s1 * cs) - g10, c2 * ndtr(s2 * cs) - g01)
+
+
 class TestHalves:
-    """The Genz rule ``_bvnu_genz``: both halves X > h and X < h of
-    ``exp(q) P(Y > k)`` from one integral per row, over blocks of
-    ``_BLOCK_COLS`` columns."""
+    """The halves of the ELU/SELU interior: one tilted Genz integral per row
+    (``kernels._tilted_genz``) gives both E(s, 0) = exp(s^2/2) P(X > s,
+    Y > s cos theta) and its other half B(s) = exp(s^2/2) P(X > -s cos theta,
+    Y > s) at correlation -cos theta, over blocks of ``_BLOCK_COLS``
+    columns."""
 
     @pytest.mark.parametrize("m", [1, _BLOCK_COLS - 1, _BLOCK_COLS, _BLOCK_COLS + 1,
                                    3 * _BLOCK_COLS + 7])
     def test_halves_are_two_cdf_calls(self, m):
+        # each of the five terms is a bvn_cdf_exp call (the untilted rule)
+        # to 1e-13 of max(1, |ref|); the blocks equal one column at a time
         rng = np.random.default_rng(m)
-        r = rng.uniform(-0.92, 0.92, m)
-        h, k = rng.uniform(-4, 4, (2, 3, m))
-        q = rng.uniform(0, 12, (3, m))
-        out = _blocked(_bvnu_genz, _BLOCK_COLS, h, k, r, q, up=slice(None))
-        lower, upper = out[:3], out[3:]
-        # the upper half is the row at (-h, k, -r), and each half a cdf call
-        assert np.array_equal(upper, _blocked(_bvnu_genz, _BLOCK_COLS, -h, k, -r, q))
-        assert np.array_equal(lower, bvn_cdf_exp(-h, -k, r, q))
-        assert np.array_equal(upper, bvn_cdf_exp(h, -k, -r, q))
-        out1 = _blocked(_bvnu_genz, _BLOCK_COLS, h, k, r, q, up=slice(1, None))
-        assert np.array_equal(out1, np.vstack([lower, upper[1:]]))
-        cols = [_bvnu_genz(h[:, j:j + 1], k[:, j:j + 1], r[j:j + 1], q[:, j:j + 1],
-                           up=slice(None)) for j in range(m)]
+        cs = rng.uniform(-0.92, 0.92, m)
+        s1, s2 = rng.uniform(0.1, 4.0, (2, m))
+        out = np.array(_interior_terms(s1, s2, cs))
+        q1, q2 = s1 * s1 / 2.0, s2 * s2 / 2.0
+        ref = bvn_cdf_exp(
+            np.stack([-(s1 + s2 * cs), -s1, -(s2 * cs), s1 * cs, s2 * cs]),
+            np.stack([-(s1 * cs + s2), -(s1 * cs), -s2, -s1, -s2]),
+            np.stack([cs, cs, cs, -cs, -cs]),
+            np.stack([(s1 * s1 + 2.0 * s1 * s2 * cs + s2 * s2) / 2.0, q1, q2, q1, q2]))
+        assert (np.abs(out - ref) / np.maximum(1.0, np.abs(ref))).max() <= 1e-13
+        cols = [np.array(_interior_terms(s1[j:j + 1], s2[j:j + 1], cs[j:j + 1]))
+                for j in range(m)]
         assert np.array_equal(np.hstack(cols), out)
 
     def test_halves_add_up(self):
-        # upper + lower = exp(q) P(Y > k) = exp(q) Phi(-k)
+        # E(s, 0) + B(s) = exp(s^2/2) P(Y > s) = c(s); and the joint row and
+        # its mirror at (s1, -s2, -cos theta) add up to exp(q) Phi(-h)
         rng = np.random.default_rng(5)
-        r = rng.uniform(-0.92, 0.92, 600)
-        h, k = rng.uniform(-4, 4, (2, 2, r.size))
-        q = rng.uniform(0, 12, (2, r.size))
-        out = _blocked(_bvnu_genz, _BLOCK_COLS, h, k, r, q, up=slice(None))
-        err = np.abs(out[:2] + out[2:] - np.exp(q) * ndtr(-k)) / np.exp(q)
-        assert err.max() <= 1e-13
+        cs = rng.uniform(-0.92, 0.92, 600)
+        s1, s2 = rng.uniform(0.1, 8.0, (2, cs.size))
+        e12, e10, e01, b1, b2 = _interior_terms(s1, s2, cs)
+        for e, b, s in ((e10, b1, s1), (e01, b2, s2)):
+            assert (np.abs(e + b - expscaled_cdf(s)) / expscaled_cdf(s)).max() <= 1e-15
+        whole = np.exp((s1 * s1 + 2.0 * s1 * s2 * cs + s2 * s2) / 2.0) * ndtr(-(s1 + s2 * cs))
+        mirror = _interior_terms(s1, -s2, -cs)[0]
+        assert (np.abs(e12 + mirror - whole) / whole).max() <= 1e-13
 
 
 def _mp_bvn_exp(h, k, rho, q):
