@@ -102,10 +102,9 @@ class NetworkHyper:
 
 def _normalized(k, s1_sq, s2_sq):
     rho = k / np.sqrt(s1_sq * s2_sq)
-    over = np.abs(rho) - 1.0
-    if _any(over > _RHO_OVERSHOOT):
+    if _any(np.abs(rho) - 1.0 > _RHO_OVERSHOOT):
         raise ArithmeticError(
-            f"normalized kernel overshoots [-1, 1] by {float(np.max(over)):.3e}; "
+            f"normalized kernel overshoots [-1, 1] by {float(np.max(np.abs(rho))) - 1.0:.3e}; "
             "this signals a kernel bug"
         )
     return _unit_clip(rho)
@@ -260,11 +259,11 @@ def kernel_matrices_by_depth(act: Activation, X, sigma_w2, sigma_b2,
     if depths != sorted(depths) or depths[0] < 1:
         raise ValueError("depths must be increasing and >= 1")
     sw, sb = (np.broadcast_to(v, depths[-1] + 1) for v in (sigma_w2, sigma_b2))
-    iu, ju = np.triu_indices(n, k=1)
-    p = iu.size
     rows = np.arange(n)
-    entries = (np.concatenate([iu, rows]), np.concatenate([ju, rows]))
-    upper, lower = iu * n + ju, ju * n + iu
+    entries = tuple(np.concatenate([e, rows]) for e in np.triu_indices(n, k=1))
+    p = entries[0].size - n
+    iu, ju = (e[:p] for e in entries)
+    upper = lower = None  # the flat indices of K, fixed at its first write
     s_sq = _positive_norms(sw[0] * np.einsum("ij,ij->i", X, X) + sb[0],
                            "kernel_matrices_by_depth")
     k = sw[0] * np.einsum("ij,ij->i", X[iu], X[ju]) + sb[0]
@@ -276,6 +275,8 @@ def kernel_matrices_by_depth(act: Activation, X, sigma_w2, sigma_b2,
         k_all, t = _layer_step(act, s_sq, entries, rho, sw[depth], sb[depth], t)
         k, s_sq = k_all[:p], k_all[p:]
         if depth in want:
+            if upper is None:
+                upper, lower = iu * n + ju, ju * n + iu
             off, diag = (t[:p], t[p:]) if use_ntk else (k, s_sq)
             K = np.empty(n * n)
             K[upper] = off

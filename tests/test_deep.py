@@ -354,6 +354,26 @@ class TestKernelMatrix:
                 k_scalar = state_trajectory(GELU, X[i], X[j], hyper)[-1][2]
                 assert K[i, j] == pytest.approx(k_scalar, rel=1e-12)
 
+    def test_failed_layer_pins_few_arrays(self):
+        # a caller that keeps the ArithmeticError (as a benchmark harness
+        # keeps each failed operation's) keeps its frames' arrays: the
+        # generator's frame holds the two entry-index arrays, rho and the
+        # layer's values, and no copies of the pair indices or flat K
+        # indices before the first K is written; _normalized holds rho and
+        # its two norm arguments
+        X = np.random.default_rng(2).standard_normal((40, 6))
+        X *= (10.0 / np.linalg.norm(X, axis=1))[:, None]
+        with pytest.raises(ArithmeticError, match="overshoots") as info:
+            deep_kernel_matrix(ELU, X, NetworkHyper.shared(8, 2.0))
+        pinned, tb = set(), info.value.__traceback__
+        while tb is not None:
+            for v in list(tb.tb_frame.f_locals.values()):
+                for a in v if isinstance(v, tuple) else (v,):
+                    if isinstance(a, np.ndarray) and a.size >= 40 * 39 // 2:
+                        pinned.add(id(a if a.base is None else a.base))
+            tb = tb.tb_next
+        assert len(pinned) == 7
+
     def test_elu_ntk_bvn_work(self, bvn_work):
         # k and kdot share each pair's work, and the rho = 1 diagonal, whose
         # limits are closed forms, takes none: one Genz-rule call per layer,
