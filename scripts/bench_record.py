@@ -307,9 +307,9 @@ def main(argv=None):
                     cli_runs[label][case].append(run)
                     print(f"{label} nnk {case} seed {seed}: {run['wall_s']:.3f} s, "
                           f"exit {run['exit_code']}", flush=True)
-        micro = {label: run_micro(checkouts[label], workdir) for label in labels} \
-            if args.micro else None
+        micro = {}
         for label in labels if args.micro else ():
+            micro[label] = run_micro(checkouts[label], workdir)
             print(f"{label} micro: {json.dumps(micro[label])}", flush=True)
 
     for label in labels:
