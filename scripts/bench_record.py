@@ -35,14 +35,17 @@ median, the quartiles and every run, to read beside the benchmark's
 ``setup_s``, which is mostly this import.
 
 With ``--micro``, after the seeds, each checkout runs ``MICRO_SCRIPT``
-once, in a fresh process: the ns per entry of ELU ``pair_moments`` for
-each case of ``MICRO_CASES`` (a band and a batch size: the Genz-band
-interior at batch 1, as in one fixed-point step, and at 5,050, the pairs
-of one ``elu_gp`` layer; the 0.925 <= |rho| < 1 tail band at batch 1 and
-at 128), the min over 5 runs of ``MICRO_CALLS / batch`` calls (at least
-3). The file's ``micro`` entry (null without ``--micro``) holds them and,
-in each file after the first, the log ratio of each case to the first
-checkout's.
+once, in a fresh process, for each case of ``MICRO_CASES`` (a kind and a
+size), the min over 5 runs of ``MICRO_CALLS / size`` calls (at least 3):
+``ns_per_entry`` of ELU ``pair_moments`` per band and batch size (the
+Genz-band interior at batch 1, as in one fixed-point step, and at 5,050,
+the pairs of one ``elu_gp`` layer; the 0.925 <= |rho| < 1 tail band at
+batch 1 and at 128), and ``ns_per_call`` of ``gp.fit`` and of
+``gp.predict`` on the train block (N rows) and on a test block (N / 4
+rows) at N = 30, 100 and 300, on a depth-4 GELU kernel of 6-D normal
+rows. The file's ``micro`` entry (null without ``--micro``) holds both
+and, in each file after the first, the log ratio of each case to the
+first checkout's.
 
 The default checkout is this repository, labelled by its short SHA.
 """
@@ -79,28 +82,51 @@ CLI_CASES = {
     "fixedpoint-norm0.5": ["fixedpoint", "--norm", "0.5"],
     "gp-fit-elu": ["gp-fit", "--activation", "elu", "--dataset", "{dataset}"],
 }
-# name -> (band, batch) of the --micro cases
+# name -> (kind, size) of the --micro cases: an ELU band and its batch,
+# or a GP call and its train size N
 MICRO_CASES = {"interior-1": ("interior", 1), "interior-5050": ("interior", 5050),
-               "tail-1": ("tail", 1), "tail-128": ("tail", 128)}
+               "tail-1": ("tail", 1), "tail-128": ("tail", 128),
+               **{f"gp-{kind}-{n}": (kind, n) for n in (30, 100, 300)
+                  for kind in ("fit", "predict-train", "predict-test")}}
 MICRO_CALLS = 2000
-# argv[1]: JSON [[name, band, batch], ...], argv[2]: MICRO_CALLS. s1 is
+# argv[1]: JSON [[name, kind, size], ...], argv[2]: MICRO_CALLS. ELU: s1 is
 # log-uniform on [0.25, 25], s2 = s1 U(0.7, 1); |rho| is U(0, 0.9) in the
-# interior and U(0.93, 0.999) in the tail band, of either sign.
+# interior and U(0.93, 0.999) in the tail band, of either sign. GP: K over
+# N + N / 4 rows of 6-D normals (sigma_w^2 2, depth 4), noise 0.1.
 MICRO_SCRIPT = """
 import json, sys, timeit
 import numpy as np
-from nnkernels.activations import ELU
+from nnkernels import gp
+from nnkernels.activations import ELU, GELU
+from nnkernels.deep import kernel_matrices_by_depth
 from nnkernels.kernels import pair_moments
-out = {}
-for name, band, n in json.loads(sys.argv[1]):
+
+def elu_call(band, n):
     rng = np.random.default_rng(0)
     s1 = np.exp(rng.uniform(np.log(0.25), np.log(25.0), n))
     s2 = s1 * rng.uniform(0.7, 1.0, n)
     lo, hi = (0.0, 0.9) if band == "interior" else (0.93, 0.999)
     rho = rng.choice([-1.0, 1.0], n) * rng.uniform(lo, hi, n)
+    return lambda: pair_moments(ELU, s1, s2, rho)
+
+def gp_call(kind, n):
+    X = np.random.default_rng(0).standard_normal((n + n // 4, 6))
+    [(_, K)] = kernel_matrices_by_depth(GELU, X, 2.0, 0.0, [4])
+    y = np.sin(X[:n].sum(axis=1))
+    if kind == "fit":
+        return lambda: gp.fit(K[:n, :n], y, 0.1)
+    fit = gp.fit(K[:n, :n], y, 0.1)
+    rows = slice(None, n) if kind == "predict-train" else slice(n, None)
+    K_star, k_diag = K[rows, :n], np.diag(K)[rows]
+    return lambda: gp.predict(fit, K_star, k_diag)
+
+out = {"ns_per_entry": {}, "ns_per_call": {}}
+for name, kind, n in json.loads(sys.argv[1]):
     number = max(3, int(sys.argv[2]) // n)
-    best = min(timeit.repeat(lambda: pair_moments(ELU, s1, s2, rho), number=number, repeat=5))
-    out[name] = best / number / n * 1e9
+    elu = kind in ("interior", "tail")
+    call = elu_call(kind, n) if elu else gp_call(kind, n)
+    best = min(timeit.repeat(call, number=number, repeat=5)) / number
+    out["ns_per_entry" if elu else "ns_per_call"][name] = best / (n if elu else 1) * 1e9
 print(json.dumps(out))
 """
 
@@ -188,8 +214,9 @@ def run_import(checkout, workdir):
 
 
 def run_micro(checkout, workdir):
-    """ns per entry of each ``MICRO_CASES`` case, from one fresh process."""
-    cases = json.dumps([[name, band, n] for name, (band, n) in MICRO_CASES.items()])
+    """ns per entry (ELU) or per call (GP) of each ``MICRO_CASES`` case,
+    from one fresh process."""
+    cases = json.dumps([[name, kind, n] for name, (kind, n) in MICRO_CASES.items()])
     proc = subprocess.run([sys.executable, "-c", MICRO_SCRIPT, cases, str(MICRO_CALLS)],
                           cwd=workdir, env=_env(checkout), capture_output=True, text=True)
     if proc.returncode != 0:
@@ -348,11 +375,11 @@ def main(argv=None):
                         len({r[k] for r in both}) == 1 for k in ("stdout_sha256", "out_sha256"))
                 record["cli"][case] = entry
         if args.micro:
-            record["micro"] = {"ns_per_entry": micro[label]}
+            record["micro"] = dict(micro[label])
             if label != labels[0]:
                 record["micro"]["log_ratio_vs_" + labels[0]] = {
-                    case: float(np.log(ns / micro[labels[0]][case]))
-                    for case, ns in micro[label].items()}
+                    case: float(np.log(ns / micro[labels[0]][unit][case]))
+                    for unit, cases in micro[label].items() for case, ns in cases.items()}
         args.out_dir.mkdir(parents=True, exist_ok=True)
         out = args.out_dir / f"BENCH_{label}.json"
         out.write_text(json.dumps(record, indent=1) + "\n")

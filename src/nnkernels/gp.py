@@ -2,14 +2,13 @@
 
 ``fit`` and ``predict`` are Rasmussen & Williams (2006), Alg. 2.1: one
 LAPACK ``potrf`` (Cholesky), ``potrs`` (weights) and ``trtrs``
-(variances), called directly; the log marginal likelihood comes from
-the fit's own weights and log-determinant. These are the routines
-``scipy.linalg.cholesky``, ``cho_solve`` and ``solve_triangular`` call,
-with the same arguments, so the results are theirs bit for bit; the
-inputs are validated once here (shape, finiteness, symmetry, noise)
-instead of again in each of scipy's wrappers, whose fixed cost dominated
-a fit at N = 30. ``fit`` is the one factorization of a kernel matrix;
-``grid_search`` forms its means as K alpha, without the variance solves.
+(variances), called directly, with the arguments of scipy's
+``cholesky``, ``cho_solve`` and ``solve_triangular``, so the results are
+theirs bit for bit; the inputs are validated once here instead of in
+each wrapper, whose fixed cost dominated a fit at N = 30. ``fit`` is the
+one factorization of a kernel matrix and the one place that refuses a
+numerically singular K + noise_var I; ``grid_search`` forms its means as
+K alpha, without the variance solves.
 """
 
 from __future__ import annotations
@@ -24,24 +23,31 @@ from .activations import Activation
 from .data import Dataset, split
 from .deep import kernel_matrices_by_depth
 
-_VAR_CLAMP = -1e-10
-
 
 @dataclass
 class GpFit:
-    """Cholesky factorization of K + noise_var * I with solved weights
-    and the negative log marginal likelihood ``nll`` of the targets.
-
-    ``jitter`` is the diagonal term the one retry added to K + noise_var
-    * I (0.0 when the first factorization succeeded).
-    """
+    """Cholesky factorization of K + noise_var * I with solved weights,
+    the negative log marginal likelihood ``nll`` of the targets and the
+    count of variances ``predict`` clamped to zero."""
 
     chol_lower: np.ndarray
     alpha: np.ndarray
     log_det: float
     nll: float
     n_var_clamped: int = 0
-    jitter: float = 0.0
+
+
+def _gamma(m):
+    """Higham's gamma_m = m u / (1 - m u), u = eps / 2.
+
+    The computed Cholesky factor L of an n x n A = K + noise_var I is exact
+    for A + dA, |dA| <= gamma_{n+1} |L||L^T| (Higham, Accuracy and Stability
+    of Numerical Algorithms, Thm 10.3), whose entries are at most max
+    diag(A). Where noise_var <= gamma_{n+1} max diag(K), that exceeds the
+    noise term: K + noise_var I is numerically singular.
+    """
+    mu = m * np.finfo(float).eps / 2
+    return mu / (1.0 - mu)
 
 
 def _finite(a, what):
@@ -50,17 +56,10 @@ def _finite(a, what):
     return a
 
 
-def _potrs(L, b):
-    """(L L^T)^-1 b for the lower Cholesky factor L."""
-    x, info = dpotrs(L, _finite(b, "right-hand side"), lower=1)
-    if info:
-        raise ValueError(f"illegal value in argument {-info} of potrs")
-    return x
-
-
 def fit(K, y, noise_var: float) -> GpFit:
     """Factorize K + noise_var * I, solve for the weights and take the
-    negative log marginal likelihood from them."""
+    negative log marginal likelihood from them. A numerically singular
+    (see ``_gamma``) or indefinite K + noise_var I raises ArithmeticError."""
     K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] != y.shape[0]:
@@ -72,29 +71,25 @@ def fit(K, y, noise_var: float) -> GpFit:
     if not 0.0 < noise_var < np.inf:
         raise ValueError("noise variance must be strictly positive and finite")
     n = K.shape[0]
-    A = K + noise_var * np.eye(n)
-    jitter = 0.0
-    L, info = dpotrf(A, lower=1, clean=1)
+    gamma, max_diag = _gamma(n + 1), K.diagonal().max()
+    if noise_var <= gamma * max_diag:
+        raise ArithmeticError(f"K + noise_var I is numerically singular: noise_var {noise_var:.6g}"
+                              f" <= gamma_{n + 1} {gamma:.6g} x max diag K {max_diag:.6g}")
+    L, info = dpotrf(K + noise_var * np.eye(n), lower=1, clean=1)
     if info:
-        jitter = 1e-8 * np.trace(K) / n
-        L, info = dpotrf(A + jitter * np.eye(n), lower=1, clean=1)
-        if info:
-            raise ArithmeticError("factorization failed after one jitter retry "
-                                  f"(leading minor {info} not positive definite)")
-    alpha = _potrs(L, y)
+        raise ArithmeticError(f"K + noise_var I is not positive definite (leading minor {info})")
+    alpha, info = dpotrs(L, _finite(y, "right-hand side"), lower=1)
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
     log_det = 2.0 * float(np.log(np.diag(L)).sum())
     nll = float(0.5 * y @ alpha + 0.5 * log_det + 0.5 * n * np.log(2.0 * np.pi))
-    return GpFit(L, alpha, log_det, nll, jitter=float(jitter))
+    return GpFit(L, alpha, log_det, nll)
 
 
 def predict(gp: GpFit, K_star, K_star_star_diag):
-    """Posterior mean and variance at test points.
-
-    mean = K* alpha; var = diag(K**) - row quadratic form. Variances
-    above the -1e-10 tolerance are clamped to zero (counted on the fit
-    object); anything lower raises. The tolerance is absolute: at a large
-    kernel scale (diag(K) ~ 1e14) the rounding of k** - v.v can cross it.
-    """
+    """Posterior mean K* alpha and variance k** - v.v, v = L^-1 k*. A
+    negative variance within its rounding bound is clamped to zero and
+    counted on ``gp.n_var_clamped``; one below it raises ArithmeticError."""
     K_star = np.atleast_2d(np.asarray(K_star, dtype=float))
     k_diag = np.asarray(K_star_star_diag, dtype=float)
     if K_star.shape[1] != gp.alpha.shape[0] or K_star.shape[0] != k_diag.shape[0]:
@@ -102,23 +97,35 @@ def predict(gp: GpFit, K_star, K_star_star_diag):
     _finite(K_star, "K_star")
     _finite(k_diag, "K_star_star_diag")
     mean = K_star @ gp.alpha
-    v, info = dtrtrs(gp.chol_lower, K_star.T, lower=1)
+    L = gp.chol_lower
+    v, info = dtrtrs(L, K_star.T, lower=1)
     if info:
         raise np.linalg.LinAlgError(f"triangular solve failed: trtrs info {info}")
     var = k_diag - np.einsum("ij,ij->j", v, v)
-    if (var < _VAR_CLAMP).any():
-        raise ArithmeticError(f"predictive variance below {_VAR_CLAMP}")
     clamped = var < 0.0
     if clamped.any():
+        # trtrs returns v' with (L + dL) v' = k*, |dL| <= gamma_n |L| (Higham
+        # Thm 8.5), so to first order |v'.v' - v.v| = 2 |(L^-T v)^T dL v'| <= 2
+        # gamma_n ||L^-1||_2 ||L||_F |v|^2 <= 2 sqrt(n) kappa gamma_n |v|^2, with
+        # d = max diag(L L^T) and kappa = sqrt(d) / min diag(L), the Cholesky
+        # diagonal's estimate of sqrt(d) ||L^-1||_2; the dot product adds
+        # gamma_n |v|^2 (Higham (3.5)). |v|^2 = k*^T (K + noise_var I)^-1 k* <=
+        # k** for a positive semidefinite prior; the bound takes max(k**, d).
+        n, d = L.shape[0], np.einsum("ij,ij->i", L, L).max()
+        kappa = np.sqrt(d) / L.diagonal().min()
+        tol = (2.0 * np.sqrt(n) * kappa + 1.0) * _gamma(n) * np.maximum(k_diag, d)
+        if (var < -tol).any():
+            j = int(np.argmax(-var / tol))
+            raise ArithmeticError(f"predictive variance {var[j]:.6g} below its rounding "
+                                  f"bound -{tol[j]:.6g}")
         gp.n_var_clamped += int(clamped.sum())
         var = np.where(clamped, 0.0, var)
     return mean, var
 
 
 def rmse(predicted, target) -> float:
-    predicted = np.asarray(predicted, dtype=float)
-    target = np.asarray(target, dtype=float)
-    return float(np.sqrt(np.mean((predicted - target) ** 2)))
+    diff = np.asarray(predicted, dtype=float) - np.asarray(target, dtype=float)
+    return float(np.sqrt(np.mean(diff ** 2)))
 
 
 class GridResult(NamedTuple):
@@ -137,15 +144,9 @@ GRID_CSV_COLUMNS = GridResult._fields
 
 
 def _grid_one_sigma(act, X, y, sigma_w2, sigma_b2, depths, noise_var, splits):
-    # The computed Cholesky factor L of the n x n train block A = K +
-    # noise_var I is exact for A + dA, |dA| <= gamma_{n+1} |L||L^T| (Higham,
-    # Accuracy and Stability of Numerical Algorithms, Thm 10.3), whose
-    # entries are at most max diag(A). Where noise_var <= gamma_{n+1} max
-    # diag(K), that exceeds the noise term: the cell's metrics mean nothing
-    # and stay nan. The max is over every row, so all splits of a cell agree.
-    n, u = len(splits[0][0]), np.finfo(float).eps / 2
-    gamma = (n + 1) * u / (1.0 - (n + 1) * u)
-    nan = float("nan")
+    # a cell whose train blocks ``fit`` would refuse as numerically singular
+    # keeps nan metrics; the max is over every row, so all splits agree
+    gamma, nan = _gamma(len(splits[0][0]) + 1), float("nan")
     metrics = dict.fromkeys(depths, ((nan, nan, nan),) * len(splits))
     try:
         for depth, K in kernel_matrices_by_depth(act, X, sigma_w2, sigma_b2, depths):
@@ -183,10 +184,8 @@ def grid_search(dataset: Dataset, act: Activation, depth_range, sigma_w2_range,
     sigmas = [float(s) for s in sigma_w2_range]
     if not depths or not sigmas:
         raise ValueError("empty grid")
-    idx_splits = []
-    for i in range(n_splits):
-        tr, te = split(dataset, train_frac, seed + i)
-        idx_splits.append((tr.indices, te.indices))
+    idx_splits = [tuple(part.indices for part in split(dataset, train_frac, seed + i))
+                  for i in range(n_splits)]
 
     rows = [r for sw in sigmas
             for r in _grid_one_sigma(act, dataset.X, dataset.y, sw, sigma_b2,

@@ -121,9 +121,9 @@ def test_paired_log_ratios():
 
 
 def test_micro_recorded_with_flag(tmp_path, monkeypatch):
-    # the workloads faked, no nnk case and two small micro cases: ns per
-    # entry per checkout with --micro, and the log ratio to the first
-    # checkout in the second file; null without the flag
+    # the workloads faked, no nnk case and four small micro cases: ns per
+    # ELU entry and per GP call for each checkout with --micro, and the log
+    # ratio to the first checkout in the second file; null without the flag
     bench_record = _bench_record()
     names = [m["name"] for m in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]]
     fake = lambda checkout, command, workload, seed, seconds: {
@@ -131,22 +131,24 @@ def test_micro_recorded_with_flag(tmp_path, monkeypatch):
         "metrics": {name: 1.0 for name in names}}
     monkeypatch.setattr(bench_record, "run_benchmark", fake)
     monkeypatch.setattr(bench_record, "CLI_CASES", {})
-    monkeypatch.setattr(bench_record, "MICRO_CASES", {"interior-2": ("interior", 2),
-                                                      "tail-1": ("tail", 1)})
+    cases = {"ns_per_entry": {"interior-2": ("interior", 2), "tail-1": ("tail", 1)},
+             "ns_per_call": {"fit-8": ("fit", 8), "test-8": ("predict-test", 8)}}
+    monkeypatch.setattr(bench_record, "MICRO_CASES", {**cases["ns_per_entry"],
+                                                      **cases["ns_per_call"]})
     monkeypatch.setattr(bench_record, "MICRO_CALLS", 3)
     argv = ["--checkout", f"a={REPO}", "--checkout", f"b={REPO}", "--workloads", "finite_width",
             "--seeds", "1", "--no-tier1", "--out-dir", str(tmp_path)]
     assert bench_record.main(argv + ["--micro"]) == 0
     first, second = (json.loads((tmp_path / f"BENCH_{label}.json").read_text())["micro"]
                      for label in "ab")
-    assert sorted(first) == ["ns_per_entry"]
+    assert sorted(first) == ["ns_per_call", "ns_per_entry"]
     for record in (first, second):
-        ns = record["ns_per_entry"]
-        assert sorted(ns) == ["interior-2", "tail-1"]
-        assert all(0.0 < v < 1e9 for v in ns.values())
+        for unit, unit_cases in cases.items():
+            assert sorted(record[unit]) == sorted(unit_cases)
+            assert all(0.0 < v < 1e9 for v in record[unit].values())
     assert second["log_ratio_vs_a"] == {
-        case: float(np.log(second["ns_per_entry"][case] / first["ns_per_entry"][case]))
-        for case in ("interior-2", "tail-1")}
+        case: float(np.log(second[unit][case] / first[unit][case]))
+        for unit, unit_cases in cases.items() for case in unit_cases}
     assert bench_record.main(argv) == 0
     for label in "ab":
         assert json.loads((tmp_path / f"BENCH_{label}.json").read_text())["micro"] is None

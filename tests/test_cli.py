@@ -5,6 +5,7 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -346,6 +347,30 @@ class TestGpCommands:
         assert code == 0
         metrics = json.loads(stdout.strip().splitlines()[0])
         assert metrics["sigma_w2"] == sigma_star(GELU, 1.0) ** 2
+
+    @pytest.mark.parametrize("name", ["relu", "gelu"])
+    def test_gp_fit_refuses_numerically_singular_cells(self, tmp_path, capsys, name):
+        # depth 32 on 100 standardized 6-D rows (80 train): max diag(K) is
+        # 3.0e11 at sigma_w^2 4, 1.5e13 at 4.5 and 4.7e14 at 5, and gamma_81
+        # max diag(K) reaches the noise 0.1 between 4.4 and 4.5
+        path = tmp_path / "d.csv"
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((100, 6))
+        y = np.sin(X @ rng.standard_normal(6) / np.sqrt(6)) + 0.1 * rng.standard_normal(100)
+        np.savetxt(path, np.column_stack([X, y]), delimiter=",", fmt="%.17g",
+                   header="x0,x1,x2,x3,x4,x5,y", comments="")
+        argv = ["gp-fit", "--dataset", str(path), "--activation", name, "--depth", "32"]
+        code, stdout, err = run_cli(argv + ["--sigma-w2", "4.0"], capsys)
+        assert code == 0, err
+        assert json.loads(stdout)["nll"] > 0.0
+        for sw2 in ("4.5", "5.0"):
+            code, stdout, err = run_cli(argv + ["--sigma-w2", sw2], capsys)
+            assert code == 1 and stdout == ""
+            error = json.loads(err)
+            assert error["error"] == "ArithmeticError"
+            assert re.fullmatch(r"K \+ noise_var I is numerically singular: noise_var 0\.1 <= "
+                                r"gamma_81 8\.99281e-15 x max diag K \S+e\+1[34]",
+                                error["message"]), error["message"]
 
     def test_benchmark_rows(self, tmp_path, dataset_csv, capsys):
         out = tmp_path / "bench.csv"

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from nnkernels import gp as gp_mod
-from nnkernels.activations import RELU
+from nnkernels.activations import RELU, from_name
 from nnkernels.data import Dataset, disc_grid, disc_task, split
 from nnkernels.deep import kernel_matrices_by_depth
 from nnkernels.gp import GRID_CSV_COLUMNS, fit, grid_search, predict, rmse
@@ -13,7 +13,7 @@ def dense_posterior(K, y, noise, K_star, K_ss_diag):
     A = K + noise * np.eye(K.shape[0])
     alpha = np.linalg.solve(A, y)
     mean = K_star @ alpha
-    var = K_ss_diag - np.einsum("ij,jk,ik->i", K_star, np.linalg.inv(A), K_star)
+    var = K_ss_diag - np.einsum("ij,ji->i", K_star, np.linalg.solve(A, K_star.T))
     return mean, var
 
 
@@ -80,18 +80,34 @@ class TestFit:
             with pytest.raises(ValueError, match="symmetric"):
                 fit(K, np.zeros(4), 0.1)
 
-    def test_jitter_retry_is_recorded(self):
-        # K + noise I is singular; K + noise I + 1e-8 (trace K / N) I is not
-        noise = 0.1
-        K = np.diag([1.0, -noise])
-        assert fit(random_spd(3, 1), np.ones(3), noise).jitter == 0.0
-        gp = fit(K, np.array([1.0, 0.0]), noise)
-        assert gp.jitter == 1e-8 * (1.0 - noise) / 2
-        np.testing.assert_allclose(gp.chol_lower @ gp.chol_lower.T,
-                                   K + (noise + gp.jitter) * np.eye(2), rtol=0, atol=1e-15)
-        # K + noise I indefinite beyond the jitter: one retry, then a refusal
-        with pytest.raises(ArithmeticError, match="jitter retry"):
-            fit(np.diag([1.0, -1.0]), np.zeros(2), noise)
+    def test_indefinite_refused_without_retry(self, monkeypatch):
+        # K + noise I singular (diag(1, -noise) + noise I): one potrf call,
+        # then a refusal, with nothing added to the diagonal
+        calls, dpotrf = [], gp_mod.dpotrf
+        monkeypatch.setattr(gp_mod, "dpotrf", lambda *a, **k: calls.append(a) or dpotrf(*a, **k))
+        for K in (np.diag([1.0, -0.1]), np.diag([1.0, -1.0])):
+            calls.clear()
+            with pytest.raises(ArithmeticError, match="not positive definite"):
+                fit(K, np.array([1.0, 0.0]), 0.1)
+            assert len(calls) == 1
+        assert not hasattr(fit(random_spd(3, 1), np.ones(3), 0.1), "jitter")
+
+    @pytest.mark.parametrize("n", [1, 80])
+    def test_numerically_singular_refused(self, n):
+        # noise_var <= gamma_{n+1} max diag(K), gamma_m = m u / (1 - m u):
+        # the Cholesky rounding bound (Higham Thm 10.3) exceeds the noise
+        u = 2.0 ** -53
+        gamma = (n + 1) * u / (1 - (n + 1) * u)
+        K = random_spd(n, 20 + n)
+        scale = 0.1 / (gamma * K.diagonal().max())
+        with pytest.raises(ArithmeticError) as err:
+            fit(scale * K, np.ones(n), 0.1)
+        message = str(err.value)
+        for term in ("numerically singular", "noise_var 0.1 ", f"gamma_{n + 1} {gamma:.6g}",
+                     f"max diag K {scale * K.diagonal().max():.6g}"):
+            assert term in message
+        # just above the bound the one factorization goes ahead
+        fit(0.99 * scale * K, np.ones(n), 0.1)
 
     def test_factorization_residual(self):
         K = random_spd(30, 3)
@@ -104,23 +120,16 @@ class TestFit:
 def assert_matches_scipy_wrappers(K, y, K_star, k_diag, noise=0.1):
     """``fit`` (with its ``nll``) and ``predict`` equal, bit for bit, Rasmussen &
     Williams Alg. 2.1 through scipy's validating wrappers."""
-    A = K + noise * np.eye(K.shape[0])
-    jitter = 0.0
-    try:
-        L = cholesky(A, lower=True)
-    except np.linalg.LinAlgError:
-        jitter = 1e-8 * np.trace(K) / K.shape[0]
-        L = cholesky(A + jitter * np.eye(K.shape[0]), lower=True)
+    L = cholesky(K + noise * np.eye(K.shape[0]), lower=True)
     alpha = cho_solve((L, True), y)
     log_det = 2.0 * float(np.log(np.diag(L)).sum())
     v = solve_triangular(L, K_star.T, lower=True)
     var = k_diag - np.einsum("ij,ij->j", v, v)
     ref_nll = float(0.5 * y @ cho_solve((L, True), y) + 0.5 * log_det
                     + 0.5 * y.shape[0] * np.log(2.0 * np.pi))
-    ref = (L, alpha, log_det, jitter, K_star @ alpha, np.where(var < 0.0, 0.0, var), ref_nll)
+    ref = (L, alpha, log_det, K_star @ alpha, np.where(var < 0.0, 0.0, var), ref_nll)
     gp = fit(K, y, noise)
-    got = (gp.chol_lower, gp.alpha, gp.log_det, gp.jitter,
-           *predict(gp, K_star, k_diag), gp.nll)
+    got = (gp.chol_lower, gp.alpha, gp.log_det, *predict(gp, K_star, k_diag), gp.nll)
     for a, b in zip(got, ref):
         assert np.array_equal(a, b)
     return gp
@@ -140,10 +149,12 @@ class TestLapackIdentity:
         for _, K in kernel_matrices_by_depth(RELU, X, 2.0, 0.0, [1, 10, 100]):
             assert_matches_scipy_wrappers(K[:n, :n], train.y, K[n:, :n], np.diag(K)[n:])
 
-    def test_jitter_retry(self):
+    def test_refuses_where_scipy_cholesky_refuses(self):
         K = np.diag([1.0, -0.1])
-        gp = assert_matches_scipy_wrappers(K, np.array([1.0, 0.0]), K[:1], np.ones(1))
-        assert gp.jitter > 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            cholesky(K + 0.1 * np.eye(2), lower=True)
+        with pytest.raises(ArithmeticError, match="leading minor 2"):
+            fit(K, np.array([1.0, 0.0]), 0.1)
 
 
 class TestPredict:
@@ -176,18 +187,46 @@ class TestPredict:
         assert np.abs(mean - mean_d).max() <= 1e-9
         assert np.abs(var - var_d).max() <= 1e-9
 
-    def test_rounding_variance_clamped_and_counted(self):
-        # a K** diagonal 5e-11 below the quadratic form is within the
-        # rounding tolerance: its variance is clamped to 0 and counted;
-        # 1e-9 below raises
-        K = random_spd(6, 3)
-        gp = fit(K, np.ones(6), 0.1)
-        quad = np.diag(K[:2] @ np.linalg.solve(K + 0.1 * np.eye(6), K[:2].T))
-        _, var = predict(gp, K[:2], quad + np.array([-5e-11, 1.0]))
-        assert var[0] == 0.0 and var[1] == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 40])
+    def test_rounding_variance_clamped_and_counted(self, scale):
+        # the bound scales with the kernel: (2 sqrt(n) kappa + 1) gamma_n
+        # max(k**, d), d = max diag(L L^T), kappa = sqrt(d) / min diag(L); a
+        # K** diagonal a quarter of it below the quadratic form is clamped to
+        # 0 and counted, four times it below raises. Scaling K, the noise and
+        # K** by 2^40 is exact, so it moves neither decision
+        K, n = scale * random_spd(6, 3), 6
+        gp = fit(K, np.ones(n), scale * 0.1)
+        quad = np.diag(K[:2] @ np.linalg.solve(K + scale * 0.1 * np.eye(n), K[:2].T))
+        L = gp.chol_lower
+        d = (L * L).sum(axis=1).max()
+        gamma = n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
+        tol = (2 * np.sqrt(n) * np.sqrt(d) / L.diagonal().min() + 1) * gamma * max(quad.max(), d)
+        assert 1e-14 * scale < tol < 1e-12 * scale
+        _, var = predict(gp, K[:2], quad + np.array([-tol / 4, scale]))
+        assert var[0] == 0.0 and var[1] == pytest.approx(scale, rel=1e-12)
         assert gp.n_var_clamped == 1
-        with pytest.raises(ArithmeticError, match="variance below"):
-            predict(gp, K[:2], quad - 1e-9)
+        with pytest.raises(ArithmeticError, match="below its rounding bound"):
+            predict(gp, K[:2], quad - 4 * tol)
+
+    @pytest.mark.parametrize("name", ["relu", "gelu"])
+    def test_large_scale_cell_matches_dense_posterior(self, name):
+        # depth 32 at sigma_w^2 4: max diag(K) ~ 1e12, noise 0.1 above the
+        # singular bound; means and variances against numpy.linalg.solve
+        rng = np.random.Generator(np.random.Philox(key=33))
+        X = rng.standard_normal((60, 6))
+        y = np.sin(X @ rng.standard_normal(6) / np.sqrt(6))
+        [(_, K)] = kernel_matrices_by_depth(from_name(name), X, 4.0, 0.0, [32])
+        n, noise = 48, 0.1
+        scale = K.diagonal().max()
+        assert 1e11 <= scale and noise > 49 * 2.0 ** -53 * scale
+        gp = fit(K[:n, :n], y[:n], noise)
+        for rows in (slice(None, n), slice(n, None)):
+            mean, var = predict(gp, K[rows, :n], np.diag(K)[rows])
+            mean_d, var_d = dense_posterior(K[:n, :n], y[:n], noise, K[rows, :n],
+                                            np.diag(K)[rows])
+            assert np.abs(mean - mean_d).max() <= 1e-11
+            assert np.abs(var - var_d).max() <= n * np.finfo(float).eps * scale
+            assert var.min() > 0.0 and gp.n_var_clamped == 0
 
     def test_shape_mismatch(self):
         gp = fit(np.eye(3), np.zeros(3), 0.1)
