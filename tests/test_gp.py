@@ -187,30 +187,32 @@ class TestPredict:
         assert np.abs(mean - mean_d).max() <= 1e-9
         assert np.abs(var - var_d).max() <= 1e-9
 
-    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 40])
-    def test_rounding_variance_clamped_and_counted(self, scale):
+    def test_rounding_variance_clamped_and_counted(self):
         # the bound scales with the kernel: (2 sqrt(n) kappa + 1) gamma_n
         # max(k**, d), d = max diag(L L^T), kappa = sqrt(d) / min diag(L); a
         # K** diagonal a quarter of it below the quadratic form is clamped to
         # 0 and counted, four times it below raises. Scaling K, the noise and
         # K** by 2^40 is exact, so it moves neither decision
-        K, n = scale * random_spd(6, 3), 6
-        gp = fit(K, np.ones(n), scale * 0.1)
-        quad = np.diag(K[:2] @ np.linalg.solve(K + scale * 0.1 * np.eye(n), K[:2].T))
-        L = gp.chol_lower
-        d = (L * L).sum(axis=1).max()
-        gamma = n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
-        tol = (2 * np.sqrt(n) * np.sqrt(d) / L.diagonal().min() + 1) * gamma * max(quad.max(), d)
-        assert 1e-14 * scale < tol < 1e-12 * scale
-        _, var = predict(gp, K[:2], quad + np.array([-tol / 4, scale]))
-        assert var[0] == 0.0 and var[1] == pytest.approx(scale, rel=1e-12)
-        assert gp.n_var_clamped == 1
-        with pytest.raises(ArithmeticError, match="below its rounding bound"):
-            predict(gp, K[:2], quad - 4 * tol)
+        n = 6
+        for scale in (1.0, 2.0 ** 40):
+            K = scale * random_spd(n, 3)
+            gp = fit(K, np.ones(n), scale * 0.1)
+            quad = np.diag(K[:2] @ np.linalg.solve(K + scale * 0.1 * np.eye(n), K[:2].T))
+            L = gp.chol_lower
+            d = (L * L).sum(axis=1).max()
+            gamma = n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
+            kappa = np.sqrt(d) / L.diagonal().min()
+            tol = (2 * np.sqrt(n) * kappa + 1) * gamma * max(quad.max(), d)
+            assert 1e-14 * scale < tol < 1e-12 * scale
+            _, var = predict(gp, K[:2], quad + np.array([-tol / 4, scale]))
+            assert var[0] == 0.0 and var[1] == pytest.approx(scale, rel=1e-12)
+            assert gp.n_var_clamped == 1
+            with pytest.raises(ArithmeticError, match="below its rounding bound"):
+                predict(gp, K[:2], quad - 4 * tol)
 
     @pytest.mark.parametrize("name", ["relu", "gelu"])
     def test_large_scale_cell_matches_dense_posterior(self, name):
-        # depth 32 at sigma_w^2 4: max diag(K) ~ 1e12, noise 0.1 above the
+        # depth 32 at sigma_w^2 4: max diag(K) 3.5e11, noise 0.1 above the
         # singular bound; means and variances against numpy.linalg.solve
         rng = np.random.Generator(np.random.Philox(key=33))
         X = rng.standard_normal((60, 6))
