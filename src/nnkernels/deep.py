@@ -102,7 +102,11 @@ class NetworkHyper:
 
 def _normalized(k, s1_sq, s2_sq):
     rho = k / np.sqrt(s1_sq * s2_sq)
-    if _any(np.abs(rho) - 1.0 > _RHO_OVERSHOOT):
+    # written as a refusal of what is not within the bound, so NaN fails it too
+    if not _all(np.abs(rho) - 1.0 <= _RHO_OVERSHOOT):
+        if not np.isfinite(rho).all():
+            raise ArithmeticError("normalized kernel is not finite (NaN or inf): the kernel "
+                                  "or a squared norm overflowed")
         raise ArithmeticError(
             f"normalized kernel overshoots [-1, 1] by {float(np.max(np.abs(rho))) - 1.0:.3e}; "
             "this signals a kernel bug"

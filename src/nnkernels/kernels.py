@@ -48,7 +48,6 @@ import numpy as np
 from scipy.special import erfcx, log_ndtr, ndtr, roots_legendre
 
 from .activations import Activation
-from .quadrature import ZMAX
 from . import special
 from .special import GENZ_RHO_MAX, SQRT_2PI, TWO_PI, _check_correlation, expscaled_cdf
 
@@ -63,13 +62,17 @@ ELU_S_MAX = 25.0
 _ELU_CHUNK = 1024
 
 # The tail-band rule: 16-node Gauss-Legendre panels on each side of the
-# kink at 0, between 0, 1, 2, 4, ZMAX, c / max(s1, 1) and c min(1, tau/|rho|)
+# kink at 0, between 0, 1, 2, 4, 9.5, c / max(s1, 1) and c min(1, tau/|rho|)
 # for c = 1/16 .. 8, 640 nodes per entry; 32 entries per call keep each
 # (entries, 640) temporary at 160 KB, where unchunked calls raised the
-# peak RSS of the `fixed_point` benchmark from 84.5 to 89.6 MB.
+# peak RSS of the `fixed_point` benchmark from 84.5 to 89.6 MB. The last
+# edge, 9.5, drops the normal tail where phi(z) < 1.1e-20; the integrands
+# grow at most like z^2 there, so that is below the rounding of every
+# moment. It is also the oracle's radius ``quadrature.ZMAX``, written out
+# so that the closed forms import nothing from the oracle module.
 _TAIL_NODES, _TAIL_WEIGHTS = roots_legendre(16)
 _TAIL_SCALES = 2.0 ** np.arange(-4, 4)
-_TAIL_EDGES = np.array([0.0, 1.0, 2.0, 4.0, ZMAX])
+_TAIL_EDGES = np.array([0.0, 1.0, 2.0, 4.0, 9.5])
 _TAIL_CHUNK = 32
 
 # The interior's Genz rule: the 24 Gauss-Legendre nodes of ``special`` on
@@ -221,8 +224,11 @@ def _elu_interior(l2, alpha, s1, s2, theta, want):
                              + a2 * (e12 - e10 - e01 + quadrant))
     if "dd" in want:
         lin = s2 * ((x1 - cs / 2.0) / SQRT_2PI + s1c * b1)  # c(s1) - E(s1, 0) = B(s1)
-        jump = (s2 * sn / SQRT_2PI + alpha * (x2 - 0.5)) / (SQRT_2PI * s1)
-        outs["dd"] = l2 * (alpha * (lin + alpha * (e12 - e10)) + (1.0 - alpha) * jump)
+        dd = alpha * (lin + alpha * (e12 - e10))
+        if alpha != 1.0:  # the kink's delta; the ELU has none, and s1 may be 0
+            jump = (s2 * sn / SQRT_2PI + alpha * (x2 - 0.5)) / (SQRT_2PI * s1)
+            dd += (1.0 - alpha) * jump
+        outs["dd"] = l2 * dd
     return [outs[w] for w in want]
 
 
@@ -291,8 +297,11 @@ def _elu_tail(l2, alpha, s1, s2, rho, want):
     if "dot" in want:
         outs["dot"] = l2 * (w * (d[:, :m] + alpha * e * d[:, m:])).sum(axis=1)
     if "dd" in want:
-        kink = _conditional(alpha, np.zeros(n), v, slope=False)[0] / (SQRT_2PI * s1)
-        outs["dd"] = l2 * (alpha * (w * e * g[:, m:]).sum(axis=1) + (1.0 - alpha) * kink)
+        dd = alpha * (w * e * g[:, m:]).sum(axis=1)
+        if alpha != 1.0:  # the kink's delta, as in ``_elu_interior``
+            kink = _conditional(alpha, np.zeros(n), v, slope=False)[0] / (SQRT_2PI * s1)
+            dd += (1.0 - alpha) * kink
+        outs["dd"] = l2 * dd
     return [outs[w] for w in want]
 
 
@@ -429,6 +438,9 @@ def pair_dd_mean(act: Activation, s1, s2, rho):
         r = _unit_clip(rho)
         out = (1.0 - a) ** 2 * s2 * np.sqrt((1.0 - r) * (1.0 + r)) / (TWO_PI * s1)
     elif kind in ("elu", "selu"):
+        if act.selu_alpha != 1.0 and ((s1 == 0.0) & (np.abs(rho) < 1.0)).any():
+            raise ValueError("SELU pair_dd_mean is unbounded at s1 = 0 with |rho| < 1: "
+                             "the kink adds (1 - alpha) E[psi(s2 tau Z)] / (sqrt(2 pi) s1)")
         return _elu_moments(act, s1, s2, rho, ("dd",))[0]
     else:  # gelu / erf; no endpoint branch, as in pair_dot_mean
         c = s1 * s2 * _unit_clip(rho)

@@ -515,6 +515,18 @@ class TestRefusals:
             _normalized(np.array([0.5, 1.0 + 1e-9]), 1.0, 1.0)
         assert _normalized(1.0 + 1e-13, 1.0, 1.0) == 1.0
 
+    def test_non_finite_normalized_kernel_refused(self):
+        # ReLU at sigma_w^2 = 1e3 overflows the squared norms before depth
+        # 121: the first row of rho is [inf, nan, nan], which a bound on
+        # |rho| - 1 alone lets through
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ArithmeticError, match="not finite"):
+            list(kernel_matrices_by_depth(RELU, [[1, 0], [1, 0], [.6, .8]], 1e3, 0.0,
+                                          [121, 130, 200]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ArithmeticError, match="not finite"):
+                _normalized(np.array([0.5, bad]), 1.0, 1.0)
+
 
 class TestLayerJacobian:
     @pytest.mark.parametrize("act", SIX_ACTS, ids=lambda a: a.kind)

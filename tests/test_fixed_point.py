@@ -676,7 +676,7 @@ def test_sweep_rows_are_the_quadrature_oracle(act, norm):
     # the 512 angles of `nnk fixedpoint` at sigma* (ERF at sigma = 1.2 from
     # norm 1, where it has no sigma*). Two closed forms are off by more than
     # rounding at norm 5, as measured against this oracle: ERF at s = 6 by
-    # 1.7e-14, and ELU and SELU at s ~ 7 by 3.2e-11 and 2.2e-11, the open
+    # 1.7e-14, and ELU and SELU at s ~ 7 by 4.1e-11 and 2.2e-11, the open
     # fault of their Genz integrals (ROADMAP item 2)
     thetas = np.pi * (np.arange(512) + 1.0) / 513.0
     sigma = 1.2 if act is ERF and norm >= 1.0 else sigma_star(act, norm)

@@ -338,6 +338,21 @@ class TestOracleEquivalence:
                 for sign in (1.0, -1.0):
                     assert np.isfinite(pair_dd_mean(act, s, s, sign))
 
+    @pytest.mark.parametrize("rho", [0.0, 0.95], ids=["genz", "tail"])
+    def test_elu_dd_at_zero_s1(self, rho):
+        # the ELU's psi'' has no delta at its kink (alpha = 1), so its row
+        # at s1 = 0 is the limit s1 -> 0+, with no division by s1
+        assert _tail_band(rho) == (rho == 0.95)
+        assert abs(pair_dd_mean(ELU, 0.0, 0.9, rho) - pair_dd_mean(ELU, 1e-300, 0.9, rho)) <= 1e-15
+
+    def test_selu_dd_refuses_zero_s1(self):
+        # the kink's delta adds (1 - alpha) E[psi(s2 tau Z)] / (sqrt(2 pi) s1);
+        # at rho = +-1, tau = 0 and psi(0) = 0 take it away
+        act = selu(1.0507, 1.6733)
+        with pytest.raises(ValueError, match="unbounded at s1 = 0"):
+            pair_dd_mean(act, [1.0, 0.0], 0.9, 0.3)
+        assert np.isfinite(pair_dd_mean(act, 0.0, 0.9, 1.0))
+
 
 class TestInvariants:
     @settings(max_examples=50, deadline=None)

@@ -8,12 +8,10 @@ import numpy as np
 import pytest
 
 from nnkernels import activations as am
-from nnkernels.activations import ELU, ERF, GELU, RELU, lrelu, selu
+from nnkernels.activations import ELU, GELU, RELU, lrelu
 from nnkernels.fixed_point import lambda3_quad_grid, sigma_star
 from nnkernels.kernels import pair_mean
 from nnkernels.quadrature import autocorr_mean_quad, pair_mean_quad
-
-from oracle import autocorr_mean_full
 
 # a kinked integrand (the LReLU step derivative) and a smooth one
 INTEGRANDS = {"lrelu-deriv": lambda z: am.deriv(lrelu(0.2), z),
@@ -76,34 +74,12 @@ def test_general_path_at_the_correlation_endpoints(rho):
         assert abs(pair_mean_quad(relu, step, s1, s2, rho) - exact) <= 1e-13 * max(1.0, s1)
 
 
-def _counting(f):
-    sizes = []
-
-    def counted(z):
-        sizes.append(z.size)
-        return f(z)
-
-    return counted, sizes
-
-
 @pytest.mark.parametrize("rho", ENDPOINT_RHOS + (0.3,))
-def test_equal_factors_share_one_grid(rho):
-    # f1 is f2 at one scale: f is evaluated once, on s [G, -G] (90 x 240
-    # points at 120 nodes), and the second factor reuses those values
+def test_equal_factors_meet_the_closed_form(rho):
+    # f2 is f1 at one scale, as in every self-product of the oracles
+    f = INTEGRANDS["gelu"]
     s = 1.7
-    f, f_sizes = _counting(INTEGRANDS["gelu"])
-    shared = pair_mean_quad(f, f, s, s, rho)
-    assert f_sizes == [90 * 240]
-    # a distinct function object with the same body takes the general
-    # path, one evaluation per factor on the same points, bit for bit
-    f, f_sizes = _counting(INTEGRANDS["gelu"])
-    g, g_sizes = _counting(INTEGRANDS["gelu"])
-    assert pair_mean_quad(f, g, s, s, rho) == shared
-    assert f_sizes == g_sizes == [90 * 240]
-    # unequal scales evaluate the one function twice
-    f, f_sizes = _counting(INTEGRANDS["gelu"])
-    pair_mean_quad(f, f, s, 0.9, rho)
-    assert f_sizes == [90 * 240] * 2
+    assert abs(pair_mean_quad(f, f, s, s, rho) - pair_mean(GELU, s, s, rho)) <= 1e-13
 
 
 @pytest.mark.parametrize("rho", [np.nan, 1.5, -1.0000001])
@@ -154,22 +130,10 @@ def test_elu_dot_oracle_against_mpmath_at_s7():
     assert abs(autocorr_mean_quad(f, s, 512)[336] - float(ref)) <= 1e-13
 
 
-@pytest.mark.parametrize("act", [RELU, lrelu(0.2), GELU, ERF, ELU, selu(1.0507, 1.6733)],
-                         ids=lambda a: a.kind)
-def test_half_circle_sweep_matches_the_full_circle(act):
-    # the nodes u < 0 at double weight against all four nodes: equal in
-    # exact arithmetic; measured at most 3.5e-14 relative (ReLU), 3.3e-15
-    # for the others
-    f = lambda z: am.deriv(act, z)
-    for n in (7, 31, 100, 512):
-        for s in (0.3, 1.3, 7.0):
-            got, want = autocorr_mean_quad(f, s, n), autocorr_mean_full(f, s, n)
-            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13, (n, s)
-
-
 def test_lambda3_grid_evaluates_psi_prime_on_half_the_circle(monkeypatch):
-    # 2 nodes x 90 radii x 1026 cells of one sub-cell each at 512 angles;
-    # the whole circle takes 4 nodes, 369,360 points
+    # psi' is evaluated once for all 512 angles, not once per angle:
+    # 4 nodes x 90 radii x 1026 cells of one sub-cell each, 369,360 points,
+    # one node at a time
     sizes, deriv = [], am.deriv
 
     def counted(act, z):
@@ -179,15 +143,14 @@ def test_lambda3_grid_evaluates_psi_prime_on_half_the_circle(monkeypatch):
     monkeypatch.setattr(am, "deriv", counted)
     s = sigma_star(GELU, 1.0)
     lambda3_quad_grid(GELU, s, np.pi * (np.arange(512) + 1.0) / 513.0, s * s, 0.0)
-    assert sum(sizes) == 184_680 and len(sizes) == 6
+    assert sum(sizes) == 369_360 and len(sizes) == 4
 
 
 def test_lambda3_grid_peak_memory_is_tile_sized():
-    # the 512-angle sweep of `nnk fixedpoint`: psi' is evaluated once on a
-    # (90, 2052) grid, the two nodes u < 0 of every sub-cell, one (30, 1026)
-    # slab of ~250 KB at a time (its spectrum and the integrand's
-    # temporaries add a few more), where that grid whole would be 1.5 MB
-    # and one (90, 240) grid per angle 88 MB
+    # the 512-angle sweep of `nnk fixedpoint`: psi' is evaluated on a
+    # (90, 1026) grid of ~740 KB per node position, one at a time (its
+    # spectrum and the integrand's temporaries add a few more), where one
+    # (90, 240) grid per angle would be 88 MB
     s = sigma_star(GELU, 1.0)
     thetas = np.pi * (np.arange(512) + 1.0) / 513.0
     tracemalloc.start()
