@@ -40,13 +40,8 @@ _RHO_OVERSHOOT = 1e-12
 _PAIR_ENTRIES = (np.array([0, 0, 1]), np.array([1, 0, 1]))
 
 
-def _any(flags):
-    """``np.any`` over every entry, at a quarter of its cost on a scalar."""
-    return np.logical_or.reduce(flags, axis=None)
-
-
 def _all(flags):
-    """``np.all`` over every entry, as ``_any``."""
+    """``np.all`` over every entry, at a quarter of its cost on a scalar."""
     return np.logical_and.reduce(flags, axis=None)
 
 

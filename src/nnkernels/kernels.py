@@ -6,8 +6,8 @@ For zero-mean weight priors the kernel of one infinitely wide layer is
 
 with (Z1, Z2) standard bivariate normal, correlation rho = cos(theta).
 This module provides closed forms for every supported activation,
-vectorized over (s1, s2, rho) arrays of a common shape; the quadrature
-and Monte-Carlo oracles that check them live with the tests.
+vectorized over (s1, s2, rho) arrays of a common shape; the integration
+and Monte-Carlo oracles that check them share no code with this module.
 
 Closed forms:
   ReLU / LReLU  arc-cosine degree-1 (Cho & Saul, 2009) plus the linear
@@ -68,8 +68,8 @@ _ELU_CHUNK = 1024
 # peak RSS of the `fixed_point` benchmark from 84.5 to 89.6 MB. The last
 # edge, 9.5, drops the normal tail where phi(z) < 1.1e-20; the integrands
 # grow at most like z^2 there, so that is below the rounding of every
-# moment. It is also the oracle's radius ``quadrature.ZMAX``, written out
-# so that the closed forms import nothing from the oracle module.
+# moment. It is also the radius ``ZMAX`` of the polar oracle rule, written
+# out so that the closed forms import nothing from the oracle module.
 _TAIL_NODES, _TAIL_WEIGHTS = roots_legendre(16)
 _TAIL_SCALES = 2.0 ** np.arange(-4, 4)
 _TAIL_EDGES = np.array([0.0, 1.0, 2.0, 4.0, 9.5])
